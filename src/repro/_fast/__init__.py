@@ -36,7 +36,6 @@ if os.environ.get("REPRO_PURE", "").strip().lower() not in ("1", "true", "yes"):
 #: :mod:`repro.core.accel` facade is the only writer.
 scheduler_run_until = None        #: compiled EventScheduler.run_until loop
 engine_try_deliver = None         #: compiled TotemSrp._try_deliver sweep
-engine_apply_batched = None       #: compiled TotemSrp._apply_batched_packet
 engine_on_batch = None            #: compiled TotemSrp.on_batch
 engine_broadcast_batched = None   #: compiled TotemSrp._broadcast_batched
 engine_is_duplicate_batch = None  #: compiled TotemSrp.is_duplicate_batch
@@ -49,7 +48,6 @@ __all__ = [
     "corec",
     "scheduler_run_until",
     "engine_try_deliver",
-    "engine_apply_batched",
     "engine_on_batch",
     "engine_broadcast_batched",
     "engine_is_duplicate_batch",

@@ -1,8 +1,8 @@
 /* _corec: hand-written CPython acceleration of the simulator's hot paths.
  *
  * Design rule (docs/PERFORMANCE.md): ALL simulation state stays in ordinary
- * Python objects — the scheduler's heap list and now-queue deque, the
- * clock's `_now` float, the engines' dicts and ints.  The C code here only
+ * Python objects — the scheduler's heap list, the clock's `_now` float,
+ * the engines' dicts and ints.  The C code here only
  * *executes* over that state, so `copy.deepcopy` world-forking
  * (repro.check explore), canonical digests and pickling all keep working
  * unchanged, and every function has a byte-for-byte-equivalent pure-Python
@@ -13,7 +13,7 @@
  *   ReceiveBuffer                 — seq-ordered packet store (srp/ordering)
  *   Reassembler                   — chunk reassembly      (srp/packing)
  *   try_deliver(engine)           — contiguous delivery sweep
- *   apply_batched(engine, p, net) — per-packet batch apply fast path
+ *   on_batch(engine, batch, net)  — inline frame-train apply + one sweep
  *   encode_data / encode_batch /
  *   decode_data / decode_batch    — wire codec for the data hot kinds
  *
@@ -37,13 +37,13 @@ static PyObject *g_chunk_app;        /* ChunkKind.APP */
 static PyObject *g_state_recovery;   /* SrpState.RECOVERY */
 
 /* interned attribute-name strings */
-static PyObject *s_heap, *s_now_queue, *s_popleft, *s_clock, *s_now_attr,
+static PyObject *s_heap, *s_popleft, *s_clock, *s_now_attr,
     *s_dead, *s_events_processed, *s_seq, *s_sender, *s_ring_id, *s_chunks,
     *s_kind, *s_flags, *s_data, *s_msg_id, *s_recv_buffer, *s_delivered_seq,
     *s_stable_seq, *s_reassembler, *s_stats, *s_on_deliver, *s_config,
     *s_safe_delivery, *s_my_aru, *s_msgs_delivered, *s_bytes_delivered,
-    *s_packets_received, *s_duplicate_packets, *s_pending_applies,
-    *s_discard, *s_stopped, *s_ring_aliases, *s_last_token, *s_state,
+    *s_packets_received, *s_duplicate_packets,
+    *s_stopped, *s_ring_aliases, *s_last_token, *s_state,
     *s_cancel_retrans, *s_retrans_timer, *s_absorb_recovery, *s_on_data;
 
 static PyObject *g_empty_bytes;      /* b"" (for join) */
@@ -68,7 +68,6 @@ static PyObject *s_queue, *s_bytes, *s_max_payload, *s_enable_packing,
     *s_next_msg_id, *s_partial, *s_next_packet_chunks, *s_packer,
     *s_transport, *s_broadcast_data, *s_broadcast_batch,
     *s_packets_broadcast, *s_node_id, *s_packets, *s_wire_size_attr,
-    *s_apply_batched, *s_deliver_after, *s_runtime, *s_drain_now, *s_add,
     *s_has, *s_representative, *s_validate;
 
 /* CPU-pipeline / delivery-log fast paths (third coverage round) */
@@ -83,8 +82,6 @@ static PyObject *g_zero;             /* int(0) */
  * snapshots depend on that), but when the compiled run_until loop pops
  * one whose function body already has a C twin, it dispatches straight
  * to the twin instead of paying the Python wrapper frame. */
-static PyObject *g_apply_fn;         /* TotemSrp._apply_batched_packet */
-static PyObject *g_deliver_after_fn; /* TotemSrp._deliver_after_batch */
 static PyObject *g_fanout_fn;        /* SimLan._fanout */
 static PyObject *g_cpu_finish_fn;    /* NodeCpu._finish */
 static PyObject *g_portdeliver_cls;  /* net.stack._PortDeliver */
@@ -120,7 +117,6 @@ intern_all(void)
 #define INTERN(var, name) \
     if (!(var = PyUnicode_InternFromString(name))) return -1;
     INTERN(s_heap, "_heap")
-    INTERN(s_now_queue, "_now_queue")
     INTERN(s_popleft, "popleft")
     INTERN(s_clock, "clock")
     INTERN(s_now_attr, "_now")
@@ -147,8 +143,6 @@ intern_all(void)
     INTERN(s_bytes_delivered, "bytes_delivered")
     INTERN(s_packets_received, "packets_received")
     INTERN(s_duplicate_packets, "duplicate_packets")
-    INTERN(s_pending_applies, "_pending_applies")
-    INTERN(s_discard, "discard")
     INTERN(s_stopped, "_stopped")
     INTERN(s_ring_aliases, "_ring_aliases")
     INTERN(s_last_token, "_last_token")
@@ -176,11 +170,6 @@ intern_all(void)
     INTERN(s_node_id, "node_id")
     INTERN(s_packets, "packets")
     INTERN(s_wire_size_attr, "_wire_size")
-    INTERN(s_apply_batched, "_apply_batched_packet")
-    INTERN(s_deliver_after, "_deliver_after_batch")
-    INTERN(s_runtime, "runtime")
-    INTERN(s_drain_now, "drain_now")
-    INTERN(s_add, "add")
     INTERN(s_has, "has")
     INTERN(s_representative, "representative")
     INTERN(s_validate, "validate")
@@ -259,7 +248,7 @@ intern_all(void)
  *             chunk_cls, data_cls, batch_cls, ring_cls,
  *             codec_error, checksum_error,
  *             transport_error, dlog_on_deliver, recvjob_cls, stack_dispatch,
- *             apply_fn, deliver_after_fn, fanout_fn, cpu_finish_fn,
+ *             fanout_fn, cpu_finish_fn,
  *             portdeliver_cls, recv_cost_fn, try_deliver_fn, cpu_submit_fn,
  *             port_broadcast_fn, port_unicast_fn,
  *             chunk_header_bytes, batch_base_bytes, batch_sub_bytes,
@@ -269,14 +258,14 @@ corec_bind(PyObject *self, PyObject *args)
 {
     PyObject *err, *dcls, *app, *rec, *ccls, *pcls, *bcls, *rcls,
         *cerr, *crcerr, *terr, *dlogfn, *rjcls, *dispfn,
-        *applyfn, *dafterfn, *fanoutfn, *cfinfn, *pdcls, *rcostfn,
+        *fanoutfn, *cfinfn, *pdcls, *rcostfn,
         *tdfn, *csubfn, *pbfn, *pufn, *onpktfn, *recvbfn, *srponbfn;
     int chunk_hdr, batch_base, batch_sub, batch_max;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOOOOOOOOOOOOOiiii",
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOOOOOOOOOOOiiii",
                           &err, &dcls, &app, &rec,
                           &ccls, &pcls, &bcls, &rcls, &cerr, &crcerr,
                           &terr, &dlogfn, &rjcls, &dispfn,
-                          &applyfn, &dafterfn, &fanoutfn, &cfinfn,
+                          &fanoutfn, &cfinfn,
                           &pdcls, &rcostfn, &tdfn, &csubfn, &pbfn, &pufn,
                           &onpktfn, &recvbfn, &srponbfn,
                           &chunk_hdr, &batch_base, &batch_sub, &batch_max))
@@ -307,8 +296,6 @@ corec_bind(PyObject *self, PyObject *args)
     Py_XSETREF(g_dlog_on_deliver, Py_NewRef(dlogfn));
     Py_XSETREF(g_recvjob_cls, Py_NewRef(rjcls));
     Py_XSETREF(g_stack_dispatch, Py_NewRef(dispfn));
-    Py_XSETREF(g_apply_fn, Py_NewRef(applyfn));
-    Py_XSETREF(g_deliver_after_fn, Py_NewRef(dafterfn));
     Py_XSETREF(g_fanout_fn, Py_NewRef(fanoutfn));
     Py_XSETREF(g_cpu_finish_fn, Py_NewRef(cfinfn));
     Py_XSETREF(g_portdeliver_cls, Py_NewRef(pdcls));
@@ -596,15 +583,9 @@ corec_run_until(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "Od", &sched, &t))
         return NULL;
     PyObject *heap = PyObject_GetAttr(sched, s_heap);
-    PyObject *nowq = NULL, *popleft = NULL, *clock = NULL;
+    PyObject *clock = NULL;
     if (heap == NULL || !PyList_Check(heap))
         goto type_fail;
-    nowq = PyObject_GetAttr(sched, s_now_queue);
-    if (nowq == NULL)
-        goto fail;
-    popleft = PyObject_GetAttr(nowq, s_popleft);
-    if (popleft == NULL)
-        goto fail;
     clock = PyObject_GetAttr(sched, s_clock);
     if (clock == NULL)
         goto fail;
@@ -614,33 +595,7 @@ corec_run_until(PyObject *self, PyObject *args)
 
     long long events = 0;
 
-    for (;;) {
-        /* Vectorized same-timestamp dispatch: drain the now-queue FIFO. */
-        for (;;) {
-            Py_ssize_t qn = PySequence_Size(nowq);
-            if (qn < 0)
-                goto flush_fail;
-            if (qn == 0)
-                break;
-            PyObject *pair = PyObject_CallNoArgs(popleft);
-            if (pair == NULL)
-                goto flush_fail;
-            if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
-                Py_DECREF(pair);
-                PyErr_SetString(PyExc_TypeError,
-                                "now-queue entries must be (cb, args) tuples");
-                goto flush_fail;
-            }
-            PyObject *cb = PyTuple_GET_ITEM(pair, 0);
-            PyObject *cargs = PyTuple_GET_ITEM(pair, 1);
-            int dres = dispatch_event(cb, cargs);
-            Py_DECREF(pair);
-            if (dres < 0)
-                goto flush_fail;
-            events++;
-        }
-        if (PyList_GET_SIZE(heap) == 0)
-            break;
+    while (PyList_GET_SIZE(heap) > 0) {
         PyObject *top = PyList_GET_ITEM(heap, 0);
         double when;
         if (entry_when(top, &when) < 0)
@@ -693,13 +648,8 @@ corec_run_until(PyObject *self, PyObject *args)
         events++;
 
         /* Same-timestamp run: drain heap entries sharing `when` without
-         * touching the clock, pausing whenever a now-event appears. */
-        for (;;) {
-            Py_ssize_t qn = PySequence_Size(nowq);
-            if (qn < 0)
-                goto flush_fail;
-            if (qn != 0 || PyList_GET_SIZE(heap) == 0)
-                break;
+         * touching the clock. */
+        while (PyList_GET_SIZE(heap) > 0) {
             top = PyList_GET_ITEM(heap, 0);
             double w2;
             if (entry_when(top, &w2) < 0)
@@ -741,8 +691,6 @@ corec_run_until(PyObject *self, PyObject *args)
     if (t > now && clock_set(clock, t) < 0)
         goto fail;
     Py_DECREF(heap);
-    Py_DECREF(nowq);
-    Py_DECREF(popleft);
     Py_DECREF(clock);
     Py_RETURN_NONE;
 
@@ -760,8 +708,6 @@ flush_fail:
     }
 fail:
     Py_XDECREF(heap);
-    Py_XDECREF(nowq);
-    Py_XDECREF(popleft);
     Py_XDECREF(clock);
     return NULL;
 }
@@ -1456,108 +1402,77 @@ fail:
 }
 
 /* ---------------------------------------------------------------------
- * apply_batched(engine, packet, network): batch-apply fast path
+ * on_batch(engine, batch, network): apply a frame train inline, then one
+ * delivery sweep (see TotemSrp.on_batch)
  * ------------------------------------------------------------------- */
 
-static PyObject *
-corec_apply_batched(PyObject *self, PyObject *args)
+/* Whether `rid` names the engine's current ring, via the same
+ * identity / alias-memo / == ladder as _buffer_for_ring.
+ * 1 = current, 0 = something else (old ring / foreign), -1 = error. */
+static int
+ring_is_current(PyObject *engine, PyObject *rid)
 {
-    PyObject *engine, *packet, *network;
-    if (!PyArg_ParseTuple(args, "OOO", &engine, &packet, &network))
+    PyObject *my_ring = PyObject_GetAttr(engine, s_ring_id);
+    if (my_ring == NULL)
+        return -1;
+    if (rid == my_ring) {
+        Py_DECREF(my_ring);
+        return 1;
+    }
+    int result = -1;
+    PyObject *aliases = PyObject_GetAttr(engine, s_ring_aliases);
+    if (aliases == NULL)
+        goto done;
+    PyObject *key = PyLong_FromVoidPtr((void *)rid);
+    if (key == NULL)
+        goto done;
+    int memoed = PyDict_Contains(aliases, key);
+    if (memoed < 0) {
+        Py_DECREF(key);
+        goto done;
+    }
+    if (memoed) {
+        Py_DECREF(key);
+        result = 1;
+        goto done;
+    }
+    int eq = PyObject_RichCompareBool(rid, my_ring, Py_EQ);
+    if (eq < 0) {
+        Py_DECREF(key);
+        goto done;
+    }
+    if (eq && PyDict_SetItem(aliases, key, rid) < 0) {
+        Py_DECREF(key);
+        goto done;
+    }
+    Py_DECREF(key);
+    result = eq ? 1 : 0;
+done:
+    Py_XDECREF(aliases);
+    Py_DECREF(my_ring);
+    return result;
+}
+
+/* engine.on_data(packet, network, deliver=False) for one carried packet:
+ * the current-ring path in C; old-ring stragglers and foreign traffic are
+ * rare and bail to the Python method (which owns the membership
+ * consequences and their statistics). */
+static PyObject *
+apply_carried(PyObject *engine, PyObject *packet, PyObject *network)
+{
+    PyObject *rid = PyObject_GetAttr(packet, s_ring_id);
+    if (rid == NULL)
         return NULL;
-    if (check_bound() < 0)
+    int current = ring_is_current(engine, rid);
+    Py_DECREF(rid);
+    if (current < 0)
         return NULL;
+    if (!current)
+        return PyObject_CallMethodObjArgs(
+            engine, s_on_data, packet, network, Py_False, NULL);
     PyObject *seq_obj = PyObject_GetAttr(packet, s_seq);
     if (seq_obj == NULL)
         return NULL;
-    /* self._pending_applies.discard(packet.seq) */
-    PyObject *pending = PyObject_GetAttr(engine, s_pending_applies);
-    if (pending == NULL) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    PyObject *res = PyObject_CallMethodObjArgs(pending, s_discard,
-                                               seq_obj, NULL);
-    Py_DECREF(pending);
-    if (res == NULL) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    Py_DECREF(res);
-    /* if self._stopped: return  (dead incarnation) */
-    PyObject *stopped = PyObject_GetAttr(engine, s_stopped);
-    if (stopped == NULL) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    int is_stopped = PyObject_IsTrue(stopped);
-    Py_DECREF(stopped);
-    if (is_stopped < 0) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    if (is_stopped) {
-        Py_DECREF(seq_obj);
-        Py_RETURN_NONE;
-    }
-    /* Resolve the ring buffer by the identity/memo fast path.  Anything
-     * else (old ring, foreign ring) is rare: bail to Python on_data. */
-    PyObject *rid = PyObject_GetAttr(packet, s_ring_id);
-    if (rid == NULL) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    PyObject *my_ring = PyObject_GetAttr(engine, s_ring_id);
-    if (my_ring == NULL) {
-        Py_DECREF(rid);
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    int fast_ring = (rid == my_ring);
-    PyObject *aliases = NULL;
-    if (!fast_ring) {
-        aliases = PyObject_GetAttr(engine, s_ring_aliases);
-        if (aliases == NULL)
-            goto ring_fail;
-        PyObject *key = PyLong_FromVoidPtr((void *)rid);
-        if (key == NULL)
-            goto ring_fail;
-        int memoed = PyDict_Contains(aliases, key);
-        if (memoed < 0) {
-            Py_DECREF(key);
-            goto ring_fail;
-        }
-        if (memoed) {
-            fast_ring = 1;
-        }
-        else {
-            int eq = PyObject_RichCompareBool(rid, my_ring, Py_EQ);
-            if (eq < 0) {
-                Py_DECREF(key);
-                goto ring_fail;
-            }
-            if (eq) {
-                /* memoize: _ring_aliases[id(ring_id)] = ring_id */
-                if (PyDict_SetItem(aliases, key, rid) < 0) {
-                    Py_DECREF(key);
-                    goto ring_fail;
-                }
-                fast_ring = 1;
-            }
-        }
-        Py_DECREF(key);
-    }
-    Py_XDECREF(aliases);
-    aliases = NULL;
-    Py_DECREF(my_ring);
-    Py_DECREF(rid);
-    if (!fast_ring) {
-        /* Old-ring straggler or foreign traffic: the pure path handles
-         * membership consequences (stats accounting happens there). */
-        Py_DECREF(seq_obj);
-        return PyObject_CallMethodObjArgs(
-            engine, s_on_data, packet, network, Py_False, NULL);
-    }
     /* --- current-ring fast path (mirrors on_data with deliver=False) --- */
     PyObject *stats = PyObject_GetAttr(engine, s_stats);
     if (stats == NULL) {
@@ -1663,13 +1578,52 @@ corec_apply_batched(PyObject *self, PyObject *args)
         Py_DECREF(r);
     }
     Py_RETURN_NONE;
+}
 
-ring_fail:
-    Py_XDECREF(aliases);
-    Py_DECREF(my_ring);
-    Py_DECREF(rid);
-    Py_DECREF(seq_obj);
-    return NULL;
+static PyObject *
+corec_on_batch(PyObject *self, PyObject *args)
+{
+    PyObject *engine, *batch, *network;
+    if (!PyArg_ParseTuple(args, "OOO", &engine, &batch, &network))
+        return NULL;
+    if (check_bound() < 0)
+        return NULL;
+    PyObject *packets = PyObject_GetAttr(batch, s_packets);
+    if (packets == NULL)
+        return NULL;
+    if (!PyTuple_Check(packets)) {
+        Py_DECREF(packets);
+        PyErr_SetString(PyExc_TypeError, "batch.packets must be a tuple");
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(packets); i++) {
+        PyObject *r = apply_carried(engine, PyTuple_GET_ITEM(packets, i),
+                                    network);
+        if (r == NULL) {
+            Py_DECREF(packets);
+            return NULL;
+        }
+        Py_DECREF(r);
+    }
+    Py_DECREF(packets);
+    PyObject *state = PyObject_GetAttr(engine, s_state);
+    if (state == NULL)
+        return NULL;
+    int in_recovery = (state == g_state_recovery);
+    Py_DECREF(state);
+    if (in_recovery)
+        Py_RETURN_NONE;
+    /* The explorer patches instances' _try_deliver; honour it. */
+    PyObject *td = PyObject_GetAttr(engine, s_try_deliver);
+    if (td == NULL)
+        return NULL;
+    PyObject *r;
+    if (PyMethod_Check(td) && PyMethod_GET_FUNCTION(td) == g_try_deliver_fn)
+        r = corec_try_deliver(NULL, engine);
+    else
+        r = PyObject_CallNoArgs(td);
+    Py_DECREF(td);
+    return r;
 }
 
 /* ---------------------------------------------------------------------
@@ -2052,172 +2006,9 @@ fail_nolists:
 }
 
 /* ---------------------------------------------------------------------
- * on_batch(engine, batch, network): unpack a frame train into posted
- * per-packet applies (see TotemSrp.on_batch)
- * ------------------------------------------------------------------- */
-
-static PyObject *
-corec_on_batch(PyObject *self, PyObject *args)
-{
-    PyObject *engine, *batch, *network;
-    if (!PyArg_ParseTuple(args, "OOO", &engine, &batch, &network))
-        return NULL;
-    if (check_bound() < 0)
-        return NULL;
-
-    PyObject *packets = NULL, *pending = NULL, *apply_one = NULL,
-        *ready = NULL;
-    if ((packets = PyObject_GetAttr(batch, s_packets)) == NULL)
-        goto fail;
-    if ((pending = PyObject_GetAttr(engine, s_pending_applies)) == NULL)
-        goto fail;
-    int pend_set = PyAnySet_Check(pending);
-    if ((apply_one = PyObject_GetAttr(engine, s_apply_batched)) == NULL)
-        goto fail;
-    if ((ready = PyList_New(0)) == NULL)
-        goto fail;
-
-    Py_ssize_t n = PySequence_Size(packets);
-    if (n < 0)
-        goto fail;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *packet = PySequence_GetItem(packets, i);
-        if (packet == NULL)
-            goto fail;
-        PyObject *seq_obj = PyObject_GetAttr(packet, s_seq);
-        if (seq_obj == NULL) {
-            Py_DECREF(packet);
-            goto fail;
-        }
-        int seen = pend_set ? PySet_Contains(pending, seq_obj)
-                            : PySequence_Contains(pending, seq_obj);
-        if (seen < 0) {
-            Py_DECREF(seq_obj);
-            Py_DECREF(packet);
-            goto fail;
-        }
-        if (seen) {
-            /* A copy from a redundant network is already queued. */
-            Py_DECREF(seq_obj);
-            Py_DECREF(packet);
-            continue;
-        }
-        int r;
-        if (pend_set) {
-            r = PySet_Add(pending, seq_obj);
-        }
-        else {
-            PyObject *added = PyObject_CallMethodObjArgs(pending, s_add,
-                                                         seq_obj, NULL);
-            r = added == NULL ? -1 : 0;
-            Py_XDECREF(added);
-        }
-        Py_DECREF(seq_obj);
-        if (r < 0) {
-            Py_DECREF(packet);
-            goto fail;
-        }
-        PyObject *cargs = PyTuple_Pack(2, packet, network);
-        Py_DECREF(packet);
-        if (cargs == NULL)
-            goto fail;
-        PyObject *pair = PyTuple_Pack(2, apply_one, cargs);
-        Py_DECREF(cargs);
-        if (pair == NULL)
-            goto fail;
-        r = PyList_Append(ready, pair);
-        Py_DECREF(pair);
-        if (r < 0)
-            goto fail;
-    }
-
-    if (PyList_GET_SIZE(ready) > 0) {
-        PyObject *after = PyObject_GetAttr(engine, s_deliver_after);
-        if (after == NULL)
-            goto fail;
-        PyObject *pair = PyTuple_Pack(2, after, g_empty_tuple);
-        Py_DECREF(after);
-        if (pair == NULL)
-            goto fail;
-        int r = PyList_Append(ready, pair);
-        Py_DECREF(pair);
-        if (r < 0)
-            goto fail;
-        PyObject *runtime = PyObject_GetAttr(engine, s_runtime);
-        if (runtime == NULL)
-            goto fail;
-        PyObject *res = PyObject_CallMethodObjArgs(runtime, s_drain_now,
-                                                   ready, NULL);
-        Py_DECREF(runtime);
-        if (res == NULL)
-            goto fail;
-        Py_DECREF(res);
-    }
-    Py_DECREF(packets);
-    Py_DECREF(pending);
-    Py_DECREF(apply_one);
-    Py_DECREF(ready);
-    Py_RETURN_NONE;
-
-fail:
-    Py_XDECREF(packets);
-    Py_XDECREF(pending);
-    Py_XDECREF(apply_one);
-    Py_XDECREF(ready);
-    return NULL;
-}
-
-/* ---------------------------------------------------------------------
  * is_duplicate_batch(engine, batch) -> bool | NotImplemented
  * (see TotemSrp.is_duplicate_batch; NotImplemented = bail to Python)
  * ------------------------------------------------------------------- */
-
-/* Whether `rid` names the engine's current ring, via the same
- * identity / alias-memo / == ladder as _buffer_for_ring.
- * 1 = current, 0 = something else (old ring / foreign), -1 = error. */
-static int
-ring_is_current(PyObject *engine, PyObject *rid)
-{
-    PyObject *my_ring = PyObject_GetAttr(engine, s_ring_id);
-    if (my_ring == NULL)
-        return -1;
-    if (rid == my_ring) {
-        Py_DECREF(my_ring);
-        return 1;
-    }
-    int result = -1;
-    PyObject *aliases = PyObject_GetAttr(engine, s_ring_aliases);
-    if (aliases == NULL)
-        goto done;
-    PyObject *key = PyLong_FromVoidPtr((void *)rid);
-    if (key == NULL)
-        goto done;
-    int memoed = PyDict_Contains(aliases, key);
-    if (memoed < 0) {
-        Py_DECREF(key);
-        goto done;
-    }
-    if (memoed) {
-        Py_DECREF(key);
-        result = 1;
-        goto done;
-    }
-    int eq = PyObject_RichCompareBool(rid, my_ring, Py_EQ);
-    if (eq < 0) {
-        Py_DECREF(key);
-        goto done;
-    }
-    if (eq && PyDict_SetItem(aliases, key, rid) < 0) {
-        Py_DECREF(key);
-        goto done;
-    }
-    Py_DECREF(key);
-    result = eq ? 1 : 0;
-done:
-    Py_XDECREF(aliases);
-    Py_DECREF(my_ring);
-    return result;
-}
 
 static PyObject *
 corec_is_duplicate_batch(PyObject *self, PyObject *args)
@@ -2237,12 +2028,9 @@ corec_is_duplicate_batch(PyObject *self, PyObject *args)
     if (!current)
         Py_RETURN_NOTIMPLEMENTED;   /* old/foreign ring: Python decides */
 
-    PyObject *packets = NULL, *pending = NULL, *rb = NULL;
+    PyObject *packets = NULL, *rb = NULL;
     if ((packets = PyObject_GetAttr(batch, s_packets)) == NULL)
         goto fail;
-    if ((pending = PyObject_GetAttr(engine, s_pending_applies)) == NULL)
-        goto fail;
-    int pend_set = PyAnySet_Check(pending);
     if ((rb = PyObject_GetAttr(engine, s_recv_buffer)) == NULL)
         goto fail;
     int rb_fast = PyObject_TypeCheck(rb, &RBType);
@@ -2271,23 +2059,17 @@ corec_is_duplicate_batch(PyObject *self, PyObject *args)
             seen = h == NULL ? -1 : PyObject_IsTrue(h);
             Py_XDECREF(h);
         }
-        if (seen == 0) {
-            seen = pend_set ? PySet_Contains(pending, seq_obj)
-                            : PySequence_Contains(pending, seq_obj);
-        }
         Py_DECREF(seq_obj);
         if (seen < 0)
             goto fail;
         all_seen = seen;
     }
     Py_DECREF(packets);
-    Py_DECREF(pending);
     Py_DECREF(rb);
     return PyBool_FromLong(all_seen);
 
 fail:
     Py_XDECREF(packets);
-    Py_XDECREF(pending);
     Py_XDECREF(rb);
     return NULL;
 }
@@ -3952,8 +3734,8 @@ corec_cpu_finish(PyObject *self, PyObject *args)
  *
  * The compiled run_until pops ordinary bound methods off the heap (the
  * scheduled state must stay pure-identical for the explorer and for
- * deepcopy world-forking), but most of them — CPU finish, batched
- * applies, post-train delivery passes, LAN fanout — have C twins.
+ * deepcopy world-forking), but most of them — CPU finish, LAN fanout —
+ * have C twins.
  * dispatch_event() recognises them by function identity and runs the
  * twin directly, skipping the Python wrapper frame.  A callback whose
  * method was patched (instrumentation, mocks) has a different __func__
@@ -4058,50 +3840,6 @@ dispatch_event(PyObject *cb, PyObject *cargs)
                 && PyTuple_CheckExact(PyTuple_GET_ITEM(cargs, 1)))
             return cpu_finish_impl(owner, PyTuple_GET_ITEM(cargs, 0),
                                    PyTuple_GET_ITEM(cargs, 1));
-        if (fn == g_apply_fn && n == 2) {
-            PyObject *t = PyTuple_Pack(3, owner, PyTuple_GET_ITEM(cargs, 0),
-                                       PyTuple_GET_ITEM(cargs, 1));
-            if (t == NULL)
-                return -1;
-            PyObject *r = corec_apply_batched(NULL, t);
-            Py_DECREF(t);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            return 0;
-        }
-        if (fn == g_deliver_after_fn && n == 0) {
-            /* TotemSrp._deliver_after_batch inlined. */
-            PyObject *stopped = PyObject_GetAttr(owner, s_stopped);
-            if (stopped == NULL)
-                return -1;
-            int st = PyObject_IsTrue(stopped);
-            Py_DECREF(stopped);
-            if (st != 0)
-                return st < 0 ? -1 : 0;
-            PyObject *state = PyObject_GetAttr(owner, s_state);
-            if (state == NULL)
-                return -1;
-            int rec = (state == g_state_recovery);
-            Py_DECREF(state);
-            if (rec)
-                return 0;
-            /* The explorer patches instances' _try_deliver; honour it. */
-            PyObject *td = PyObject_GetAttr(owner, s_try_deliver);
-            if (td == NULL)
-                return -1;
-            PyObject *r;
-            if (PyMethod_Check(td)
-                    && PyMethod_GET_FUNCTION(td) == g_try_deliver_fn)
-                r = corec_try_deliver(NULL, owner);
-            else
-                r = PyObject_CallNoArgs(td);
-            Py_DECREF(td);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            return 0;
-        }
         if (fn == g_fanout_fn && n == 4
                 && PyList_Check(PyTuple_GET_ITEM(cargs, 2)))
             return fanout_impl(owner, cargs);
@@ -4125,14 +3863,12 @@ static PyMethodDef corec_methods[] = {
      "run_until(scheduler, t): compiled event-dispatch inner loop."},
     {"try_deliver", corec_try_deliver, METH_O,
      "try_deliver(engine): compiled contiguous delivery sweep."},
-    {"apply_batched", corec_apply_batched, METH_VARARGS,
-     "apply_batched(engine, packet, network): batch-apply fast path."},
     {"next_batch", corec_packer_next_batch, METH_VARARGS,
      "next_batch(packer, max_packets): compiled Packer.next_batch."},
     {"broadcast_batched", corec_broadcast_batched, METH_VARARGS,
      "broadcast_batched(engine, token, allowance): token-visit send path."},
     {"on_batch", corec_on_batch, METH_VARARGS,
-     "on_batch(engine, batch, network): post a frame train's applies."},
+     "on_batch(engine, batch, network): apply a frame train, deliver once."},
     {"is_duplicate_batch", corec_is_duplicate_batch, METH_VARARGS,
      "is_duplicate_batch(engine, batch) -> bool | NotImplemented."},
     {"encode_packet", corec_encode, METH_O,

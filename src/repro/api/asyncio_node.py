@@ -65,14 +65,6 @@ class AsyncioRuntime:
                   *args: Any) -> _AsyncioTimer:
         return _AsyncioTimer(self._loop, delay, callback, args)
 
-    def post(self, callback: Callable[..., None], *args: Any) -> None:
-        self._loop.call_soon(callback, *args)
-
-    def drain_now(self, pairs) -> None:
-        call_soon = self._loop.call_soon
-        for callback, args in pairs:
-            call_soon(callback, *args)
-
 
 class AsyncioTotemNode:
     """A complete Totem RRP node on real UDP sockets."""

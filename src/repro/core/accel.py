@@ -104,7 +104,6 @@ def _bind() -> None:
                CodecError, ChecksumError,
                TransportError, DeliveryLog.on_deliver,
                _RecvJobCost, NetworkStack._dispatch,
-               TotemSrp._apply_batched_packet, TotemSrp._deliver_after_batch,
                SimLan._fanout, NodeCpu._finish,
                _PortDeliver, ReplicationEngine._recv_cost,
                TotemSrp._try_deliver, NodeCpu.submit,
@@ -131,7 +130,6 @@ def use_compiled() -> None:
     _activated = True
     _fast.scheduler_run_until = corec.run_until
     _fast.engine_try_deliver = corec.try_deliver
-    _fast.engine_apply_batched = corec.apply_batched
     _fast.engine_on_batch = corec.on_batch
     _fast.engine_broadcast_batched = corec.broadcast_batched
     _fast.engine_is_duplicate_batch = corec.is_duplicate_batch
@@ -148,7 +146,6 @@ def use_pure() -> None:
     _activated = True
     _fast.scheduler_run_until = None
     _fast.engine_try_deliver = None
-    _fast.engine_apply_batched = None
     _fast.engine_on_batch = None
     _fast.engine_broadcast_batched = None
     _fast.engine_is_duplicate_batch = None

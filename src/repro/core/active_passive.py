@@ -158,18 +158,12 @@ class ActivePassiveReplication(ReplicationEngine):
             self._release_buffered(network)
 
     def recv_batch(self, batch: BatchPacket, network: int) -> None:
-        # Same shape as passive replication's batch receive: monitor records
-        # once per frame, and the gap-closure check is posted so it runs
-        # after the SRP's per-packet applies from this frame train.
+        # Same shape as passive replication's batch receive: the monitor
+        # records once per frame, then the §6 gap-closure check.
         duplicate = self.srp.is_duplicate_batch(batch)
         self.srp.on_batch(batch, network)
         if not duplicate:
             self._message_monitor(batch.sender).record(network)
-        self.runtime.post(self._check_gap_closed, network)
-
-    def _check_gap_closed(self, network: int) -> None:
-        if self._stopped:
-            return
         buffered = self._buffered_token
         if (buffered is not None
                 and not self.srp.has_gaps_up_to(buffered.seq)):

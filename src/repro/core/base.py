@@ -238,10 +238,10 @@ class ReplicationEngine:
     def recv_batch(self, batch: BatchPacket, network: int) -> None:
         """Default batch receive: hand the frame train to the SRP.
 
-        The SRP posts one apply per carried packet, so ordering, duplicate
-        filtering and delivery run through the exact same per-packet code as
-        unbatched traffic.  Styles that observe data arrivals (the passive
-        family's monitors and gap-closure check) override this.
+        The SRP applies every carried packet inline through the same
+        per-packet code as unbatched traffic, then delivers once.  Styles
+        that observe data arrivals (the passive family's monitors and
+        gap-closure check) override this.
         """
         self.srp.on_batch(batch, network)
 

@@ -141,16 +141,8 @@ class PassiveReplication(ReplicationEngine):
             # not carried packets, so a batch records once (all nodes batch
             # identically, so the per-network comparison stays symmetric).
             self._message_monitor(batch.sender).record(network)
-        # The per-packet applies were *posted*, not run: the §6 gap-closure
-        # check must observe the SRP after they land, so it is posted too
-        # (FIFO order puts it behind every apply from this frame).
-        self.runtime.post(self._check_gap_closed, network)
-
-    def _check_gap_closed(self, network: int) -> None:
-        """Posted after a batch's applies: release the buffered token if the
-        batch closed its last gap (the recv_data latency optimisation)."""
-        if self._stopped:
-            return
+        # §6 latency optimisation, as in recv_data: the train was applied
+        # inline, so it may have closed the last gap blocking the token.
         buffered = self._buffered_token
         if (buffered is not None
                 and not self.srp.has_gaps_up_to(buffered.seq)):

@@ -37,36 +37,12 @@ class Runtime(Protocol):
         """Invoke ``callback(*args)`` after ``delay`` seconds."""
         ...
 
-    def post(self, callback: Callable[..., None], *args: Any) -> None:
-        """Invoke ``callback(*args)`` as soon as the current event finishes.
-
-        Posted callbacks run at the current time, in FIFO order, before any
-        later-scheduled event; they cannot be cancelled.  The batch receive
-        path posts one apply per carried packet so a frame train dispatches
-        as a burst of cheap same-timestamp events.
-        """
-        ...
-
-    def drain_now(self, pairs) -> None:
-        """Post a vector of ``(callback, args)`` pairs in one call.
-
-        Bulk form of :meth:`post` with identical semantics: the pairs run
-        FIFO at the current time, exactly as the equivalent sequence of
-        individual posts would.  The batch receive path hands a whole frame
-        train's applies over in one call instead of one ``post`` per packet.
-        """
-        ...
-
 
 class SimRuntime:
     """A :class:`Runtime` backed by the discrete-event scheduler."""
 
     def __init__(self, scheduler: EventScheduler) -> None:
         self._scheduler = scheduler
-        #: Bound straight through: ``post``/``drain_now`` sit on the batch
-        #: hot path.
-        self.post = scheduler.schedule_now
-        self.drain_now = scheduler.drain_now
 
     def now(self) -> float:
         return self._scheduler.now()

@@ -27,7 +27,6 @@ Performance notes (this module is the simulator's innermost loop):
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -93,12 +92,6 @@ class EventScheduler:
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self._heap: list = []
-        #: FIFO of ``(callback, args)`` pairs posted via :meth:`schedule_now`
-        #: for the *current* virtual time.  Drained before the heap is
-        #: consulted, so a burst of same-timestamp events (e.g. the
-        #: per-message applies of an arriving batch frame) dispatches with a
-        #: deque append/popleft per event instead of a heap push/pop pair.
-        self._now_queue: deque = deque()
         self._counter = itertools.count()
         self._events_processed = 0
         #: Tombstoned (cancelled, still-queued) entries currently in the heap.
@@ -149,30 +142,21 @@ class EventScheduler:
     def schedule_now(self, callback: Callable[..., None], *args: Any) -> None:
         """Schedule a fire-and-forget event at the *current* virtual time.
 
-        The event fires after the currently-running callback returns, before
-        the clock advances past ``now()``.  Now-events dispatch in FIFO order
-        among themselves and *before* any not-yet-popped heap entry — even a
-        heap entry sharing the current timestamp — which is exactly the
-        vectorized dispatch the batch hot path wants: an arriving batch
-        frame posts one now-event per carried packet and the scheduler
-        drains them back-to-back without a heap push/pop per event.
+        An ordinary heap entry stamped ``now()``: it fires after the running
+        callback returns and after every entry already queued at this
+        timestamp, before the clock advances.  Not cancellable.
 
-        Not cancellable; callers that may cancel use :meth:`call_at`.
+        Nothing in ``src/`` calls this or :meth:`drain_now`; both stay
+        because ``perfbench/spans.py`` resolves the names on this class.
         """
-        self._now_queue.append((callback, args))
+        heappush(self._heap,
+                 [self.clock._now, next(self._counter), callback, args])
 
     def drain_now(self, pairs) -> None:
-        """Post a whole vector of ready callbacks at the current time.
-
-        ``pairs`` is an iterable of ``(callback, args)`` tuples — exactly the
-        now-queue's entry shape — appended FIFO in one deque ``extend``.  The
-        bulk form of :meth:`schedule_now`: a batch frame's per-packet applies
-        post as one call instead of one ``schedule_now`` per packet, and the
-        queued entries (and therefore dispatch order, ``events_processed``
-        accounting and the explorer's reified view) are byte-identical to the
-        equivalent sequence of individual posts.
-        """
-        self._now_queue.extend(pairs)
+        """:meth:`schedule_now` for an iterable of ``(callback, args)``."""
+        for callback, args in pairs:
+            heappush(self._heap,
+                     [self.clock._now, next(self._counter), callback, args])
 
     # ----- tombstone accounting -----
 
@@ -220,22 +204,20 @@ class EventScheduler:
         return self._events_processed
 
     def pending(self) -> int:
-        """Number of queued entries (tombstones and now-events included)."""
-        return len(self._heap) + len(self._now_queue)
+        """Number of queued entries (tombstones included)."""
+        return len(self._heap)
 
     def metrics(self) -> dict:
         """Simulator-core health counters (for :mod:`repro.obs`)."""
         return {
             "events_processed": self._events_processed,
-            "pending": len(self._heap) + len(self._now_queue),
+            "pending": len(self._heap),
             "dead_entries": self._dead,
             "compactions": self.compactions,
         }
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if drained."""
-        if self._now_queue:
-            return self.clock._now
         self._drop_cancelled()
         if not self._heap:
             return None
@@ -264,12 +246,7 @@ class EventScheduler:
         ``fire_entry(ready_entries()[0])`` reproduces exactly what
         :meth:`step` would have done.  O(heap) scan — this is an exploration
         hook, not a hot path.
-
-        Now-events are first reified into ordinary heap entries at the
-        current time, so the explorer can choose, fire or discard a batch's
-        per-packet applies like any other pending event.
         """
-        self._reify_now_queue()
         self._drop_cancelled()
         heap = self._heap
         if not heap:
@@ -315,27 +292,8 @@ class EventScheduler:
         entry[_ARGS] = ()
         self._dead += 1
 
-    def _reify_now_queue(self) -> None:
-        """Turn queued now-events into heap entries at the current time.
-
-        Fresh counters preserve their FIFO order among themselves; relative
-        to *other* entries already queued at the current timestamp they sort
-        last, which is deterministic (what matters for exploration) even
-        though the ``run_until`` fast path dispatches them first.
-        """
-        now = self.clock._now
-        while self._now_queue:
-            callback, args = self._now_queue.popleft()
-            heappush(self._heap, [now, next(self._counter), callback, args])
-
     def step(self) -> bool:
         """Fire the next live event.  Returns False if none remain."""
-        now_queue = self._now_queue
-        if now_queue:
-            callback, args = now_queue.popleft()
-            callback(*args)
-            self._events_processed += 1
-            return True
         self._drop_cancelled()
         if not self._heap:
             return False
@@ -361,26 +319,12 @@ class EventScheduler:
             return
         # Hot loop: one heappop per entry, no per-event helper calls.  The
         # heap list is aliased, never rebound (push/pop/_compact all mutate
-        # in place), so callbacks scheduling further events remain visible;
-        # the deque likewise is only ever mutated, so ``pop_now`` stays
-        # valid across callbacks.
+        # in place), so callbacks scheduling further events remain visible.
         heap = self._heap
-        now_queue = self._now_queue
-        pop_now = now_queue.popleft
         clock = self.clock
         events = 0
         try:
-            while True:
-                # Vectorized same-timestamp dispatch: now-events drain FIFO
-                # from the deque, one locally-bound popleft + call per
-                # event, without a heap push/pop pair or a clock comparison
-                # each.
-                while now_queue:
-                    callback, args = pop_now()
-                    callback(*args)
-                    events += 1
-                if not heap:
-                    break
+            while heap:
                 when = heap[0][_WHEN]
                 if when > t:
                     break
@@ -404,11 +348,8 @@ class EventScheduler:
                 events += 1
                 # Same-timestamp run: keep draining heap entries that share
                 # ``when`` without re-touching the clock or re-comparing
-                # against ``t`` (when <= t already held).  The run pauses the
-                # moment a callback posts a now-event — now-events must fire
-                # before any not-yet-popped heap entry, even one at the same
-                # timestamp.
-                while not now_queue and heap and heap[0][_WHEN] == when:
+                # against ``t`` (when <= t already held).
+                while heap and heap[0][_WHEN] == when:
                     entry = heappop(heap)
                     callback = entry[_CALLBACK]
                     if callback is None:

@@ -167,15 +167,6 @@ class TotemSrp:
         self._packer = Packer(self.send_queue, config.max_packet_payload,
                               config.enable_packing)
         self._batching = config.enable_batching
-        #: Sequence numbers of batched packets posted for apply but not yet
-        #: applied — the duplicate filter's view of the in-between moment
-        #: when a train has been dispatched but its micro-events are queued.
-        #: Keyed by bare seq: posted applies drain before the next heap
-        #: event, so the set is only ever non-empty within a single event
-        #: window, where all trains carry current-timestamp traffic.  The
-        #: worst a ring collision can do is misprice a straggler old-ring
-        #: train in the CPU cost model — the apply path re-checks everything.
-        self._pending_applies: set = set()
         self._flow = FlowController(config.window_size,
                                     config.max_messages_per_token)
         self._last_token: Optional[Token] = None
@@ -218,11 +209,6 @@ class TotemSrp:
         #: Nodes whose joins accused us of failure, with ignore-until times.
         self._quarantine: Dict[NodeId, float] = {}
         self._started = False
-        #: Set by :meth:`stop`; posted batch applies check it because they
-        #: run *after* the event that posted them — an incarnation can die
-        #: between a batch frame's arrival and its applies (the lifecycle
-        #: class `repro.check explore` found in the engine layer).
-        self._stopped = False
 
     # ------------------------------------------------------------------
     # public API
@@ -262,7 +248,6 @@ class TotemSrp:
         further events can reach a stopped engine — its network attachments
         are gone and all self-rescheduling timers are cancelled here.
         """
-        self._stopped = True
         self._cancel_token_retrans_timer()
         self._cancel_token_loss_timer()
         self._cancel_membership_timers()
@@ -424,13 +409,8 @@ class TotemSrp:
         if buffer is None:
             return False
         has = buffer.has
-        pending = self._pending_applies
         for packet in batch.packets:
-            # A packet counts as seen once it is buffered *or* queued for
-            # apply: copies of one train arrive on the redundant networks
-            # within the same timestamp, before the first copy's posted
-            # applies have run.
-            if not has(packet.seq) and packet.seq not in pending:
+            if not has(packet.seq):
                 return False
         return True
 
@@ -480,63 +460,23 @@ class TotemSrp:
                 self._try_deliver()
 
     def on_batch(self, batch: BatchPacket, network: int = 0) -> None:
-        """A batch frame arrived: unpack it into per-packet applies.
+        """A batch frame arrived: apply the whole frame train in this event.
 
         Each carried packet goes through the ordinary :meth:`on_data` path —
-        same duplicate filter, retransmit-evidence check, delivery loop and
-        statistics — so batched and unbatched operation produce identical
-        delivery logs.  The applies are posted as individual micro-events
-        rather than run inline: the scheduler dispatches the train through
-        its vectorized same-timestamp queue, keeping one (cheap) event per
-        packet instead of one heavyweight event per batch.  The whole vector
-        is handed over in a single ``drain_now`` call, which enqueues
-        entries byte-identical to one ``post`` per packet — dispatch order,
-        event accounting and the explorer's view are unchanged.
+        same duplicate filter, retransmit-evidence check, recovery
+        absorption and statistics — so batched and unbatched operation
+        produce identical delivery logs; only the delivery attempt is
+        coalesced into one contiguous-prefix sweep behind the last packet.
         """
         fast = _fast.engine_on_batch
         if fast is not None:
-            # Compiled twin of the loop below: same posted entries (the
-            # callbacks are this engine's bound methods either way), same
-            # dedup against _pending_applies, one drain_now call.
+            # Compiled twin of the loop below (current-ring applies in C,
+            # everything rare bails back to on_data).
             fast(self, batch, network)
             return
-        apply_one = self._apply_batched_packet
-        pending = self._pending_applies
-        ready = []
-        append = ready.append
+        on_data = self.on_data
         for packet in batch.packets:
-            seq = packet.seq
-            if seq in pending:
-                # An identical copy is already queued for apply (a redundant
-                # network's train dispatched within the same callback);
-                # within one ring, seq names the packet's content, so
-                # re-posting would only duplicate the apply.
-                continue
-            pending.add(seq)
-            append((apply_one, (packet, network)))
-        if ready:
-            append((self._deliver_after_batch, ()))
-            self.runtime.drain_now(ready)
-
-    def _apply_batched_packet(self, packet: DataPacket, network: int) -> None:
-        fast = _fast.engine_apply_batched
-        if fast is not None:
-            # Compiled twin of the body below (current-ring fast path in C,
-            # everything rare bails back to on_data).
-            fast(self, packet, network)
-            return
-        self._pending_applies.discard(packet.seq)
-        if self._stopped:
-            # The incarnation was stopped between the batch frame's arrival
-            # and this posted apply: a dead process must not touch buffers
-            # or re-arm timers.
-            return
-        self.on_data(packet, network, deliver=False)
-
-    def _deliver_after_batch(self) -> None:
-        """Posted behind a train's applies: one delivery pass for all of it."""
-        if self._stopped:
-            return
+            on_data(packet, network, deliver=False)
         if self.state is not SrpState.RECOVERY:
             self._try_deliver()
 

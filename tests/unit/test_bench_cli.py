@@ -70,7 +70,7 @@ class TestGateFlags:
 class TestGateReporting:
     def test_failed_gate_exits_nonzero(self, monkeypatch, capsys):
         def fail(**kwargs):
-            raise GateError("events_per_sec dropped")
+            raise GateError("ops_per_sec dropped")
         monkeypatch.setattr("repro.bench.gate.run_gate", fail)
         assert cli.main(["gate"]) == 1
         assert "GATE FAILED" in capsys.readouterr().err
@@ -88,11 +88,11 @@ class TestGateReporting:
     def test_unenforced_regressions_reported(self, monkeypatch, capsys):
         monkeypatch.setattr(
             "repro.bench.gate.run_gate",
-            lambda **kw: canned_result(["x.events_per_sec: 1 -> 0"]))
+            lambda **kw: canned_result(["x.ops_per_sec: 1 -> 0"]))
         assert cli.main(["gate", "--no-gate"]) == 0
         err = capsys.readouterr().err
         assert "regressions (not enforced, --no-gate):" in err
-        assert "x.events_per_sec" in err
+        assert "x.ops_per_sec" in err
 
 
 def canned_multiring_result(regressions=()):

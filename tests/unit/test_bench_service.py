@@ -112,11 +112,11 @@ class TestRunService:
     def test_baseline_comparison_and_regression(self, tmp_path,
                                                 stubbed_measurement):
         baseline = gate_doc()
-        baseline["workloads"]["fig6_active_4n_700B"]["events_per_sec"] = (
-            500_000.0)
+        baseline["workloads"]["fig6_active_4n_700B"]["ops_per_sec"] = (
+            150_000.0)
         baseline_path = tmp_path / "BENCH_base.json"
         baseline_path.write_text(json.dumps(baseline))
-        with pytest.raises(GateError, match="events_per_sec"):
+        with pytest.raises(GateError, match="ops_per_sec"):
             service_bench.run_service(str(tmp_path / "BENCH_pr9.json"),
                                       baseline=str(baseline_path))
 

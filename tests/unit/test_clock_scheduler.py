@@ -162,7 +162,13 @@ class TestEventScheduler:
 
 
 class TestScheduleNow:
-    """The now-queue: vectorized dispatch of same-timestamp events."""
+    """``schedule_now`` / ``drain_now``: plain heap entries stamped ``now()``.
+
+    They used to feed a second FIFO (the now-queue) that ``run_until`` and
+    ``step`` drained *ahead of* same-time heap entries; that structure is
+    gone, so what is left to pin is: FIFO at the current time, behind
+    anything already queued there, clock untouched, counted as processed.
+    """
 
     def test_now_events_fire_before_later_heap_events(self):
         scheduler = EventScheduler()
@@ -177,7 +183,10 @@ class TestScheduleNow:
         scheduler.run_until(2.0)
         assert fired == ["poster", "now-1", "now-2", "later"]
 
-    def test_now_events_fire_before_same_time_heap_entries(self):
+    def test_now_events_fire_after_same_time_heap_entries(self):
+        # Was test_now_events_fire_before_same_time_heap_entries: the
+        # now-queue jumped ahead of same-time heap peers.  A now-event is an
+        # ordinary entry now, so insertion order alone breaks the tie.
         scheduler = EventScheduler()
         fired = []
 
@@ -187,8 +196,7 @@ class TestScheduleNow:
         scheduler.call_at(1.0, poster)
         scheduler.call_at(1.0, fired.append, "heap-peer")
         scheduler.run_until(2.0)
-        # run_until drains the now-queue before popping the heap again.
-        assert fired == ["poster", "now", "heap-peer"]
+        assert fired == ["poster", "heap-peer", "now"]
 
     def test_now_events_do_not_advance_clock(self):
         scheduler = EventScheduler()
@@ -245,7 +253,8 @@ class TestScheduleNow:
         assert fired == ["a", "b"]
 
     def test_ready_entries_reifies_now_events(self):
-        """The explorer sees now-events as ordinary choosable entries."""
+        """The explorer sees now-events as ordinary choosable entries (they
+        are heap entries from the start; nothing is reified any more)."""
         scheduler = EventScheduler()
         fired = []
         scheduler.schedule_now(fired.append, "now-a")
@@ -570,8 +579,8 @@ class TestExplorerHooks:
 
 
 class TestBatchedDispatchAccounting:
-    """The batched dispatch loops (now-queue drain, same-timestamp heap
-    run, ``drain_now`` bulk posts) must be invisible to the accounting:
+    """The batched dispatch loop (same-timestamp heap run, with
+    ``drain_now`` bulk posts feeding it) must be invisible to the accounting:
     ``metrics()`` / ``dead_entries`` / ``compactions`` read exactly as if
     every event had been dispatched one ``step()`` at a time."""
 

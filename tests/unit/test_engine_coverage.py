@@ -3,9 +3,10 @@
 :mod:`tests.unit.test_rrp_engines` pins the headline Figure-2/§7
 behaviours; this file covers the remaining branches of
 ``core/active.py`` and ``core/active_passive.py`` (the PR-8 coverage
-satellite): batch sends and receives, lifecycle stop semantics, timer
-callbacks racing a stop, token supersession, stale/late/foreign token
-accounting, control traffic, and the explorer digests.
+satellite) and passive replication's batch receive: batch sends and
+receives, lifecycle stop semantics, timer callbacks racing a stop, token
+supersession, stale/late/foreign token accounting, control traffic, and
+the explorer digests.
 """
 
 from __future__ import annotations
@@ -64,12 +65,17 @@ class FakeSrp:
         self.commits: List[CommitToken] = []
         self.my_aru = 0
         self.duplicate = False
+        #: When set, ``on_batch`` advances ``my_aru`` to the train's last
+        #: sequence number, as a real SRP applying a gap-free train would.
+        self.batches_advance_aru = False
 
     def on_data(self, packet, network=0):
         self.data.append((packet, network))
 
     def on_batch(self, batch, network=0):
         self.batches.append((batch, network))
+        if self.batches_advance_aru:
+            self.my_aru = batch.packets[-1].seq
 
     def on_token(self, token, network=0):
         self.tokens.append(token)
@@ -111,6 +117,10 @@ def build_ap(**overrides):
     return build(ReplicationStyle.ACTIVE_PASSIVE, num_networks=3, **overrides)
 
 
+def build_passive(**overrides):
+    return build(ReplicationStyle.PASSIVE, num_networks=2, **overrides)
+
+
 def data_packet(seq: int, sender: int = 2) -> DataPacket:
     return DataPacket(sender=sender, ring_id=RING, seq=seq,
                       chunks=(Chunk.whole(1, b"x"),))
@@ -123,6 +133,29 @@ def batch_packet(first_seq: int, count: int = 2) -> BatchPacket:
 
 def token(seq: int, rotation: int = 0) -> Token:
     return Token(ring_id=RING, seq=seq, rotation=rotation)
+
+
+class TestPassiveBatchReceive:
+    def test_batch_arrival_releases_gap_buffered_token(self):
+        """Passive twin of the active-passive case below: one event."""
+        scheduler, engine, _, srp, _ = build_passive(passive_token_timeout=1.0)
+        srp.my_aru = 2
+        engine.recv_token(token(5), 0)
+        assert engine.stats.tokens_buffered == 1 and srp.tokens == []
+        srp.batches_advance_aru = True
+        engine.recv_batch(batch_packet(4), 1)
+        assert len(srp.tokens) == 1
+        assert engine.stats.tokens_buffer_released == 1
+        assert scheduler.events_processed == 0
+
+    def test_batch_short_of_the_gap_keeps_token_buffered(self):
+        _, engine, _, srp, _ = build_passive(passive_token_timeout=1.0)
+        srp.my_aru = 2
+        engine.recv_token(token(5), 0)
+        srp.batches_advance_aru = True
+        engine.recv_batch(batch_packet(3), 1)  # seqs 3-4; the token needs 5
+        assert srp.tokens == []
+        assert engine.message_monitors[2].recv_count == [0, 1]
 
 
 class TestActiveEdges:
@@ -249,18 +282,19 @@ class TestActivePassiveEdges:
         assert 2 not in engine.message_monitors
 
     def test_batch_arrival_releases_gap_buffered_token(self):
-        """The posted gap-closure check runs after the SRP applied the
-        whole frame train."""
+        """The §6 gap-closure check runs in the same event as the train
+        that closes the last gap, after the SRP applied it (it used to be
+        posted behind the SRP's posted applies)."""
         scheduler, engine, _, srp, _ = build_ap(passive_token_timeout=1.0)
         srp.my_aru = 2
         engine.recv_token(token(5), 0)
         engine.recv_token(token(5), 1)
         assert engine.stats.tokens_buffered == 1
-        srp.my_aru = 5  # the batch closed the gap
+        srp.batches_advance_aru = True  # the train closes the gap
         engine.recv_batch(batch_packet(4), 2)
-        scheduler.run_until(scheduler.now())  # run the posted check
-        assert len(srp.tokens) == 1
+        assert len(srp.tokens) == 1  # released before recv_batch returned
         assert engine.stats.tokens_buffer_released == 1
+        assert scheduler.events_processed == 0
 
     def test_gap_timer_releases_buffered_token(self):
         scheduler, engine, _, srp, _ = build_ap(passive_token_timeout=0.01)
@@ -338,8 +372,21 @@ class TestActivePassiveEdges:
         engine._on_assemble_timeout()
         engine._on_gap_timeout()
         engine._on_topup()
-        engine._check_gap_closed(0)
         assert srp.tokens == []
+
+    def test_stopped_engine_keeps_buffered_token_on_batch_arrival(self):
+        # Replaces the direct call of the removed posted _check_gap_closed:
+        # a stopped incarnation must not release its buffered token when a
+        # gap-closing train still arrives at its abandoned stack.
+        _, engine, stack, srp, _ = build_ap()
+        srp.my_aru = 2
+        engine.recv_token(token(5), 0)
+        engine.recv_token(token(5), 1)
+        assert engine.stats.tokens_buffered == 1
+        engine.stop()
+        srp.my_aru = 5
+        stack.handler(batch_packet(4), 2)
+        assert srp.tokens == [] and srp.batches == []
 
     def test_assemble_timeout_noop_when_delivered_or_absent(self):
         _, engine, _, srp, _ = build_ap()

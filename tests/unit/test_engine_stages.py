@@ -2,8 +2,8 @@
 
 ``TotemSrp.on_token`` is a fixed pipeline of named stages (see its
 docstring); these tests drive each stage in isolation with a fake
-transport, plus the batch receive path (``on_batch`` and its posted
-micro-events).  The integration suites cover the composed pipeline; here
+transport, plus the batch receive path (``on_batch``, which applies a
+frame train inline).  The integration suites cover the composed pipeline; here
 each stage's contract is pinned down one rule at a time.
 """
 
@@ -13,7 +13,9 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.config import TotemConfig
+from repro.config import LanConfig, TotemConfig
+from repro.core.factory import make_replication_engine
+from repro.net.stack import NodeCpu
 from repro.sim.runtime import SimRuntime
 from repro.sim.scheduler import EventScheduler
 from repro.srp.engine import SrpState, TotemSrp
@@ -52,6 +54,21 @@ class FakeTransport:
 
     def send_commit_token(self, commit, dest):
         self.commits.append((commit, dest))
+
+
+class StubStack:
+    """Just enough NetworkStack for a ReplicationEngine to bind to."""
+
+    num_networks = 1
+
+    def __init__(self) -> None:
+        self._lan_config = LanConfig()
+
+    def set_receive_handler(self, handler):
+        self.handler = handler
+
+    def set_recv_cost_fn(self, fn):
+        self.recv_cost_fn = fn
 
 
 def make_srp(node_id: int = 1, members=(1, 2, 3), **overrides):
@@ -349,50 +366,56 @@ class TestOnBatch:
             data_packet(seq, srp.ring_id, sender=sender, payload=b"p%d" % seq)
             for seq in seqs))
 
-    def test_applies_are_posted_not_inline(self):
+    def test_delivered_before_on_batch_returns(self):
+        # Was test_applies_are_posted_not_inline: on_batch used to post one
+        # scheduler micro-event per carried packet and deliver nothing
+        # itself.  A frame train is one event now.
         scheduler, srp, _, log = make_srp(node_id=2)
+        fired = scheduler.events_processed
+        queued = scheduler.pending()
         srp.on_batch(self.make_batch(srp, (1, 2)))
-        assert log.messages == []  # nothing applied inside on_batch itself
-        scheduler.run_until(scheduler.now())
         assert [m.payload for m in log.messages] == [b"p1", b"p2"]
         assert srp.recv_buffer.my_aru == 2
+        assert scheduler.pending() == queued  # nothing was scheduled
+        assert scheduler.events_processed == fired
 
     def test_matches_per_packet_on_data(self):
         scheduler_a, srp_a, _, log_a = make_srp(node_id=2)
         scheduler_b, srp_b, _, log_b = make_srp(node_id=2)
         srp_a.on_batch(self.make_batch(srp_a, (1, 2, 3)))
-        scheduler_a.run_until(scheduler_a.now())
         for seq in (1, 2, 3):
             srp_b.on_data(data_packet(seq, srp_b.ring_id, sender=3,
                                       payload=b"p%d" % seq))
         assert [(m.sender, m.seq, m.payload) for m in log_a.messages] \
             == [(m.sender, m.seq, m.payload) for m in log_b.messages]
 
-    def test_redundant_copy_in_same_window_posts_once(self):
-        scheduler, srp, _, log = make_srp(node_id=2)
+    def test_second_copy_of_applied_train_is_all_duplicates(self):
+        # Was test_redundant_copy_in_same_window_posts_once: a redundant
+        # network's copy arriving while the first copy's applies were still
+        # queued was swallowed by the _pending_applies set without touching
+        # the counters.  With inline applies there is no such window: the
+        # copy runs the ordinary duplicate filter, packet by packet.
+        _, srp, _, log = make_srp(node_id=2)
         batch = self.make_batch(srp, (1, 2))
         srp.on_batch(batch, network=0)
-        # The redundant network's copy lands before the posted applies run.
         assert srp.is_duplicate_batch(batch)
+        received = srp.stats.packets_received
         srp.on_batch(batch, network=1)
-        scheduler.run_until(scheduler.now())
-        assert len(log.messages) == 2
-        assert srp.stats.duplicate_packets == 0
+        assert len(log.messages) == 2  # the copy delivered nothing
+        assert srp.stats.packets_received == received + 2
+        assert srp.stats.duplicate_packets == 2
 
     def test_second_delivery_of_applied_batch_is_duplicate(self):
-        scheduler, srp, _, log = make_srp(node_id=2)
+        _, srp, _, log = make_srp(node_id=2)
         batch = self.make_batch(srp, (1, 2))
         srp.on_batch(batch)
-        scheduler.run_until(scheduler.now())
         srp.on_batch(batch)
-        scheduler.run_until(scheduler.now())
         assert len(log.messages) == 2
         assert srp.stats.duplicate_packets == 2
 
     def test_is_duplicate_batch_partial_train_is_fresh(self):
-        scheduler, srp, _, _ = make_srp(node_id=2)
+        _, srp, _, _ = make_srp(node_id=2)
         srp.on_batch(self.make_batch(srp, (1, 2)))
-        scheduler.run_until(scheduler.now())
         assert not srp.is_duplicate_batch(self.make_batch(srp, (2, 3)))
 
     def test_is_duplicate_batch_foreign_ring_is_fresh(self):
@@ -401,13 +424,51 @@ class TestOnBatch:
             data_packet(1, RingId(seq=42, representative=9), sender=9),))
         assert not srp.is_duplicate_batch(foreign)
 
-    def test_stopped_engine_ignores_posted_applies(self):
+    def test_stopped_replication_engine_never_reaches_on_batch(self):
+        # Was test_stopped_engine_ignores_posted_applies: an incarnation
+        # could die between a train's arrival and its posted applies, so
+        # TotemSrp re-checked its own _stopped flag.  Nothing is deferred
+        # any more; the one guard left is ReplicationEngine.on_packet.
         scheduler, srp, _, log = make_srp(node_id=2)
-        srp.on_batch(self.make_batch(srp, (1, 2)))
+        stack = StubStack()
+        rrp = make_replication_engine(2, srp.config, SimRuntime(scheduler),
+                                      stack)
+        rrp.bind(srp)
+        rrp.stop()
         srp.stop()
-        scheduler.run_until(scheduler.now())
+        stack.handler(self.make_batch(srp, (1, 2)), 0)
         assert log.messages == []
         assert not srp.recv_buffer.has(1)
+        assert srp.stats.packets_received == 0
+
+    def test_back_to_back_copy_on_the_cpu_is_billed_as_duplicate(self):
+        # The cost-model case the _pending_applies set existed for: the
+        # redundant network's copy of a train sits on the CPU queue right
+        # behind the first copy, and its cost is evaluated the moment the
+        # first copy's job finishes.
+        scheduler, srp, _, log = make_srp(node_id=2)
+        stack = StubStack()
+        rrp = make_replication_engine(2, srp.config, SimRuntime(scheduler),
+                                      stack)
+        rrp.bind(srp)
+        batch = self.make_batch(srp, (1, 2, 3))
+        cpu = NodeCpu(scheduler)
+        costs = []
+
+        def cost():
+            costs.append(stack.recv_cost_fn(batch))
+            return costs[-1]
+        cpu.submit(cost, stack.handler, batch, 0)
+        cpu.submit(cost, stack.handler, batch, 0)
+        scheduler.run_until(scheduler.now() + 0.01)
+        lan = stack._lan_config
+        size = batch.wire_size()
+        assert costs == [
+            lan.cpu_per_recv + lan.cpu_per_byte_recv * size
+            + lan.cpu_per_msg * 3,
+            lan.cpu_per_dup_recv + lan.cpu_per_byte_dup * size]
+        assert len(log.messages) == 3
+        assert srp.stats.duplicate_packets == 3
 
     def test_batch_seq_above_last_token_cancels_retrans_timer(self):
         # Seeing newer-than-token traffic is evidence the successor got the
@@ -416,7 +477,6 @@ class TestOnBatch:
         assert srp._token_retrans_timer is not None
         assert srp._last_token.seq == 0
         srp.on_batch(self.make_batch(srp, (1,)))
-        scheduler.run_until(scheduler.now())
         assert srp._token_retrans_timer is None
 
 
