@@ -3348,18 +3348,21 @@ done:
  *
  * The single-server FIFO CPU is the per-frame glue between the LAN and
  * the protocol engines: every send and receive passes through
- * ``submit -> _begin -> (scheduled) _finish -> _start_next``.  These C
- * twins collapse that chain while keeping the *scheduled entry*
+ * ``submit -> (scheduled) _finish``, each of which bills and schedules a
+ * job (the idle one / the next queued one).  These C twins share that
+ * billing while keeping the *scheduled entry*
  * byte-identical to the pure path: ``[when, counter, cpu._finish,
  * (fn, args)]`` with a fresh bound method, so the explorer's entry
  * classification (NodeCpu ownership, LanPort transmit detection) and
  * deepcopy world-forking see exactly the pure scheduler state.
  * ------------------------------------------------------------------- */
 
-/* _begin: evaluate the (possibly deferred) cost, charge stats, schedule
- * cpu._finish.  0 / -1. */
-static int
-cpu_begin(PyObject *cpu, PyObject *cost, PyObject *fn, PyObject *fnargs)
+/* A job's cost in seconds: evaluate the (possibly deferred) cost and
+ * reject a negative one.  New reference, or NULL with the error set — the
+ * caller has marked and scheduled nothing yet, so a rejected job cannot
+ * leave the CPU "running" with no finish event on the heap. */
+static PyObject *
+cpu_job_cost(PyObject *cost)
 {
     PyObject *costv;
     if (g_recvjob_cls != NULL
@@ -3367,14 +3370,14 @@ cpu_begin(PyObject *cpu, PyObject *cost, PyObject *fn, PyObject *fnargs)
         /* _RecvJobCost.__call__ inlined: stack._recv_cost_fn(packet) */
         PyObject *stack = PyObject_GetAttr(cost, s_stack_attr);
         if (stack == NULL)
-            return -1;
+            return NULL;
         PyObject *packet = PyObject_GetAttr(cost, s_packet_attr);
         PyObject *rcfn = packet ? PyObject_GetAttr(stack, s_recv_cost_fn)
                                 : NULL;
         Py_DECREF(stack);
         if (rcfn == NULL) {
             Py_XDECREF(packet);
-            return -1;
+            return NULL;
         }
         if (PyMethod_Check(rcfn)
                 && PyMethod_GET_FUNCTION(rcfn) == g_recv_cost_fn) {
@@ -3399,14 +3402,23 @@ cpu_begin(PyObject *cpu, PyObject *cost, PyObject *fn, PyObject *fnargs)
         costv = Py_NewRef(cost);
     }
     if (costv == NULL)
-        return -1;
+        return NULL;
     int neg = PyObject_RichCompareBool(costv, g_zero, Py_LT);
     if (neg != 0) {
         if (neg > 0)
             PyErr_Format(g_transport_error, "negative CPU cost %S", costv);
         Py_DECREF(costv);
-        return -1;
+        return NULL;
     }
+    return costv;
+}
+
+/* Bill a validated cost (steals `costv`) and schedule cpu._finish(fn,
+ * fnargs) that many seconds from now.  0 / -1. */
+static int
+cpu_schedule_job(PyObject *cpu, PyObject *costv, PyObject *fn,
+                 PyObject *fnargs)
+{
     PyObject *stats = PyObject_GetAttr(cpu, s_stats);
     if (stats == NULL)
         goto fail_cost;
@@ -3498,35 +3510,66 @@ fail_cost:
     return -1;
 }
 
-/* _start_next: pop the next queued job or go idle.  0 / -1. */
+/* The tail of NodeCpu._finish: begin the next queued job or go idle.  A
+ * queued job whose cost is rejected is dropped and the one behind it is
+ * tried, so the CPU never stays "running" with nothing scheduled; the
+ * (last) rejection is raised once a job started or the queue drained,
+ * earlier ones chained as its context like the pure recursion.  0 / -1. */
 static int
 cpu_start_next(PyObject *cpu)
 {
     PyObject *queue = PyObject_GetAttr(cpu, s_queue);
     if (queue == NULL)
         return -1;
-    Py_ssize_t n = PySequence_Size(queue);
-    if (n < 0) {
-        Py_DECREF(queue);
-        return -1;
-    }
-    if (n == 0) {
-        Py_DECREF(queue);
-        return PyObject_SetAttr(cpu, s_running, Py_False);
-    }
-    PyObject *trip = PyObject_CallMethodObjArgs(queue, s_popleft, NULL);
-    Py_DECREF(queue);
-    if (trip == NULL)
-        return -1;
-    if (!PyTuple_CheckExact(trip) || PyTuple_GET_SIZE(trip) != 3) {
+    PyObject *etype = NULL, *evalue = NULL, *etb = NULL;
+    int r;
+    for (;;) {
+        Py_ssize_t n = PySequence_Size(queue);
+        if (n < 0) {
+            r = -1;
+            break;
+        }
+        if (n == 0) {
+            r = PyObject_SetAttr(cpu, s_running, Py_False);
+            break;
+        }
+        PyObject *trip = PyObject_CallMethodObjArgs(queue, s_popleft, NULL);
+        if (trip == NULL) {
+            r = -1;
+            break;
+        }
+        if (!PyTuple_CheckExact(trip) || PyTuple_GET_SIZE(trip) != 3) {
+            Py_DECREF(trip);
+            PyErr_SetString(PyExc_TypeError,
+                            "CPU queue entries must be (cost, fn, args) tuples");
+            r = -1;
+            break;
+        }
+        PyObject *costv = cpu_job_cost(PyTuple_GET_ITEM(trip, 0));
+        if (costv == NULL) {
+            Py_DECREF(trip);
+            if (!PyErr_ExceptionMatches(PyExc_Exception)) {
+                r = -1;         /* KeyboardInterrupt & co: not a rejection */
+                break;
+            }
+            if (etype != NULL)
+                _PyErr_ChainExceptions(etype, evalue, etb);
+            PyErr_Fetch(&etype, &evalue, &etb);
+            continue;
+        }
+        r = cpu_schedule_job(cpu, costv, PyTuple_GET_ITEM(trip, 1),
+                             PyTuple_GET_ITEM(trip, 2));
         Py_DECREF(trip);
-        PyErr_SetString(PyExc_TypeError,
-                        "CPU queue entries must be (cost, fn, args) tuples");
+        break;
+    }
+    Py_DECREF(queue);
+    if (etype != NULL) {
+        if (r < 0)
+            _PyErr_ChainExceptions(etype, evalue, etb);
+        else
+            PyErr_Restore(etype, evalue, etb);
         return -1;
     }
-    int r = cpu_begin(cpu, PyTuple_GET_ITEM(trip, 0),
-                      PyTuple_GET_ITEM(trip, 1), PyTuple_GET_ITEM(trip, 2));
-    Py_DECREF(trip);
     return r;
 }
 
@@ -3560,9 +3603,15 @@ cpu_submit_impl(PyObject *cpu, PyObject *cost, PyObject *fn,
         Py_DECREF(res);
         return 0;
     }
-    if (PyObject_SetAttr(cpu, s_running, Py_True) < 0)
+    /* Validate before marking the CPU busy (see cpu_job_cost). */
+    PyObject *costv = cpu_job_cost(cost);
+    if (costv == NULL)
         return -1;
-    return cpu_begin(cpu, cost, fn, fnargs);
+    if (PyObject_SetAttr(cpu, s_running, Py_True) < 0) {
+        Py_DECREF(costv);
+        return -1;
+    }
+    return cpu_schedule_job(cpu, costv, fn, fnargs);
 }
 
 /* cpu_submit(cpu, cost, fn, args): compiled NodeCpu.submit. */

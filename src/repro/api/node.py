@@ -99,8 +99,10 @@ class TotemNode:
 
     def _on_deliver(self, message) -> None:
         self.log.on_deliver(message)
-        if self._user_deliver is not None:
-            self._user_deliver(message)
+        # The backing attribute, not the property: this runs per message.
+        user_deliver = self._user_deliver_cb
+        if user_deliver is not None:
+            user_deliver(message)
 
     def _on_config_change(self, change) -> None:
         self.log.on_config_change(change)

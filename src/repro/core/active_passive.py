@@ -148,13 +148,16 @@ class ActivePassiveReplication(ReplicationEngine):
     # ----- receives -----
 
     def recv_data(self, packet: DataPacket, network: int) -> None:
-        duplicate = self.srp.is_duplicate_data(packet)
-        self.srp.on_data(packet, network)
-        if not duplicate:
-            self._message_monitor(packet.sender).record(network)
+        # Same shape as passive replication's data receive.
+        srp = self._srp or self.srp  # the property raises when unbound
+        if srp.on_data(packet, network):
+            monitor = self.message_monitors.get(packet.sender)
+            if monitor is None:
+                monitor = self._message_monitor(packet.sender)
+            monitor.record(network)
         buffered = self._buffered_token
         if (buffered is not None
-                and not self.srp.has_gaps_up_to(buffered.seq)):
+                and not srp.has_gaps_up_to(buffered.seq)):
             self._release_buffered(network)
 
     def recv_batch(self, batch: BatchPacket, network: int) -> None:

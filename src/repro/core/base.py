@@ -23,7 +23,6 @@ from ..config import TotemConfig
 from ..sim.runtime import Runtime
 from ..types import FaultReportFn, NodeId
 from ..wire.packets import (
-    FLAG_LAST,
     BatchPacket,
     CommitToken,
     DataPacket,
@@ -153,37 +152,49 @@ class ReplicationEngine:
         return ()
 
     def _recv_cost(self, packet: object) -> float:
-        """CPU cost classifier for the network stack (duplicates are cheap)."""
+        """CPU cost classifier for the network stack (duplicates are cheap).
+
+        Runs once per received frame, when its CPU job starts, and is the
+        frame's one duplicate *probe*: the style's ``recv_data`` learns the
+        same fact afterwards from :meth:`TotemSrp.on_data`'s verdict.
+        """
         lan = self._recv_lan_config
         if lan is None:  # pragma: no cover - stack always has a LanConfig
             return 0.0
-        size = packet.wire_size()  # type: ignore[attr-defined]
-        if isinstance(packet, DataPacket):
-            if self._srp is not None and self._srp.is_duplicate_data(packet):
-                # Dropped after the sequence-number check: the copy chain
-                # still ran, but no ordering/delivery work happens.
-                return lan.cpu_per_dup_recv + lan.cpu_per_byte_dup * size
-            completed = 0
-            for chunk in packet.chunks:
-                if chunk.flags & FLAG_LAST:
-                    completed += 1
-            return (lan.cpu_per_recv + lan.cpu_per_byte_recv * size
-                    + lan.cpu_per_msg * completed)
-        if isinstance(packet, BatchPacket):
-            # One stack traversal for the whole frame train: the per-frame
-            # fixed receive cost is paid once, only per-message protocol
-            # work still scales with the batch contents.  This is exactly
-            # the CPU amortisation batching exists to buy.
-            if self._srp is not None and self._srp.is_duplicate_batch(packet):
-                return lan.cpu_per_dup_recv + lan.cpu_per_byte_dup * size
-            completed = 0
-            for sub in packet.packets:
-                for chunk in sub.chunks:
-                    if chunk.flags & FLAG_LAST:
-                        completed += 1
-            return (lan.cpu_per_recv + lan.cpu_per_byte_recv * size
-                    + lan.cpu_per_msg * completed)
-        return lan.cpu_per_recv + lan.cpu_per_byte_recv * size
+        # Dispatch on the concrete class, as on_packet does.
+        cls = type(packet)
+        if cls is not DataPacket and cls is not BatchPacket:
+            if isinstance(packet, DataPacket):
+                cls = DataPacket
+            elif isinstance(packet, BatchPacket):
+                cls = BatchPacket
+            else:
+                return (lan.cpu_per_recv
+                        + lan.cpu_per_byte_recv * packet.wire_size())  # type: ignore[attr-defined]
+        srp = self._srp
+        if srp is None:
+            duplicate = False
+        elif cls is DataPacket:
+            duplicate = srp.is_duplicate_data(packet)
+        else:
+            duplicate = srp.is_duplicate_batch(packet)
+        # Both figures are cached on the (immutable, shared) packet object;
+        # read the cache slots directly and only call to fill them.
+        size = packet._wire_size
+        if size is None:
+            size = packet.wire_size()
+        if duplicate:
+            # Dropped after the sequence-number check: the copy chain still
+            # ran, but no ordering/delivery work happens.
+            return lan.cpu_per_dup_recv + lan.cpu_per_byte_dup * size
+        # One stack traversal per frame — also for a whole frame train,
+        # which is the CPU amortisation batching exists to buy; only the
+        # per-message protocol work scales with what the frame completes.
+        completed = packet._completed
+        if completed is None:
+            completed = packet.completed_messages()
+        return (lan.cpu_per_recv + lan.cpu_per_byte_recv * size
+                + lan.cpu_per_msg * completed)
 
     # ----- upward dispatch (NetworkStack handler) -----
 

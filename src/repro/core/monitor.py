@@ -88,14 +88,25 @@ class RecvCountMonitor:
         self.recv_count[network] = max(self.recv_count)
 
     def record(self, network: NetworkIndex) -> None:
-        """Count a reception on ``network`` and re-check the lag rule."""
+        """Count a reception on ``network`` and re-check the lag rule.
+
+        The lag rule can only fire for a network trailing the leader by
+        more than the threshold, so when ``max - min`` is within it —
+        every reception on a healthy ring — the per-network loop below
+        would do nothing and is skipped.  A lagging network that is already
+        marked, or whose mark was refused (last operational network), keeps
+        taking the loop, so marks and (refused-mark) reports are unchanged.
+        """
         if network < 0:
             # See ProblemCounterMonitor.token_copy_missing: a sentinel index
             # must fail loudly, not count against the last network.
             raise ValueError(f"invalid network index {network}")
-        self.recv_count[network] += 1
-        best = max(self.recv_count)
-        for i, count in enumerate(self.recv_count):
+        counts = self.recv_count
+        counts[network] += 1
+        best = max(counts)
+        if best - min(counts) <= self.threshold:
+            return
+        for i, count in enumerate(counts):
             if self._faults.is_faulty(i):
                 continue
             if best - count > self.threshold:

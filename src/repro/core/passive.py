@@ -119,18 +119,21 @@ class PassiveReplication(ReplicationEngine):
     # ----- receives -----
 
     def recv_data(self, packet: DataPacket, network: int) -> None:
-        duplicate = self.srp.is_duplicate_data(packet)
-        self.srp.on_data(packet, network)
-        if not duplicate:
+        srp = self._srp or self.srp  # the property raises when unbound
+        if srp.on_data(packet, network):
+            # Not a duplicate (on_data's verdict is the sequence filter's).
             # Retransmitted copies are rebroadcast by whichever node holds
             # them, on that node's round-robin position — counting them
             # against the *original* sender's monitor only adds noise.
-            self._message_monitor(packet.sender).record(network)
+            monitor = self.message_monitors.get(packet.sender)
+            if monitor is None:
+                monitor = self._message_monitor(packet.sender)
+            monitor.record(network)
         # Latency optimisation from §6: this message may have been the last
         # gap blocking a buffered token.
         buffered = self._buffered_token
         if (buffered is not None
-                and not self.srp.has_gaps_up_to(buffered.seq)):
+                and not srp.has_gaps_up_to(buffered.seq)):
             self._release_buffered(network)
 
     def recv_batch(self, batch: BatchPacket, network: int) -> None:

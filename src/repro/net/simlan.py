@@ -87,6 +87,10 @@ class SimLan:
         #: Channel 0 is the default and preserves classic behaviour.
         self._channels: Dict[NodeId, int] = {}
         self._channel_receivers: Dict[int, Dict[NodeId, DeliverFn]] = {}
+        #: Per-source ``[(deliver, node), ...]`` of a fault-free broadcast,
+        #: derived from ``_channel_receivers`` and cleared whenever the
+        #: attachment set changes (see :meth:`transmit`).
+        self._fanout_cache: Dict[NodeId, List[Tuple[DeliverFn, NodeId]]] = {}
         #: Attachment generation per node: a re-attached node gets a new
         #: generation and ports of older incarnations go dead (a restarted
         #: process must not ghost-transmit through its predecessor's NIC).
@@ -117,6 +121,7 @@ class SimLan:
         self._receivers[node] = deliver
         self._channels[node] = channel
         self._channel_receivers.setdefault(channel, {})[node] = deliver
+        self._fanout_cache.clear()
         generation = self._generations.get(node, 0) + 1
         self._generations[node] = generation
         return LanPort(self, node, generation)
@@ -127,6 +132,7 @@ class SimLan:
         channel = self._channels.pop(node, None)
         if channel is not None:
             self._channel_receivers.get(channel, {}).pop(node, None)
+        self._fanout_cache.clear()
 
     @property
     def nodes(self) -> tuple:
@@ -205,43 +211,65 @@ class SimLan:
             stats.frames_lost += 1
             return
 
-        # Fanout is scoped to the sender's channel (multicast-group
-        # semantics); an unattached sender transmits on channel 0.
-        receivers = self._channel_receivers.get(self._channels.get(src, 0), {})
-        if dest is not None:
-            targets = (dest,) if dest in receivers else ()
-        else:
-            targets = [node for node in receivers if node != src]
-        # Per-receiver eligibility (fault state and loss draws) is decided
-        # now, in attachment order, so the RNG stream is independent of how
-        # delivery is later scheduled.  All surviving receivers then share a
-        # single fanout event instead of one heap entry each — the deliver
-        # callbacks are captured here, so a frame already in flight still
-        # reaches a node that detaches before it arrives (same semantics as
-        # the old per-receiver scheduling).
-        fanout: List[Tuple[DeliverFn, NodeId]] = []
         loss = config.loss_rate + faults.extra_loss_rate
-        rng_random = self._rng.random
-        can_deliver = faults.can_deliver
         observer = self.observer
         # One emptiness check per frame skips the per-target fault probe in
         # the (overwhelmingly common) fault-free case.
         faulty = (faults.down or faults.recv_blocked or faults.blocked_pairs
                   or faults.partition is not None)
-        for node in targets:
-            if faulty and not can_deliver(src, node):
-                stats.frames_blocked += 1
-                continue
-            if loss > 0.0 and rng_random() < loss:
-                stats.frames_lost += 1
-                continue
-            stats.deliveries += 1
-            fanout.append((receivers[node], node))
-            if observer is not None:
-                observer(self.index, src, node, packet, arrival)
+        if dest is None and not faulty and loss <= 0.0 and observer is None:
+            # A broadcast nothing can thin out or watch reaches every other
+            # node of the channel, in attachment order: the same pairs for
+            # every frame of this source until the attachment set changes.
+            # In-flight events share the list, so it is replaced, never
+            # edited — a frame already in flight still reaches a node that
+            # detaches before it arrives.
+            fanout = self._fanout_cache.get(src)
+            if fanout is None:
+                fanout = self._fanout_cache[src] = [
+                    (deliver, node)
+                    for node, deliver in self._channel_of_sender(src).items()
+                    if node != src]
+            stats.deliveries += len(fanout)
+        else:
+            receivers = self._channel_of_sender(src)
+            if dest is not None:
+                targets = (dest,) if dest in receivers else ()
+            else:
+                targets = [node for node in receivers if node != src]
+            # Per-receiver eligibility (fault state and loss draws) is
+            # decided now, in attachment order, so the RNG stream is
+            # independent of how delivery is later scheduled.  All surviving
+            # receivers then share a single fanout event instead of one heap
+            # entry each — the deliver callbacks are captured here, so a
+            # frame already in flight still reaches a node that detaches
+            # before it arrives (same semantics as the old per-receiver
+            # scheduling).
+            fanout = []
+            rng_random = self._rng.random
+            can_deliver = faults.can_deliver
+            for node in targets:
+                if faulty and not can_deliver(src, node):
+                    stats.frames_blocked += 1
+                    continue
+                if loss > 0.0 and rng_random() < loss:
+                    stats.frames_lost += 1
+                    continue
+                stats.deliveries += 1
+                fanout.append((receivers[node], node))
+                if observer is not None:
+                    observer(self.index, src, node, packet, arrival)
         if fanout:
             self._scheduler.schedule(arrival, self._fanout, src, packet,
                                      fanout, serial)
+
+    def _channel_of_sender(self, src: NodeId) -> Dict[NodeId, DeliverFn]:
+        """Receivers a frame from ``src`` can reach, in attachment order.
+
+        Fanout is scoped to the sender's channel (multicast-group
+        semantics); an unattached sender transmits on channel 0.
+        """
+        return self._channel_receivers.get(self._channels.get(src, 0), {})
 
     def _fanout(self, src: NodeId, packet: object,
                 targets: List[Tuple[DeliverFn, NodeId]],

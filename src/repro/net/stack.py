@@ -44,6 +44,10 @@ class CpuStats:
         return min(1.0, self.busy_time / elapsed)
 
 
+def _rejected_job() -> None:
+    """Stand-in for a queued job whose cost was rejected (see ``_finish``)."""
+
+
 class NodeCpu:
     """A single-server FIFO CPU in virtual time.
 
@@ -52,6 +56,14 @@ class NodeCpu:
     callable, evaluated when the job *starts* — this matters for the
     duplicate-receive discount: whether a frame is a duplicate is only known
     once every earlier frame has actually been processed.
+
+    A job is two bodies, one per scheduler event boundary: :meth:`submit`
+    bills and schedules a job that finds the CPU idle, and :meth:`_finish`
+    (the scheduled event) runs the job and bills and schedules the one
+    queued behind it.  A cost is validated before anything is marked or
+    scheduled, so a rejected job — negative cost, or a cost callable that
+    raises — is dropped without leaving the CPU "running" with nothing
+    on the heap.
     """
 
     def __init__(self, scheduler: EventScheduler) -> None:
@@ -81,22 +93,11 @@ class NodeCpu:
         if self._running:
             self._queue.append((cost, fn, args))
             return
-        self._running = True
-        self._begin(cost, fn, args)
-
-    def _start_next(self) -> None:
-        queue = self._queue
-        if not queue:
-            self._running = False
-            return
-        cost, fn, args = queue.popleft()
-        self._begin(cost, fn, args)
-
-    def _begin(self, cost, fn: Callable[..., None], args: tuple) -> None:
-        if callable(cost):
+        if type(cost) is not float and callable(cost):
             cost = cost()
         if cost < 0:
             raise TransportError(f"negative CPU cost {cost}")
+        self._running = True
         stats = self.stats
         stats.busy_time += cost
         stats.operations += 1
@@ -104,6 +105,7 @@ class NodeCpu:
         scheduler.schedule(scheduler.clock._now + cost, self._finish, fn, args)
 
     def _finish(self, fn: Callable[..., None], args: tuple) -> None:
+        """The scheduled end of a job: run it, then begin the next one."""
         fast = _fast.cpu_finish
         if fast is not None:
             fast(self, fn, args)
@@ -111,7 +113,28 @@ class NodeCpu:
         try:
             fn(*args)
         finally:
-            self._start_next()
+            queue = self._queue
+            if not queue:
+                self._running = False
+            else:
+                cost, fn, args = queue.popleft()
+                try:
+                    if type(cost) is not float and callable(cost):
+                        cost = cost()
+                    if cost < 0:
+                        raise TransportError(f"negative CPU cost {cost}")
+                except Exception:
+                    # Drop the rejected job and begin the one behind it
+                    # before the error propagates: every later frame of
+                    # this node would otherwise queue forever.
+                    self._finish(_rejected_job, ())
+                    raise
+                stats = self.stats
+                stats.busy_time += cost
+                stats.operations += 1
+                scheduler = self._scheduler
+                scheduler.schedule(scheduler.clock._now + cost,
+                                   self._finish, fn, args)
 
 
 class _DefaultRecvCost:
@@ -135,10 +158,11 @@ class _DefaultRecvCost:
 
 
 class _RecvJobCost:
-    """Deferred receive-cost evaluation for one queued frame.
+    """Deferred receive-cost evaluation for one *queued* frame.
 
     Cost is resolved when the CPU job *starts*, so a copy arriving just
-    behind its twin is correctly billed as a duplicate.  Deepcopy-safe
+    behind its twin is correctly billed as a duplicate.  Only a frame that
+    finds the CPU busy needs one (see :class:`_PortDeliver`).  Deepcopy-safe
     (see :class:`_DefaultRecvCost`).
     """
 
@@ -155,6 +179,11 @@ class _RecvJobCost:
 class _PortDeliver:
     """The per-network delivery callback a stack registers with a LAN.
 
+    A frame that finds the CPU idle starts its job inside this very call,
+    so it is classified and billed at once; only a frame that must queue
+    defers its cost in a :class:`_RecvJobCost`.  Both read the same engine
+    state at the same virtual instant as the job start always did.
+
     Instances live in ``SimLan._receivers`` and inside in-flight fanout
     events, so they must be deepcopy-safe (see :class:`_DefaultRecvCost`).
     """
@@ -167,8 +196,10 @@ class _PortDeliver:
 
     def __call__(self, src: NodeId, packet: object) -> None:
         stack = self._stack
-        stack._cpu.submit(_RecvJobCost(stack, packet),
-                          stack._dispatch, packet, self._network)
+        cpu = stack._cpu
+        cpu.submit(_RecvJobCost(stack, packet) if cpu._running
+                   else stack._recv_cost_fn(packet),
+                   stack._dispatch, packet, self._network)
 
 
 class NetworkStack:

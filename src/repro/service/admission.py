@@ -18,6 +18,7 @@ clock value callers pass in (no wall clock, no hidden state):
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -102,6 +103,10 @@ class FairAdmissionQueue:
         #: Round-robin order over active clients (stable, arrival order).
         self._active: Deque[int] = deque()
         self._size = 0
+        #: Lower bound on the earliest deadline of any queued request
+        #: (``inf`` when none carries one): lowered as requests enter,
+        #: recomputed exactly by each full sweep, left alone by removals.
+        self._earliest_deadline = inf
 
     def __len__(self) -> int:
         return self._size
@@ -129,6 +134,9 @@ class FairAdmissionQueue:
             self._active.append(request.client)
         lane.queue.append(request)
         self._size += 1
+        deadline = request.deadline
+        if deadline is not None and deadline < self._earliest_deadline:
+            self._earliest_deadline = deadline
         return True
 
     def pop(self, now: float) -> Tuple[Optional[Request], List[Request]]:
@@ -191,10 +199,22 @@ class FairAdmissionQueue:
             self._active.appendleft(request.client)
         lane.queue.appendleft(request)
         self._size += 1
+        deadline = request.deadline
+        if deadline is not None and deadline < self._earliest_deadline:
+            self._earliest_deadline = deadline
 
     def sweep_expired(self, now: float) -> List[Request]:
-        """Remove every expired request (deadline-aware queue expiry)."""
+        """Remove every expired request (deadline-aware queue expiry).
+
+        Returns at once while ``now`` has not passed the earliest queued
+        deadline — no request can have expired, which is every call when
+        requests carry no deadline — so the drain pump's per-tick sweep
+        walks the lanes only when it can find something.
+        """
+        if now <= self._earliest_deadline:
+            return []
         expired: List[Request] = []
+        earliest = inf
         for client in list(self._active):
             lane = self._lanes[client]
             kept: Deque[Request] = deque()
@@ -204,7 +224,11 @@ class FairAdmissionQueue:
                     self._size -= 1
                 else:
                     kept.append(request)
+                    deadline = request.deadline
+                    if deadline is not None and deadline < earliest:
+                        earliest = deadline
             lane.queue = kept
+        self._earliest_deadline = earliest
         if expired:
             self._active = deque(
                 c for c in self._active if self._lanes[c].queue)

@@ -58,6 +58,7 @@ from ..wire.packets import (
     ChunkKind,
     CommitToken,
     DataPacket,
+    FLAG_WHOLE,
     JoinMessage,
     MemberInfo,
     Token,
@@ -387,7 +388,10 @@ class TotemSrp:
         Used by the CPU cost model: duplicates are dropped early and cost
         less than a full protocol-stack traversal.
         """
-        buffer = self._buffer_for_ring(packet.ring_id)
+        ring_id = packet.ring_id
+        if ring_id is self.ring_id or id(ring_id) in self._ring_aliases:
+            return self.recv_buffer.has(packet.seq)
+        buffer = self._buffer_for_ring(ring_id)
         return buffer is not None and buffer.has(packet.seq)
 
     def is_duplicate_batch(self, batch: BatchPacket) -> bool:
@@ -419,8 +423,15 @@ class TotemSrp:
     # ------------------------------------------------------------------
 
     def on_data(self, packet: DataPacket, network: int = 0,
-                deliver: bool = True) -> None:
+                deliver: bool = True) -> bool:
         """A data packet arrived (possibly a duplicate or a retransmission).
+
+        Returns False exactly when the duplicate filter refused the packet
+        (``insert`` found its sequence number already received) and True
+        otherwise — also for traffic of a ring this node is not on, which
+        is not a duplicate of anything.  The passive styles' monitors use
+        the verdict instead of probing :meth:`is_duplicate_data` a second
+        time per frame: ``has(seq)`` holds beforehand iff ``insert`` refuses.
 
         ``deliver=False`` skips the delivery attempt after a successful
         insert (everything else — duplicate filter, token-retransmit
@@ -430,22 +441,30 @@ class TotemSrp:
         front, so coalescing the passes cannot change the delivery log.
         """
         self.stats.packets_received += 1
-        buffer = self._buffer_for_ring(packet.ring_id)
-        if buffer is None:
-            # Traffic from a ring we are not on.  If its sender is not a
-            # member of our ring, another ring is alive on these networks:
-            # start the membership protocol to merge (Totem SRP's "foreign
-            # message" rule).  Idle rings exchange no broadcasts, so merge
-            # detection rides on data traffic.
-            if (self.state is SrpState.OPERATIONAL
-                    and packet.sender not in self.membership):
-                self._enter_gather(f"foreign message from {packet.sender}")
-            return
+        # The current ring by identity or memoized alias (see
+        # _buffer_for_ring, which also memoizes on a miss here).
+        ring_id = packet.ring_id
+        if ring_id is self.ring_id or id(ring_id) in self._ring_aliases:
+            buffer = self.recv_buffer
+        else:
+            buffer = self._buffer_for_ring(ring_id)
+            if buffer is None:
+                # Traffic from a ring we are not on.  If its sender is not
+                # a member of our ring, another ring is alive on these
+                # networks: start the membership protocol to merge (Totem
+                # SRP's "foreign message" rule).  Idle rings exchange no
+                # broadcasts, so merge detection rides on data traffic.
+                if (self.state is SrpState.OPERATIONAL
+                        and packet.sender not in self.membership):
+                    self._enter_gather(
+                        f"foreign message from {packet.sender}")
+                return True
         if not buffer.insert(packet):
             self.stats.duplicate_packets += 1
-            return
+            return False
         if buffer is self.recv_buffer:
-            if (self._last_token is not None
+            if (self._token_retrans_timer is not None
+                    and self._last_token is not None
                     and packet.seq > self._last_token.seq):
                 # Evidence the successor received our token (paper §2).
                 self._cancel_token_retrans_timer()
@@ -458,6 +477,7 @@ class TotemSrp:
             # keep it (it reduces recovery work) and deliver what it unblocks.
             if deliver and self.state is not SrpState.RECOVERY:
                 self._try_deliver()
+        return True
 
     def on_batch(self, batch: BatchPacket, network: int = 0) -> None:
         """A batch frame arrived: apply the whole frame train in this event.
@@ -854,21 +874,52 @@ class TotemSrp:
             # mutation) replaces both implementations at once.
             fast(self)
             return
+        # One loop over packets and their chunks: what
+        # _deliver_packet_chunks does per packet, with the per-sweep
+        # constants bound once (as the compiled twin binds them).
+        buffer = self.recv_buffer
         limit = (self._stable_seq if self.config.safe_delivery
-                 else self.recv_buffer.my_aru)
+                 else buffer.my_aru)
+        get = buffer.get
+        feed = self._reassembler.feed
+        stable_seq = self._stable_seq
+        delivered_in = self.ring_id
+        app_kind = ChunkKind.APP
+        stats = self.stats
+        on_deliver = self.on_deliver
         while self._delivered_seq < limit:
             seq = self._delivered_seq + 1
-            packet = self.recv_buffer.get(seq)
+            packet = get(seq)
             if packet is None:
                 break
+            # Stored before any callback runs, so a re-entrant on_deliver
+            # sees this packet as delivered.
             self._delivered_seq = seq
-            self._deliver_packet_chunks(packet, self._reassembler,
-                                        safe=seq <= self._stable_seq,
-                                        config_id=self.ring_id)
+            sender = packet.sender
+            for chunk in packet.chunks:
+                if chunk.kind is not app_kind:
+                    continue  # recovery chunks were absorbed on receipt
+                if chunk.flags & FLAG_WHOLE == FLAG_WHOLE:
+                    payload = chunk.data  # unfragmented: nothing to rebuild
+                else:
+                    payload = feed(sender, chunk)
+                    if payload is None:
+                        continue
+                stats.msgs_delivered += 1
+                stats.bytes_delivered += len(payload)
+                on_deliver(DeliveredMessage(
+                    sender, seq, payload, packet.ring_id, seq <= stable_seq,
+                    delivered_in))
 
     def _deliver_packet_chunks(self, packet: DataPacket,
                                reassembler: Reassembler, safe: bool,
                                config_id: Optional[RingId] = None) -> None:
+        """Deliver one packet's messages through ``reassembler``.
+
+        The old-ring recovery deliveries (and the explorer's eager-delivery
+        mutation) go through here; the operational sweep in
+        :meth:`_try_deliver` runs the same statements inline.
+        """
         sender = packet.sender
         seq = packet.seq
         ring_id = packet.ring_id

@@ -118,14 +118,32 @@ class DataPacket:
     #: networks); excluded from ==/hash so codec round-trips stay exact.
     _wire_size: Optional[int] = field(default=None, compare=False, repr=False,
                                       init=False)
+    #: Lazily cached :meth:`completed_messages`: every receiver (N-1 nodes ×
+    #: K networks) classifies the same immutable packet object.
+    _completed: Optional[int] = field(default=None, compare=False, repr=False,
+                                      init=False)
 
     def wire_size(self) -> int:
         size = self._wire_size
         if size is None:
-            size = (CHUNK_HEADER_BYTES * len(self.chunks)
-                    + sum(len(c.data) for c in self.chunks))
+            chunks = self.chunks
+            size = CHUNK_HEADER_BYTES * len(chunks)
+            for chunk in chunks:
+                size += len(chunk.data)
             object.__setattr__(self, "_wire_size", size)
         return size
+
+    def completed_messages(self) -> int:
+        """How many messages this packet completes (chunks carrying LAST):
+        what the receive CPU model bills per-message protocol work for."""
+        completed = self._completed
+        if completed is None:
+            completed = 0
+            for chunk in self.chunks:
+                if chunk.flags & FLAG_LAST:
+                    completed += 1
+            object.__setattr__(self, "_completed", completed)
+        return completed
 
     @property
     def packet_type(self) -> PacketType:
@@ -151,8 +169,11 @@ class BatchPacket:
     """
 
     packets: Tuple[DataPacket, ...]
-    #: Lazily cached wire size (see :class:`DataPacket`).
+    #: Lazily cached wire size and completed-message count (see
+    #: :class:`DataPacket`).
     _wire_size: Optional[int] = field(default=None, compare=False, repr=False,
+                                      init=False)
+    _completed: Optional[int] = field(default=None, compare=False, repr=False,
                                       init=False)
 
     @property
@@ -179,6 +200,16 @@ class BatchPacket:
                 size += packet.wire_size()
             object.__setattr__(self, "_wire_size", size)
         return size
+
+    def completed_messages(self) -> int:
+        """Messages completed by the whole train (see :class:`DataPacket`)."""
+        completed = self._completed
+        if completed is None:
+            completed = 0
+            for packet in self.packets:
+                completed += packet.completed_messages()
+            object.__setattr__(self, "_completed", completed)
+        return completed
 
     @property
     def packet_type(self) -> PacketType:

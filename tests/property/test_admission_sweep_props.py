@@ -1,0 +1,90 @@
+"""Property: ``FairAdmissionQueue.sweep_expired``'s early return changes nothing.
+
+``sweep_expired`` returns before walking the lanes while ``now`` has not
+passed a lower bound on the earliest queued deadline.  The sweep as it was
+before that bound existed is kept here as the reference implementation and
+both queues are driven with the same random ``offer`` / ``pop`` /
+``requeue_front`` / ``sweep_expired`` / ``drain_all`` sequences, over
+requests with and without deadlines and a clock that also steps backwards.
+After every step the returned values, the length, the lane order, every
+lane's content and its deficit-round-robin credit must be identical.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.service.admission import FairAdmissionQueue
+from repro.service.types import Request
+
+
+class ReferenceQueue(FairAdmissionQueue):
+    """``sweep_expired`` as it was: every lane rebuilt on every call."""
+
+    def sweep_expired(self, now):
+        expired = []
+        for client in list(self._active):
+            lane = self._lanes[client]
+            kept = deque()
+            for request in lane.queue:
+                if self._expired(request, now):
+                    expired.append(request)
+                    self._size -= 1
+                else:
+                    kept.append(request)
+            lane.queue = kept
+        if expired:
+            self._active = deque(
+                c for c in self._active if self._lanes[c].queue)
+        return expired
+
+
+def state(queue: FairAdmissionQueue):
+    return (len(queue), list(queue._active),
+            {client: (list(lane.queue), lane.deficit, lane.weight)
+             for client, lane in queue._lanes.items()})
+
+
+times = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+operation = st.one_of(
+    st.tuples(st.just("offer"), st.integers(min_value=1, max_value=4),
+              st.one_of(st.none(), times),
+              st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("pop"), times),
+    st.tuples(st.just("pop_requeue"), times),
+    st.tuples(st.just("sweep"), times),
+    st.tuples(st.just("drain")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=12),
+       per_client=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+       operations=st.lists(operation, max_size=60))
+def test_bounded_sweep_matches_the_full_sweep(capacity, per_client,
+                                              operations):
+    queue = FairAdmissionQueue(capacity, per_client)
+    reference = ReferenceQueue(capacity, per_client)
+    for uid, op in enumerate(operations):
+        kind = op[0]
+        if kind == "offer":
+            request = Request(client=op[1], uid=uid, key=b"k", body=b"b",
+                              deadline=op[2], weight=op[3])
+            assert queue.offer(request) == reference.offer(request)
+        elif kind == "pop":
+            assert queue.pop(op[1]) == reference.pop(op[1])
+        elif kind == "pop_requeue":
+            # What the drain pump does when the popped request's ring has
+            # no headroom: the request goes back to the head of its lane.
+            popped, expired = queue.pop(op[1])
+            assert (popped, expired) == reference.pop(op[1])
+            if popped is not None:
+                queue.requeue_front(popped)
+                reference.requeue_front(popped)
+        elif kind == "sweep":
+            assert queue.sweep_expired(op[1]) == reference.sweep_expired(op[1])
+        else:
+            assert list(queue.drain_all()) == list(reference.drain_all())
+        assert state(queue) == state(reference)

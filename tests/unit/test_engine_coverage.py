@@ -71,6 +71,7 @@ class FakeSrp:
 
     def on_data(self, packet, network=0):
         self.data.append((packet, network))
+        return not self.duplicate  # the verdict the real insert gives
 
     def on_batch(self, batch, network=0):
         self.batches.append((batch, network))

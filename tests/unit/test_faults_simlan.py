@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -242,3 +243,140 @@ class TestSimLan:
     def test_utilization_zero_elapsed(self):
         _, lan = self._lan()
         assert lan.stats.utilization(0.0) == 0.0
+
+
+class TestFanoutCache:
+    """A fault-free broadcast takes its ``[(deliver, node), ...]`` list from
+    a per-source cache; anything that can thin a frame out or watch it takes
+    the per-receiver path.  Same deliveries either way."""
+
+    def _lan(self, seed: int = 1) -> tuple:
+        scheduler = EventScheduler()
+        lan = SimLan(scheduler, LanConfig(), random.Random(seed))
+        return scheduler, lan
+
+    def test_one_list_serves_every_frame_of_a_source(self):
+        scheduler, lan = self._lan()
+        for node in (1, 2, 3):
+            lan.attach(node, lambda src, p: None)
+        lan.transmit(1, packet(1))
+        lan.transmit(1, packet(2))
+        lan.transmit(2, packet(3))
+        lists = [entry[3][2] for entry in sorted(scheduler._heap)]
+        assert lists[0] is lists[1] and lists[0] is not lists[2]
+        assert [node for _deliver, node in lists[0]] == [2, 3]
+        assert [node for _deliver, node in lists[2]] == [1, 3]
+        assert lan.stats.deliveries == 6
+
+    def test_broadcast_after_detach_skips_the_detached_node(self):
+        scheduler, lan = self._lan()
+        got = {2: [], 3: []}
+        lan.attach(1, lambda src, p: None)
+        for node in got:
+            lan.attach(node, lambda src, p, node=node: got[node].append(p.seq))
+        lan.transmit(1, packet(1))
+        scheduler.run()
+        lan.detach(3)
+        lan.transmit(1, packet(2))
+        scheduler.run()
+        assert got == {2: [1, 2], 3: [1]}
+        assert lan.stats.deliveries == 3
+
+    def test_frame_in_flight_reaches_a_node_that_detaches_before_arrival(self):
+        scheduler, lan = self._lan()
+        got = {2: [], 3: []}
+        lan.attach(1, lambda src, p: None)
+        for node in got:
+            lan.attach(node, lambda src, p, node=node: got[node].append(p.seq))
+        lan.transmit(1, packet(1))
+        lan.transmit(1, packet(2))  # shares the first frame's list
+        lan.detach(3)               # both are already on the wire
+        lan.transmit(1, packet(3))
+        scheduler.run()
+        assert got == {2: [1, 2, 3], 3: [1, 2]}
+
+    def test_attach_is_seen_by_the_next_broadcast(self):
+        scheduler, lan = self._lan()
+        got = []
+        lan.attach(1, lambda src, p: None)
+        lan.attach(2, lambda src, p: None)
+        lan.transmit(1, packet(1))
+        lan.attach(3, lambda src, p: got.append(p.seq))
+        lan.transmit(1, packet(2))
+        scheduler.run()
+        assert got == [2]
+
+    def test_channel_scoping_holds(self):
+        scheduler, lan = self._lan()
+        got = {node: [] for node in (1, 2, 3, 4)}
+        for node in got:
+            lan.attach(node, lambda src, p, node=node: got[node].append(p.seq),
+                       channel=0 if node <= 2 else 1)
+        for seq in (1, 2):  # the second round is served from the cache
+            lan.transmit(1, packet(seq))
+            lan.transmit(3, packet(10 + seq))
+        lan.transmit(9, packet(20))  # unattached sender: channel 0
+        scheduler.run()
+        assert got == {1: [20], 2: [1, 2, 20], 3: [], 4: [11, 12]}
+
+    def test_unicast_is_not_cached(self):
+        scheduler, lan = self._lan()
+        got = {2: [], 3: []}
+        lan.attach(1, lambda src, p: None)
+        for node in got:
+            lan.attach(node, lambda src, p, node=node: got[node].append(p.seq))
+        lan.transmit(1, packet(1))
+        lan.transmit(1, packet(2), dest=3)
+        lan.transmit(1, packet(3))
+        scheduler.run()
+        assert got == {2: [1, 3], 3: [1, 2, 3]}
+
+    def test_arming_faults_mid_run_gives_the_parent_trace(self):
+        """Loss rate, blocked pair, partition and observer armed one after
+        the other on a warm cache, fault-free bursts in between.  The
+        pinned values were produced by this very function on the commit
+        before the cache existed (the per-receiver path only): the same
+        deliveries at the same times, the same counters, and the RNG
+        advanced by the same number of draws."""
+        scheduler, lan = self._lan(seed=20021)
+        rng = lan._rng
+        trace = []
+        for node in (1, 2, 3, 4):
+            lan.attach(node, lambda src, p, node=node: trace.append(
+                (round(scheduler.now(), 9), src, node, p.seq)))
+        seq = 0
+
+        def burst(count: int = 6) -> None:
+            nonlocal seq
+            for _ in range(count):
+                for src in (1, 2, 3):
+                    seq += 1
+                    lan.transmit(src, packet(seq))
+            scheduler.run()
+
+        burst()                                 # fault-free: warms the cache
+        lan.faults.extra_loss_rate = 0.4
+        burst()                                 # per-receiver loss draws
+        lan.faults.extra_loss_rate = 0.0
+        burst()
+        lan.faults.blocked_pairs.add((1, 3))
+        burst()
+        lan.faults.blocked_pairs.clear()
+        lan.faults.set_partition([(1, 2), (3, 4)])
+        burst()
+        lan.faults.heal()
+        observed = []
+        lan.observer = lambda net, src, dst, p, arrival: observed.append(
+            (src, dst, p.seq, round(arrival, 9)))
+        burst()
+        lan.observer = None
+        burst()
+
+        stats = lan.stats
+        assert (len(trace), len(observed)) == (314, 54)
+        assert (stats.frames_offered, stats.frames_sent, stats.deliveries,
+                stats.frames_lost, stats.frames_blocked) == (
+                    126, 126, 314, 22, 42)
+        assert rng.random() == 0.6262644535965415
+        assert hashlib.sha256(repr((trace, observed)).encode()).hexdigest() == (
+            "a263c4bd4034fdd792f30270d7e866f346523cc9be079a07461d2f668c8e60f3")

@@ -63,6 +63,7 @@ class FakeSrp:
 
     def on_data(self, packet, network=0):
         self.data.append((packet, network))
+        return True  # the verdict: not refused as a duplicate
 
     def on_token(self, token, network=0):
         self.tokens.append(token)

@@ -123,6 +123,33 @@ class TestFairAdmissionQueue:
         live, _ = queue.pop(0.2)
         assert (live.client, live.uid) == (1, 1)
 
+    def test_sweep_without_deadlines_walks_nothing(self, monkeypatch):
+        # The drain pump sweeps on every tick; with no deadline queued the
+        # sweep must not look at a single request.
+        queue = FairAdmissionQueue(capacity=512)
+        for uid in range(512):
+            assert queue.offer(request(uid % 16, uid))
+        probes = []
+        real = FairAdmissionQueue._expired
+        monkeypatch.setattr(
+            FairAdmissionQueue, "_expired",
+            staticmethod(lambda req, now: probes.append(req) or real(req, now)))
+        assert queue.sweep_expired(now=1e9) == []
+        assert probes == []
+        assert len(queue) == 512
+
+    def test_sweep_bound_follows_requeue_and_resets_after_a_sweep(self):
+        queue = FairAdmissionQueue(capacity=10)
+        queue.offer(request(1, 1, deadline=0.5))
+        popped, _ = queue.pop(0.0)
+        queue.offer(request(2, 1, deadline=2.0))
+        queue.requeue_front(popped)        # the earliest deadline returns
+        assert queue.sweep_expired(now=0.5) == []   # not *past* it yet
+        assert [r.uid for r in queue.sweep_expired(now=1.0)] == [1]
+        assert queue.sweep_expired(now=1.5) == []
+        assert [r.client for r in queue.sweep_expired(now=2.5)] == [2]
+        assert len(queue) == 0
+
     def test_requeue_front_preserves_fifo(self):
         queue = FairAdmissionQueue(capacity=10)
         queue.offer(request(1, 1))

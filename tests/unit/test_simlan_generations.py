@@ -61,6 +61,29 @@ class TestAttachmentGenerations:
         assert len(got) == 1
 
 
+    def test_warm_fanout_cache_follows_a_reattach(self):
+        """The cached broadcast list dies with the attachment set: after a
+        detach + re-attach a frame reaches the new incarnation's callback
+        only, and the dead incarnation's port still transmits nothing."""
+        scheduler, lan = self._lan()
+        old_got, new_got, peer_got = [], [], []
+        old_port = lan.attach(1, lambda src, p: old_got.append(p.seq))
+        peer_port = lan.attach(2, lambda src, p: peer_got.append(p.seq))
+        peer_port.broadcast(packet(1))   # warms the cache of source 2
+        old_port.broadcast(packet(2))    # ... and of source 1
+        scheduler.run()
+        lan.detach(1)
+        fresh_port = lan.attach(1, lambda src, p: new_got.append(p.seq))
+        peer_port.broadcast(packet(3))
+        old_port.broadcast(packet(4))    # dead generation
+        fresh_port.broadcast(packet(5))
+        scheduler.run()
+        assert old_got == [1]
+        assert new_got == [3]
+        assert peer_got == [2, 5]
+        assert lan.stats.frames_blocked == 1
+
+
 class TestRotationStats:
     def test_rotation_time_accumulates(self):
         import sys, os

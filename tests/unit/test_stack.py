@@ -105,6 +105,85 @@ class TestNodeCpu:
         assert done[1] == pytest.approx(1.003)
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def cpu_mode(request, accel_mode):
+    """Run the test on the pure NodeCpu and on its C twin."""
+    accel_mode(request.param)
+
+
+class TestRejectedJobDoesNotWedgeTheCpu:
+    """A job whose cost is rejected used to leave ``_running`` set with no
+    finish event scheduled: every later frame of the node queued forever."""
+
+    def test_rejected_submit_leaves_the_cpu_idle(self, cpu_mode):
+        scheduler = EventScheduler()
+        cpu = NodeCpu(scheduler)
+        ran = []
+        with pytest.raises(TransportError):
+            cpu.submit(-1.0, ran.append, "rejected")
+        assert cpu.queue_depth == 0
+        cpu.submit(0.001, ran.append, "next")
+        scheduler.run_until(1.0)
+        assert ran == ["next"]
+        assert cpu.queue_depth == 0
+        assert cpu.stats.operations == 1
+        assert cpu.stats.busy_time == pytest.approx(0.001)
+
+    def test_cost_callable_that_raises_on_an_idle_cpu(self, cpu_mode):
+        scheduler = EventScheduler()
+        cpu = NodeCpu(scheduler)
+        ran = []
+
+        def broken():
+            raise ZeroDivisionError("no cost")
+        with pytest.raises(ZeroDivisionError):
+            cpu.submit(broken, ran.append, "rejected")
+        cpu.submit(0.001, ran.append, "next")
+        scheduler.run_until(1.0)
+        assert ran == ["next"]
+
+    def test_rejected_queued_job_is_dropped_and_the_next_one_starts(
+            self, cpu_mode):
+        scheduler = EventScheduler()
+        cpu = NodeCpu(scheduler)
+        ran = []
+        cpu.submit(0.001, ran.append, "first")
+        cpu.submit(lambda: -1.0, ran.append, "rejected")
+        cpu.submit(0.002, ran.append, "third")
+        assert cpu.queue_depth == 3
+        # The rejection surfaces from the event that tried to start the job.
+        with pytest.raises(TransportError):
+            scheduler.run_until(1.0)
+        assert ran == ["first"]
+        assert cpu.queue_depth == 1  # "third" is running, nothing is stuck
+        scheduler.run_until(1.0)
+        assert ran == ["first", "third"]
+        assert cpu.queue_depth == 0
+        assert cpu.stats.operations == 2
+        assert cpu.stats.busy_time == pytest.approx(0.003)
+        # ... and the CPU takes new work.
+        cpu.submit(0.001, ran.append, "later")
+        scheduler.run_until(2.0)
+        assert ran == ["first", "third", "later"]
+
+    def test_every_queued_job_rejected_goes_idle(self, cpu_mode):
+        scheduler = EventScheduler()
+        cpu = NodeCpu(scheduler)
+        ran = []
+        cpu.submit(0.001, ran.append, "first")
+        cpu.submit(lambda: -1.0, ran.append, "rejected")
+        cpu.submit(lambda: -2.0, ran.append, "rejected too")
+        with pytest.raises(TransportError) as info:
+            scheduler.run_until(1.0)
+        # The last rejection is raised, the earlier one is its context.
+        assert "-2.0" in str(info.value)
+        assert "-1.0" in str(info.value.__context__)
+        assert cpu.queue_depth == 0
+        cpu.submit(0.001, ran.append, "next")
+        scheduler.run_until(2.0)
+        assert ran == ["first", "next"]
+
+
 class TestNetworkStack:
     def _build(self):
         scheduler = EventScheduler()

@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Compare a perfbench quick run with the committed exact-metric reference.
+
+    python3 perfbench/run.py --seconds 1 --seed 7
+    python3 tools/check_perf_reference.py [--out DIR] [--write]
+
+``events_per_msg``, the four ``virt_*`` metrics and the delivery digest are
+pure functions of (workload, seed, seconds), so a speed or simplicity PR must
+leave them equal to ``tests/perf_reference/quick_seed7.json``.  Prints every
+differing field and exits non-zero; ``--write`` regenerates the reference
+(for a PR that changes behaviour on purpose and says so).
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE = os.path.join(ROOT, "tests", "perf_reference", "quick_seed7.json")
+EXACT = ("events_per_msg", "virt_msgs_per_s", "virt_latency_p50_ms",
+         "virt_latency_p99_ms", "virt_max_gap_ms")
+
+
+def measured(out: str) -> dict:
+    """The exact fields of every seed-7 untraced result in ``out``."""
+    fields = {}
+    for path in glob.glob(os.path.join(out, "result-*-seed7-trace0.json")):
+        with open(path) as handle:
+            doc = json.load(handle)
+        fields[doc["workload"]] = {
+            **{name: doc["metrics"][name]["value"] for name in EXACT},
+            "delivery_digest": doc["detail"]["delivery_digest"]}
+    return fields
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=os.path.join(ROOT, "perfbench", "out"))
+    parser.add_argument("--write", action="store_true")
+    args = parser.parse_args(argv)
+    got = measured(args.out)
+    if args.write:
+        os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
+        with open(REFERENCE, "w") as handle:
+            json.dump(got, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        return 0
+    with open(REFERENCE) as handle:
+        want = json.load(handle)
+    differing = 0
+    for workload, fields in want.items():
+        for name, expected in fields.items():
+            actual = got.get(workload, {}).get(name, "not measured")
+            if actual != expected:
+                differing += 1
+                print(f"{workload}.{name}: reference {expected!r}, "
+                      f"measured {actual!r}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
