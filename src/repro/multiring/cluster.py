@@ -11,14 +11,14 @@ ring engine on each physical host.
 
 The cluster shards application messages to rings by key, drives the
 merge-clock marker pump (one marker per ring per ``merge_interval``,
-submitted by the ring's representative), and routes each engine's
-delivery stream to registered :class:`~repro.multiring.CrossRingMerger`
-subscribers and application handlers.
+submitted by the ring's representative), and hands each engine's
+delivery dispatcher the :class:`~repro.multiring.CrossRingMerger`
+subscribers and the application handler registered for its member.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api.node import TotemNode
 from ..errors import ConfigError, SimulationError
@@ -28,7 +28,13 @@ from ..sim.rng import RngRegistry
 from ..sim.scheduler import EventScheduler
 from ..types import NodeId
 from .config import MultiRingConfig, group_addr
-from .merge import CrossRingMerger, decode_payload, encode_data, encode_marker
+from .merge import (
+    DATA_PREFIX,
+    CrossRingMerger,
+    decode_payload,
+    encode_data,
+    encode_marker,
+)
 from .partition import make_partitioner
 
 #: Application handler: ``handler(group, message, body)`` where ``body`` is
@@ -39,20 +45,36 @@ AppHandler = Callable[[int, object, bytes], None]
 class _EngineDeliver:
     """Delivery dispatcher for one (group, member) engine.
 
+    Holds its own subscribers — the ``feed`` of every merger of its member
+    that takes its group, and the member's application handler — which
+    :meth:`MultiRingCluster.add_merger` / ``set_app_handler`` keep current,
+    so a delivery looks nothing up: each merger sees the message, then a
+    data message (told by its prefix byte) reaches the handler unwrapped,
+    a marker stops here and unprefixed traffic reaches the handler whole.
+
     A ``__slots__`` callable object rather than a closure so the simulated
     world stays deepcopy-safe (the explorer snapshots whole clusters).
     """
 
-    __slots__ = ("_cluster", "_group", "_member")
+    __slots__ = ("_group", "feeds", "handler")
 
-    def __init__(self, cluster: "MultiRingCluster", group: int,
-                 member: NodeId) -> None:
-        self._cluster = cluster
+    def __init__(self, group: int) -> None:
         self._group = group
-        self._member = member
+        self.feeds: Tuple[Callable[[int, object], None], ...] = ()
+        self.handler: Optional[AppHandler] = None
 
     def __call__(self, message) -> None:
-        self._cluster._dispatch(self._group, self._member, message)
+        group = self._group
+        for feed in self.feeds:
+            feed(group, message)
+        handler = self.handler
+        if handler is None:
+            return
+        payload = message.payload
+        if payload[:1] == DATA_PREFIX:
+            handler(group, message, payload[1:])
+        elif decode_payload(payload)[0] != "marker":
+            handler(group, message, payload)
 
 
 class RingGroup:
@@ -121,22 +143,22 @@ class MultiRingCluster:
         self.checker = None
         self.groups: Dict[int, RingGroup] = {}
         self.nodes: Dict[NodeId, TotemNode] = {}
+        #: Each physical member's (1-based) delivery dispatchers, by group.
+        self._deliverers: Dict[NodeId, List[_EngineDeliver]] = {
+            member: [] for member in range(1, config.num_nodes + 1)}
         for group in range(config.num_rings):
             members: Dict[NodeId, TotemNode] = {}
             for member in range(1, config.num_nodes + 1):
                 addr = group_addr(group, member)
+                deliver = _EngineDeliver(group)
+                self._deliverers[member].append(deliver)
                 node = TotemNode(
                     addr, config.totem, self.scheduler, self.lans,
-                    config.lan,
-                    on_deliver=_EngineDeliver(self, group, member),
+                    config.lan, on_deliver=deliver,
                     tracer=self.tracer, channel=group)
                 members[addr] = node
                 self.nodes[addr] = node
             self.groups[group] = RingGroup(self, group, members)
-        #: Cross-ring mergers keyed by physical member (1-based).
-        self._mergers: Dict[NodeId, List[CrossRingMerger]] = {}
-        #: Application handlers keyed by physical member (1-based).
-        self._app_handlers: Dict[NodeId, AppHandler] = {}
         #: Last marker round successfully submitted per group.
         self._marker_round: List[int] = [0] * config.num_rings
         self._markers_on = False
@@ -241,25 +263,21 @@ class MultiRingCluster:
             if group not in self.groups:
                 raise ConfigError(f"unknown ring group {group}")
         merger = CrossRingMerger(groups)
-        self._mergers.setdefault(member, []).append(merger)
+        deliverers = self._member_deliverers(member)
+        for group in merger.groups:
+            deliverers[group].feeds += (merger.feed,)
         return merger
 
     def set_app_handler(self, member: NodeId, handler: AppHandler) -> None:
-        """Install ``handler(group, message, body)`` for every data message
-        delivered at physical ``member`` (any ring)."""
-        self._app_handlers[member] = handler
+        """Install (or replace) ``handler(group, message, body)`` for every
+        data message delivered at physical ``member`` (any ring)."""
+        for deliver in self._member_deliverers(member):
+            deliver.handler = handler
 
-    def _dispatch(self, group: int, member: NodeId, message) -> None:
-        """Fan one engine delivery out to mergers and the app handler."""
-        for merger in self._mergers.get(member, ()):
-            if group in merger.groups:
-                merger.feed(group, message)
-        kind, body = decode_payload(message.payload)
-        if kind == "marker":
-            return
-        handler = self._app_handlers.get(member)
-        if handler is not None:
-            handler(group, message, body if kind == "data" else message.payload)
+    def _member_deliverers(self, member: NodeId) -> List[_EngineDeliver]:
+        if member not in self._deliverers:
+            raise ConfigError(f"unknown member {member}")
+        return self._deliverers[member]
 
     # ----- fault injection -----
 

@@ -33,7 +33,8 @@ class HashPartitioner:
         return zlib.crc32(key) % self.num_shards
 
     def ring_for(self, key: bytes) -> int:
-        return self.shard_for(key) % self.num_rings
+        # ``shard_for`` written out: asked per offered request.
+        return zlib.crc32(key) % self.num_shards % self.num_rings
 
 
 class RoundRobinPartitioner:

@@ -18,8 +18,7 @@ from .types import (
     Response,
     Shed,
     ShedReason,
-    decode_body,
-    decode_envelope,
+    decode_op,
     encode_delete,
     encode_envelope,
     encode_publish,
@@ -45,8 +44,7 @@ __all__ = [
     "Shed",
     "ShedReason",
     "TokenBucket",
-    "decode_body",
-    "decode_envelope",
+    "decode_op",
     "encode_delete",
     "encode_envelope",
     "encode_publish",

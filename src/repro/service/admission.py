@@ -26,7 +26,13 @@ from .types import Request
 
 
 class TokenBucket:
-    """Continuous-refill token bucket on the virtual clock."""
+    """Continuous-refill token bucket on the virtual clock.
+
+    The bucket's state only moves when ``now`` passes the time of the last
+    refill: a query at the same (or an earlier) ``now`` reads the tokens as
+    they stand, so the several questions one request asks at one virtual
+    instant cost one refill between them.
+    """
 
     def __init__(self, rate: float, burst: float) -> None:
         if rate <= 0:
@@ -39,10 +45,11 @@ class TokenBucket:
         self._last = 0.0
 
     def _refill(self, now: float) -> None:
-        if now > self._last:
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._last) * self.rate)
-            self._last = now
+        """Credit the time since the last refill (callers check that
+        ``now`` has passed it)."""
+        tokens = self._tokens + (now - self._last) * self.rate
+        self._tokens = tokens if tokens < self.burst else self.burst
+        self._last = now
 
     @property
     def tokens(self) -> float:
@@ -51,12 +58,14 @@ class TokenBucket:
 
     def peek(self, now: float) -> bool:
         """Whether one token is available at ``now`` (no consumption)."""
-        self._refill(now)
+        if now > self._last:
+            self._refill(now)
         return self._tokens >= 1.0
 
     def try_take(self, now: float) -> bool:
         """Consume one token if available."""
-        self._refill(now)
+        if now > self._last:
+            self._refill(now)
         if self._tokens >= 1.0:
             self._tokens -= 1.0
             return True
@@ -64,7 +73,8 @@ class TokenBucket:
 
     def next_available(self, now: float) -> float:
         """Virtual seconds from ``now`` until one token will exist."""
-        self._refill(now)
+        if now > self._last:
+            self._refill(now)
         if self._tokens >= 1.0:
             return 0.0
         return (1.0 - self._tokens) / self.rate
@@ -75,7 +85,7 @@ class _Lane:
 
     __slots__ = ("queue", "deficit", "weight")
 
-    def __init__(self, weight: int) -> None:
+    def __init__(self, weight: int = 1) -> None:
         self.queue: Deque[Request] = deque()
         self.deficit = 0
         self.weight = weight
@@ -90,6 +100,12 @@ class FairAdmissionQueue:
     pass over the active lanes adds ``weight`` credits to a lane and
     drains requests while credit lasts, so over time clients receive
     service proportional to their weights regardless of arrival rates.
+
+    A lane lives exactly as long as it holds a request: whichever path
+    empties it (:meth:`pop`, an expiry, :meth:`drain_all`) deletes it, so
+    memory is bounded by the queue's capacity however many distinct
+    clients pass through, and a returning client always starts with zero
+    credit and the weight of its next request.
     """
 
     def __init__(self, capacity: int, per_client_limit: Optional[int] = None) -> None:
@@ -99,6 +115,7 @@ class FairAdmissionQueue:
             raise ConfigError("per-client limit must be >= 1")
         self.capacity = capacity
         self.per_client_limit = per_client_limit or capacity
+        #: One lane per client with a queued request (never an empty one).
         self._lanes: Dict[int, _Lane] = {}
         #: Round-robin order over active clients (stable, arrival order).
         self._active: Deque[int] = deque()
@@ -123,15 +140,14 @@ class FairAdmissionQueue:
         """Queue ``request``; False when the queue (or lane) is full."""
         if self._size >= self.capacity:
             return False
-        lane = self._lanes.get(request.client)
+        client = request.client
+        lane = self._lanes.get(client)
         if lane is None:
-            lane = _Lane(max(1, request.weight))
-            self._lanes[request.client] = lane
-        if len(lane.queue) >= self.per_client_limit:
+            lane = self._lanes[client] = _Lane()
+            self._active.append(client)
+        elif len(lane.queue) >= self.per_client_limit:
             return False
         lane.weight = max(1, request.weight)
-        if not lane.queue:
-            self._active.append(request.client)
         lane.queue.append(request)
         self._size += 1
         deadline = request.deadline
@@ -156,7 +172,7 @@ class FairAdmissionQueue:
                 self._size -= 1
             if not lane.queue:
                 self._active.popleft()
-                lane.deficit = 0
+                del self._lanes[client]
                 continue
             if lane.deficit <= 0:
                 lane.deficit += lane.weight
@@ -173,7 +189,7 @@ class FairAdmissionQueue:
                     self._active.append(client)
                     lane.deficit = 0
             else:
-                lane.deficit = 0
+                del self._lanes[client]
             return request, expired
         return None, expired
 
@@ -184,19 +200,15 @@ class FairAdmissionQueue:
         without headroom: the request keeps its place at the front so
         fairness and per-client FIFO order are preserved.
         """
-        lane = self._lanes.get(request.client)
+        client = request.client
+        lane = self._lanes.get(client)
         if lane is None:
-            lane = _Lane(max(1, request.weight))
-            self._lanes[request.client] = lane
-        if not lane.queue and request.client not in self._active:
-            self._active.appendleft(request.client)
-        elif self._active and self._active[0] != request.client:
+            lane = self._lanes[client] = _Lane(max(1, request.weight))
+            self._active.appendleft(client)
+        elif self._active[0] != client:
             # Make sure this client's lane is served first next time.
-            try:
-                self._active.remove(request.client)
-            except ValueError:
-                pass
-            self._active.appendleft(request.client)
+            self._active.remove(client)
+            self._active.appendleft(client)
         lane.queue.appendleft(request)
         self._size += 1
         deadline = request.deadline
@@ -227,22 +239,23 @@ class FairAdmissionQueue:
                     deadline = request.deadline
                     if deadline is not None and deadline < earliest:
                         earliest = deadline
-            lane.queue = kept
+            if kept:
+                lane.queue = kept
+            else:
+                del self._lanes[client]
         self._earliest_deadline = earliest
         if expired:
             self._active = deque(
-                c for c in self._active if self._lanes[c].queue)
+                c for c in self._active if c in self._lanes)
         return expired
 
     def drain_all(self) -> Iterator[Request]:
         """Yield and remove every queued request (shutdown path)."""
         while self._active:
-            client = self._active.popleft()
-            lane = self._lanes[client]
+            lane = self._lanes.pop(self._active.popleft())
             while lane.queue:
                 self._size -= 1
                 yield lane.queue.popleft()
-            lane.deficit = 0
 
     @staticmethod
     def _expired(request: Request, now: float) -> bool:

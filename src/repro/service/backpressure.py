@@ -40,6 +40,11 @@ class RingPressureMonitor:
     flow-control windows — enough to keep the ring busy across token
     rotations, small enough that queued requests clear within a handful
     of rotations (bounded latency).
+
+    :meth:`state` and :meth:`has_headroom` are asked once per offered
+    request, so each takes the send queue's length itself;
+    :meth:`depth`, :meth:`pressure` and :meth:`snapshot` are the same
+    numbers for everything off that path (gauges, tests, reports).
     """
 
     def __init__(self, engines: Mapping[int, object],
@@ -69,7 +74,7 @@ class RingPressureMonitor:
         return self.depth(group) / self.inflight_budget
 
     def state(self, group: int) -> str:
-        pressure = self.pressure(group)
+        pressure = len(self._engines[group].send_queue) / self.inflight_budget
         if pressure >= self.shed_ratio:
             return SHED
         if pressure >= self.degrade_ratio:
@@ -83,7 +88,7 @@ class RingPressureMonitor:
         send-queue capacity, so a submit made with headroom can never
         hit a full queue.
         """
-        return self.depth(group) < self.inflight_budget
+        return len(self._engines[group].send_queue) < self.inflight_budget
 
     def snapshot(self) -> Dict[int, float]:
         """Pressure per group, in group order (for metrics/exports)."""

@@ -49,8 +49,7 @@ from .types import (
     Response,
     Shed,
     ShedReason,
-    decode_body,
-    decode_envelope,
+    decode_op,
     encode_delete,
     encode_envelope,
     encode_publish,
@@ -69,6 +68,9 @@ SubscriberFn = Callable[[bytes, bytes], None]
 SLO_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.0)
+
+#: Decision-log detail of a shed, by reason.
+_SHED_DETAIL = {reason: f"shed reason={reason.value}" for reason in ShedReason}
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,8 @@ class _MultiRingPort:
         self.gateway = gateway
         self.groups = tuple(range(cluster.config.num_rings))
         self.members = tuple(range(1, cluster.config.num_nodes + 1))
-
-    def ring_for(self, key: bytes) -> int:
-        return self.cluster.ring_for(key)
+        #: ``ring_for(key)``: the cluster partitioner's, asked per request.
+        self.ring_for = cluster.partitioner.ring_for
 
     def engine(self, group: int):
         return self.cluster.nodes[self._group_addr(group, self.gateway)].srp
@@ -229,6 +230,8 @@ class ServiceFacade:
         else:
             self.port = _SingleRingPort(cluster, gateway)
         self.scheduler = cluster.scheduler
+        #: The virtual clock's ``now``: read once per entry point.
+        self._now = cluster.scheduler.clock.now
         totem = cluster.config.totem
         budget = max(1, int(totem.window_size * self.config.inflight_windows))
         # The stall guard: the budget must sit strictly below the SRP
@@ -318,6 +321,13 @@ class ServiceFacade:
                  "shard, or deadline exhausted)")
 
     def _update_gauges(self) -> None:
+        """Refresh the queue-depth gauge and every ring's pressure gauge.
+
+        Runs once per drain-pump pass, in :meth:`quiesce` and from
+        :meth:`slo_snapshot` — not per request: ``service_queue_depth`` is
+        set wherever the queue's size changes, and nothing reads
+        ``service_pressure`` between pump ticks.
+        """
         self.m_queue_depth.set(len(self.queue))
         for group in self.port.groups:
             self.m_pressure[group].set(round(self.monitor.pressure(group), 6))
@@ -371,10 +381,12 @@ class ServiceFacade:
                      deadline: Optional[float] = None,
                      weight: int = 1) -> Request:
         """Build a request, auto-assigning the client's next uid."""
+        last = self._next_uid.get(client, 0)
         if uid is None:
-            uid = self._next_uid.get(client, 0) + 1
-        self._next_uid[client] = max(uid, self._next_uid.get(client, 0))
-        now = self.scheduler.now()
+            uid = last + 1
+        if uid > last:
+            self._next_uid[client] = uid
+        now = self._now()
         if deadline is None and self.config.default_deadline is not None:
             deadline = now + self.config.default_deadline
         return Request(client=client, uid=uid, key=key, body=body,
@@ -387,22 +399,22 @@ class ServiceFacade:
         admit or shed); returns None when the request was queued — its
         decision arrives later through the :meth:`on_decision` callback.
         """
-        now = self.scheduler.now()
+        now = self._now()
         if request.arrival == 0.0 and now != 0.0:
             request = replace(request, arrival=now)
         self.m_requests.inc()
         if request.deadline is not None and now > request.deadline:
-            return self._shed(request, ShedReason.DEADLINE_EXPIRED)
+            return self._shed(request, ShedReason.DEADLINE_EXPIRED, now)
         group = self.port.ring_for(request.key)
         if self.monitor.state(group) == SHED:
             # The flow-control-aware shedder: reject before the backlog
             # window fills rather than after the ring stalls.
-            return self._shed(request, ShedReason.BACKPRESSURE,
+            return self._shed(request, ShedReason.BACKPRESSURE, now,
                               retry_after=self.config.drain_interval,
                               overload=True)
         have_token = self.bucket.peek(now)
         if not have_token and not self.config.queue_when_limited:
-            return self._shed(request, ShedReason.RATE_LIMITED,
+            return self._shed(request, ShedReason.RATE_LIMITED, now,
                               retry_after=self.bucket.next_available(now),
                               overload=True)
         if (have_token and not len(self.queue)
@@ -412,11 +424,11 @@ class ServiceFacade:
         if not self.queue.offer(request):
             reason = (ShedReason.QUEUE_FULL if have_token
                       else ShedReason.RATE_LIMITED)
-            return self._shed(request, reason,
+            return self._shed(request, reason, now,
                               retry_after=self.bucket.next_available(now)
                               or self.config.drain_interval,
                               overload=True)
-        self._update_gauges()
+        self.m_queue_depth.set(len(self.queue))
         self._ensure_pump()
         return None
 
@@ -432,9 +444,9 @@ class ServiceFacade:
 
     def _pump(self) -> None:
         self._pump_timer = None
-        now = self.scheduler.now()
+        now = self._now()
         for request in self.queue.sweep_expired(now):
-            self._shed(request, ShedReason.DEADLINE_EXPIRED)
+            self._shed(request, ShedReason.DEADLINE_EXPIRED, now)
         while len(self.queue):
             if not self.bucket.peek(now):
                 self._update_gauges()
@@ -443,7 +455,7 @@ class ServiceFacade:
                 return
             request, expired = self.queue.pop(now)
             for stale in expired:
-                self._shed(stale, ShedReason.DEADLINE_EXPIRED)
+                self._shed(stale, ShedReason.DEADLINE_EXPIRED, now)
             if request is None:
                 break
             group = self.port.ring_for(request.key)
@@ -469,31 +481,30 @@ class ServiceFacade:
             # Unreachable while the headroom guard holds; counted loudly
             # because a nonzero stall total means the shedder failed.
             self.m_stalls.inc()
-            return self._shed(request, ShedReason.UNAVAILABLE,
+            return self._shed(request, ShedReason.UNAVAILABLE, now,
                               retry_after=self.config.drain_interval,
                               overload=True)
         self.m_admitted.inc()
         self._inflight[(request.client, request.uid)] = request.arrival
         response = Admitted(request.client, request.uid,
                             queued_for=now - request.arrival)
-        self._record(request, response,
+        self._record(request, response, now,
                      f"admit queued={response.queued_for:.6f}")
         return response
 
-    def _shed(self, request: Request, reason: ShedReason,
+    def _shed(self, request: Request, reason: ShedReason, now: float,
               retry_after: float = 0.0, overload: bool = False) -> Response:
         self.m_shed[reason].inc()
         cls = Overload if overload else Shed
         response = cls(request.client, request.uid, reason=reason,
                        retry_after=retry_after)
-        self._record(request, response, f"shed reason={reason.value}")
+        self._record(request, response, now, _SHED_DETAIL[reason])
         return response
 
-    def _record(self, request: Request, response: Response,
+    def _record(self, request: Request, response: Response, now: float,
                 detail: str) -> None:
         self._decisions.append(
-            f"t={self.scheduler.now():.6f} client={request.client} "
-            f"uid={request.uid} {detail}")
+            f"t={now:.6f} client={request.client} uid={request.uid} {detail}")
         if self._on_decision is not None:
             self._on_decision(request, response)
 
@@ -502,11 +513,10 @@ class ServiceFacade:
     # ------------------------------------------------------------------
 
     def _on_apply(self, member: NodeId, group: int, payload: bytes) -> None:
-        parsed = decode_envelope(payload)
+        parsed = decode_op(payload)
         if parsed is None:
             return  # foreign (non-service) traffic on the same ring
-        client, uid, body = parsed
-        op, key, value = decode_body(body)
+        client, uid, op, key, value = parsed
         if op == OP_SET:
             self.stores[member][key] = value
         elif op == OP_DEL:
@@ -518,7 +528,7 @@ class ServiceFacade:
         if member == self.port.gateway:
             arrival = self._inflight.pop((client, uid), None)
             if arrival is not None:
-                latency = self.scheduler.now() - arrival
+                latency = self._now() - arrival
                 self.m_completed.inc()
                 self.m_latency.observe(latency)
                 if self._on_complete is not None:
@@ -601,9 +611,10 @@ class ServiceFacade:
             self._pump_timer.cancel()
             self._pump_timer = None
         if shed_remaining:
+            now = self._now()
             for request in self.queue.drain_all():
-                self._shed(request, ShedReason.UNAVAILABLE)
-            self._update_gauges()
+                self._shed(request, ShedReason.UNAVAILABLE, now)
+        self._update_gauges()
 
     @property
     def decisions(self) -> Tuple[str, ...]:
@@ -640,7 +651,12 @@ class ServiceFacade:
         return all(store == stores[0] for store in stores[1:])
 
     def slo_snapshot(self) -> Dict[str, Any]:
-        """The service-level summary the bench and CI artifacts report."""
+        """The service-level summary the bench and CI artifacts report.
+
+        Refreshes the gauges first, so queue depth and ring pressure are
+        both read live and both come out of the metric registry.
+        """
+        self._update_gauges()
         shed = {reason.value: int(counter.value)
                 for reason, counter in self.m_shed.items()
                 if counter.value}
@@ -655,6 +671,6 @@ class ServiceFacade:
             "queue_depth": int(self.m_queue_depth.value),
             "latency_p50_ms": round(self.m_latency.quantile(0.50) * 1e3, 6),
             "latency_p99_ms": round(self.m_latency.quantile(0.99) * 1e3, 6),
-            "pressure": {str(g): round(self.monitor.pressure(g), 6)
+            "pressure": {str(g): self.m_pressure[g].value
                          for g in self.port.groups},
         }

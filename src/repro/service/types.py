@@ -39,6 +39,11 @@ OP_DEL = b"D"
 OP_PUB = b"P"
 
 _KEY_LEN = struct.Struct(">H")
+#: Everything of an enveloped op before its key, after the magic:
+#: ``client:u32 uid:u64 op:char key_len:u16``.
+_OP_HEADER = struct.Struct(">IQcH")
+_MAGIC_LEN = len(ENVELOPE_MAGIC)
+_KEY_START = _MAGIC_LEN + _OP_HEADER.size
 
 
 class ShedReason(str, Enum):
@@ -149,19 +154,12 @@ def encode_envelope(client: int, uid: int, body: bytes) -> bytes:
     return ENVELOPE_MAGIC + _ENVELOPE.pack(client, uid) + body
 
 
-def decode_envelope(payload: bytes) -> Optional[Tuple[int, int, bytes]]:
-    """Parse ``(client, uid, body)``; None for non-service payloads."""
-    if payload[:len(ENVELOPE_MAGIC)] != ENVELOPE_MAGIC:
-        return None
-    if len(payload) < ENVELOPE_LEN:
-        raise CodecError("service envelope truncated")
-    client, uid = _ENVELOPE.unpack_from(payload, len(ENVELOPE_MAGIC))
-    return client, uid, payload[ENVELOPE_LEN:]
-
-
 def encode_set(key: bytes, value: bytes) -> bytes:
     """Body of a replicated ``key = value`` write."""
-    return _encode_keyed(OP_SET, key, value)
+    key_len = len(key)
+    if key_len > 0xFFFF:
+        raise CodecError("key too long")
+    return OP_SET + _KEY_LEN.pack(key_len) + key + value
 
 
 def encode_delete(key: bytes) -> bytes:
@@ -175,20 +173,32 @@ def encode_publish(topic: bytes, data: bytes) -> bytes:
 
 
 def _encode_keyed(op: bytes, key: bytes, value: bytes = b"") -> bytes:
-    if len(key) > 0xFFFF:
+    key_len = len(key)
+    if key_len > 0xFFFF:
         raise CodecError("key too long")
-    return op + _KEY_LEN.pack(len(key)) + key + value
+    return op + _KEY_LEN.pack(key_len) + key + value
 
 
-def decode_body(body: bytes) -> Tuple[bytes, bytes, bytes]:
-    """Parse one service operation body into ``(op, key, value)``."""
-    if len(body) < 1 + _KEY_LEN.size:
-        raise CodecError("service op truncated")
-    op = body[:1]
+def decode_op(
+        payload: bytes) -> Optional[Tuple[int, int, bytes, bytes, bytes]]:
+    """Parse one enveloped operation into ``(client, uid, op, key, value)``.
+
+    None for a payload that does not start with the envelope magic
+    (non-service traffic on the same ring); :class:`CodecError` for an
+    envelope that is cut short or carries an unknown operation.  This is
+    the only parser of the wire envelope: the apply path of every replica
+    runs it once per delivered operation.
+    """
+    if payload[:_MAGIC_LEN] != ENVELOPE_MAGIC:
+        return None
+    size = len(payload)
+    if size < _KEY_START:
+        raise CodecError("service envelope truncated" if size < ENVELOPE_LEN
+                         else "service op truncated")
+    client, uid, op, key_len = _OP_HEADER.unpack_from(payload, _MAGIC_LEN)
     if op not in (OP_SET, OP_DEL, OP_PUB):
         raise CodecError(f"unknown service op {op!r}")
-    (key_len,) = _KEY_LEN.unpack_from(body, 1)
-    key_end = 1 + _KEY_LEN.size + key_len
-    if len(body) < key_end:
+    key_end = _KEY_START + key_len
+    if size < key_end:
         raise CodecError("service op truncated")
-    return op, body[1 + _KEY_LEN.size:key_end], body[key_end:]
+    return client, uid, op, payload[_KEY_START:key_end], payload[key_end:]

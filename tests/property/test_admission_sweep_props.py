@@ -7,7 +7,10 @@ both queues are driven with the same random ``offer`` / ``pop`` /
 ``requeue_front`` / ``sweep_expired`` / ``drain_all`` sequences, over
 requests with and without deadlines and a clock that also steps backwards.
 After every step the returned values, the length, the lane order, every
-lane's content and its deficit-round-robin credit must be identical.
+lane's content and its deficit-round-robin credit must be identical — and no
+queue may keep an empty lane: the reference deletes the lanes its sweep
+empties exactly as the bounded sweep does, because a lane that outlived its
+last request would keep its credit for the client's return.
 """
 
 from __future__ import annotations
@@ -35,14 +38,19 @@ class ReferenceQueue(FairAdmissionQueue):
                     self._size -= 1
                 else:
                     kept.append(request)
-            lane.queue = kept
+            if kept:
+                lane.queue = kept
+            else:
+                del self._lanes[client]
         if expired:
             self._active = deque(
-                c for c in self._active if self._lanes[c].queue)
+                c for c in self._active if c in self._lanes)
         return expired
 
 
 def state(queue: FairAdmissionQueue):
+    assert sorted(queue._lanes) == sorted(queue._active)
+    assert all(lane.queue for lane in queue._lanes.values())
     return (len(queue), list(queue._active),
             {client: (list(lane.queue), lane.deficit, lane.weight)
              for client, lane in queue._lanes.items()})

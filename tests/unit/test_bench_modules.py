@@ -386,6 +386,78 @@ class TestGateSmoke:
         assert messages > 200
         assert calls / messages <= 300
 
+    def test_service_path_python_calls_per_completed_request(self, accel_mode):
+        """A facade over 2 rings x 3 nodes with closed-loop clients offering
+        twice the probed capacity (2.3 requests offered per completion, the
+        excess shed queue-full): each request reads the clock, its key's ring
+        and the ring pressure once, queued requests leave the pressure gauges
+        alone, and each applied op is dispatched without a lookup and parsed
+        once.  Python-level function calls per completed request, counted
+        with ``sys.setprofile`` ('call' events only): 141 here, 193 while
+        every layer fetched those facts again."""
+        import sys
+
+        from repro.bench.multiring import MULTIRING_LAN
+        from repro.bench.workload import (
+            ClosedLoopWorkload,
+            MultiRingSaturatingWorkload,
+        )
+        from repro.config import TotemConfig
+        from repro.multiring import MultiRingCluster, MultiRingConfig
+        from repro.obs.metrics import MetricRegistry
+        from repro.service import ServiceConfig, ServiceFacade
+        from repro.types import ReplicationStyle
+
+        accel_mode("pure")
+
+        def started_cluster():
+            cluster = MultiRingCluster(MultiRingConfig(
+                num_rings=2, num_nodes=3, seed=42, lan=MULTIRING_LAN,
+                totem=TotemConfig(replication=ReplicationStyle.ACTIVE,
+                                  num_networks=2, enable_batching=True)))
+            cluster.start()
+            return cluster
+
+        probe = started_cluster()
+        MultiRingSaturatingWorkload(probe, 64).start()
+        probe.run_for(0.03)
+        references = [view.representative.srp.stats
+                      for view in probe.groups.values()]
+        before = sum(stats.msgs_delivered for stats in references)
+        probe.run_for(0.03)
+        capacity = (sum(stats.msgs_delivered for stats in references)
+                    - before) / 0.03
+
+        cluster = started_cluster()
+        facade = ServiceFacade(cluster, ServiceConfig(
+            name="calls", rate=capacity, burst=256, queue_capacity=512,
+            per_client_limit=64, inflight_windows=4.0),
+            registry=MetricRegistry())
+        think_mean = 4000 / (2.0 * capacity)
+        workload = ClosedLoopWorkload(facade, num_clients=4000,
+                                      think_mean=think_mean, seed=1,
+                                      ramp=think_mean / 2)
+        workload.start()
+        cluster.run_for(0.06)
+        mark = workload.checkpoint()
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+        sys.setprofile(count_calls)
+        try:
+            cluster.run_for(0.05)
+        finally:
+            sys.setprofile(None)
+        window = {key: value - mark[key]
+                  for key, value in workload.checkpoint().items()}
+        assert window["completed"] > 1000
+        assert window["shed"] > window["completed"]
+        assert facade.slo_snapshot()["ring_stalls"] == 0
+        assert calls / window["completed"] <= 160
+
     def test_no_gate_escape_hatch_reports_but_passes(self, tmp_path, capsys):
         import json
 

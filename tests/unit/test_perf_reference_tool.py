@@ -1,10 +1,12 @@
 """``tools/check_perf_reference.py``: equality check of perfbench's exact
-metrics against ``tests/perf_reference/quick_seed7.json``."""
+metrics, and ceiling check of its call count, against
+``tests/perf_reference/quick_seed7.json``."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 
 import pytest
@@ -23,12 +25,16 @@ def tool():
     return module
 
 
-def write_results(tool, out, fields) -> None:
-    """Result files shaped like ``perfbench/run.py --out`` writes them."""
+def write_results(tool, out, fields, calls=None) -> None:
+    """Result files shaped like ``perfbench/run.py --out`` writes them;
+    ``py_calls_per_msg`` is ``calls[workload]``, else just under the
+    workload's ceiling (100.0 when the reference has none)."""
     for workload, values in fields.items():
+        metrics = {name: {"value": values[name]} for name in tool.EXACT}
+        metrics[tool.CALLS] = {"value": (calls or {}).get(
+            workload, values.get(tool.CEILING, 101) - 1.0)}
         document = {
-            "workload": workload,
-            "metrics": {name: {"value": values[name]} for name in tool.EXACT},
+            "workload": workload, "metrics": metrics,
             "detail": {"delivery_digest": values["delivery_digest"]}}
         path = out / f"result-{workload}-seed7-trace0.json"
         path.write_text(json.dumps(document), encoding="utf-8")
@@ -40,7 +46,13 @@ def test_reference_covers_every_workload_and_exact_field(tool):
     assert sorted(reference) == ["faulty_ap", "sat_batched", "sat_perframe",
                                  "service_overload"]
     for fields in reference.values():
-        assert sorted(fields) == sorted(tool.EXACT + ("delivery_digest",))
+        assert sorted(fields) == sorted(
+            tool.EXACT + ("delivery_digest", tool.CEILING))
+        assert isinstance(fields[tool.CEILING], int)
+    # The wins the ratchet exists to keep: PR 20's per-frame chain (<= 500)
+    # and the service path (<= 250), with the 3 % the tool adds.
+    assert reference["sat_perframe"][tool.CEILING] <= 515
+    assert reference["service_overload"][tool.CEILING] <= 258
 
 
 def test_equal_run_passes_and_a_moved_field_is_named(tool, tmp_path, capsys):
@@ -63,13 +75,63 @@ def test_equal_run_passes_and_a_moved_field_is_named(tool, tmp_path, capsys):
     assert "sat_batched.events_per_msg: " in capsys.readouterr().out
 
 
+def test_call_count_over_its_ceiling_fails_and_names_the_workload(
+        tool, tmp_path, capsys):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    ceiling = reference["service_overload"][tool.CEILING]
+    write_results(tool, tmp_path, reference,
+                  calls={"service_overload": float(ceiling)})
+    assert tool.main(["--out", str(tmp_path)]) == 0    # at the ceiling
+    assert capsys.readouterr().out == ""
+
+    write_results(tool, tmp_path, reference,
+                  calls={"service_overload": ceiling + 0.25})
+    assert tool.main(["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"service_overload.py_calls_per_msg: ceiling {ceiling}, "
+        f"measured {ceiling + 0.25}"]
+
+    write_results(tool, tmp_path, reference,
+                  calls={"service_overload": ceiling / 2})
+    assert tool.main(["--out", str(tmp_path)]) == 0    # a win passes
+
+
+def test_reference_without_ceilings_still_checks_the_exact_fields(
+        tool, tmp_path, monkeypatch, capsys):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    for fields in reference.values():
+        del fields[tool.CEILING]
+    target = tmp_path / "no-ceilings.json"
+    target.write_text(json.dumps(reference), encoding="utf-8")
+    monkeypatch.setattr(tool, "REFERENCE", str(target))
+    write_results(tool, tmp_path, reference,
+                  calls={"sat_batched": 1e9})
+    assert tool.main(["--out", str(tmp_path)]) == 0
+    reference["sat_batched"]["virt_max_gap_ms"] += 0.5
+    write_results(tool, tmp_path, reference)
+    assert tool.main(["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("sat_batched.virt_max_gap_ms: ")
+
+
 def test_write_regenerates_the_reference(tool, tmp_path, monkeypatch):
     with open(tool.REFERENCE, encoding="utf-8") as handle:
         reference = json.load(handle)
     reference["sat_batched"]["virt_msgs_per_s"] = 1.5
-    write_results(tool, tmp_path, reference)
+    calls = {"faulty_ap": 174.08, "sat_batched": 67.2, "sat_perframe": 479.52,
+             "service_overload": 200.0}
+    write_results(tool, tmp_path, reference, calls=calls)
     target = tmp_path / "reference" / "quick.json"
     monkeypatch.setattr(tool, "REFERENCE", str(target))
     assert tool.main(["--out", str(tmp_path), "--write"]) == 0
-    assert json.loads(target.read_text(encoding="utf-8")) == reference
+    written = json.loads(target.read_text(encoding="utf-8"))
+    # Measured x 1.03, rounded up; the call count itself is not stored.
+    assert {w: fields[tool.CEILING] for w, fields in written.items()} == {
+        "faulty_ap": 180, "sat_batched": 70, "sat_perframe": 494,
+        "service_overload": 206}
+    for workload, fields in written.items():
+        assert fields[tool.CEILING] == math.ceil(calls[workload] * 1.03)
+        del fields[tool.CEILING], reference[workload][tool.CEILING]
+    assert written == reference
     assert tool.main(["--out", str(tmp_path)]) == 0

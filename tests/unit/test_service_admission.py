@@ -1,5 +1,7 @@
 """Unit tests for admission control: token bucket + weighted-fair queue."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
@@ -57,6 +59,59 @@ class TestTokenBucket:
     def test_bad_parameters_raise(self, rate, burst):
         with pytest.raises(ConfigError):
             TokenBucket(rate=rate, burst=burst)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unchanged_or_backwards_now_leaves_the_bucket_as_refill_did(
+            self, seed):
+        """Every query refilled first, and the refill clamped with ``min``
+        (kept below as the reference); now a query at a ``now`` that has not
+        advanced skips the refill.  Answers and ``(_tokens, _last)`` must be
+        identical, bit for bit, after every step of a clock that also stands
+        still and steps back."""
+
+        class ReferenceBucket(TokenBucket):
+            def _refill(self, now):
+                if now > self._last:
+                    self._tokens = min(
+                        self.burst,
+                        self._tokens + (now - self._last) * self.rate)
+                    self._last = now
+
+            def peek(self, now):
+                self._refill(now)
+                return self._tokens >= 1.0
+
+            def try_take(self, now):
+                self._refill(now)
+                if self._tokens >= 1.0:
+                    self._tokens -= 1.0
+                    return True
+                return False
+
+            def next_available(self, now):
+                self._refill(now)
+                if self._tokens >= 1.0:
+                    return 0.0
+                return (1.0 - self._tokens) / self.rate
+
+        rng = random.Random(seed)
+        bucket = TokenBucket(rate=700.0, burst=3)
+        reference = ReferenceBucket(rate=700.0, burst=3)
+        now = 0.0
+        moves = {"same": 0, "back": 0, "forward": 0}
+        for _ in range(600):
+            move = rng.choice(("same", "same", "back", "forward"))
+            moves[move] += 1
+            if move == "back":
+                now -= rng.choice((now, 0.001, 1e-9))
+            elif move == "forward":
+                now += rng.choice((1e-9, 0.0004, 0.002, 0.5))
+            query = rng.choice(("peek", "try_take", "next_available"))
+            assert (getattr(bucket, query)(now)
+                    == getattr(reference, query)(now))
+            assert ((bucket._tokens, bucket._last)
+                    == (reference._tokens, reference._last))
+        assert all(moves.values())
 
 
 class TestFairAdmissionQueue:
@@ -194,3 +249,56 @@ class TestFairAdmissionQueue:
     def test_bad_parameters_raise(self, capacity, limit):
         with pytest.raises(ConfigError):
             FairAdmissionQueue(capacity=capacity, per_client_limit=limit)
+
+    def test_lanes_are_bounded_by_capacity_under_client_churn(self):
+        """10,000 distinct clients through a 512-slot queue: a lane lives
+        only while it holds a request, whichever way it empties (every lane
+        ever created stayed before — 10,000 of them after the drain)."""
+        queue = FairAdmissionQueue(capacity=512, per_client_limit=64)
+        most_lanes = 0
+        for client in range(10_000):
+            deadline = client + 0.5 if client % 7 == 0 else None
+            assert queue.offer(request(client, 1, deadline=deadline))
+            most_lanes = max(most_lanes, len(queue._lanes))
+            if len(queue) == queue.capacity:
+                now = float(client)
+                queue.sweep_expired(now)              # empties some lanes
+                for _ in range(200):                  # pop empties others
+                    assert queue.pop(now)[0] is not None
+                popped, _ = queue.pop(now)
+                queue.requeue_front(popped)           # re-creates one
+        assert most_lanes <= queue.capacity
+        left = len(queue)
+        assert left == len(queue._lanes) > 0      # one request per client
+        assert len(list(queue.drain_all())) == left
+        assert len(queue) == 0
+        assert len(queue._lanes) == 0 and len(queue._active) == 0
+
+    def test_returning_client_is_served_alike_however_its_lane_emptied(self):
+        """A weight-2 client's lane empties with one credit unspent — by
+        ``pop`` in one queue, by ``sweep_expired`` in the other.  When the
+        client returns it gets its two requests per round in both (the
+        swept lane kept the stale credit before and got one)."""
+
+        def emptied_by(path):
+            queue = FairAdmissionQueue(capacity=10)
+            queue.offer(request(1, 1, weight=2))
+            if path == "sweep":
+                queue.offer(request(1, 2, weight=2, deadline=1.0))
+            queue.offer(request(2, 1))
+            queue.offer(request(2, 2))
+            assert queue.pop(0.0)[0].uid == 1      # one credit left
+            if path == "sweep":
+                assert [r.uid for r in queue.sweep_expired(2.0)] == [2]
+            return queue
+
+        orders = {}
+        for path in ("pop", "sweep"):
+            queue = emptied_by(path)
+            assert queue.depth_of(1) == 0
+            for uid in (3, 4, 5):
+                queue.offer(request(1, uid, weight=2))
+            orders[path] = [(r.client, r.uid) for r in
+                            (queue.pop(3.0)[0] for _ in range(5))]
+        assert orders["sweep"] == orders["pop"]
+        assert orders["pop"] == [(2, 1), (1, 3), (1, 4), (2, 2), (1, 5)]

@@ -14,8 +14,7 @@ from repro.service.types import (
     Request,
     Shed,
     ShedReason,
-    decode_body,
-    decode_envelope,
+    decode_op,
     encode_delete,
     encode_envelope,
     encode_publish,
@@ -23,20 +22,27 @@ from repro.service.types import (
 )
 
 
+def decoded_body(body: bytes):
+    """``(op, key, value)`` of ``body`` through the one envelope parser."""
+    client, uid, op, key, value = decode_op(encode_envelope(7, 9, body))
+    assert (client, uid) == (7, 9)
+    return op, key, value
+
+
 class TestEnvelope:
     def test_round_trip(self):
-        payload = encode_envelope(7, 123456789, b"body-bytes")
-        assert decode_envelope(payload) == (7, 123456789, b"body-bytes")
+        payload = encode_envelope(7, 123456789, encode_set(b"key", b"value"))
+        assert decode_op(payload) == (7, 123456789, OP_SET, b"key", b"value")
 
     def test_foreign_payload_returns_none(self):
         # Non-service traffic on the same ring must be ignored, not raise.
-        assert decode_envelope(b"CP01whatever") is None
-        assert decode_envelope(b"") is None
+        assert decode_op(b"CP01whatever") is None
+        assert decode_op(b"") is None
 
     def test_truncated_envelope_raises(self):
         payload = encode_envelope(1, 1, b"x")[:ENVELOPE_LEN - 2]
-        with pytest.raises(CodecError, match="truncated"):
-            decode_envelope(payload)
+        with pytest.raises(CodecError, match="service envelope truncated"):
+            decode_op(payload)
 
     @pytest.mark.parametrize("client,uid", [(-1, 0), (2**32, 0), (0, -1),
                                             (0, 2**64)])
@@ -45,40 +51,47 @@ class TestEnvelope:
             encode_envelope(client, uid, b"")
 
     def test_limits_are_encodable(self):
-        payload = encode_envelope(2**32 - 1, 2**64 - 1, b"")
-        assert decode_envelope(payload) == (2**32 - 1, 2**64 - 1, b"")
+        payload = encode_envelope(2**32 - 1, 2**64 - 1, encode_delete(b""))
+        assert decode_op(payload) == (2**32 - 1, 2**64 - 1, OP_DEL, b"", b"")
 
 
 class TestBody:
     def test_set_round_trip(self):
-        assert decode_body(encode_set(b"k", b"v")) == (OP_SET, b"k", b"v")
+        assert decoded_body(encode_set(b"k", b"v")) == (OP_SET, b"k", b"v")
 
     def test_delete_round_trip(self):
-        assert decode_body(encode_delete(b"key")) == (OP_DEL, b"key", b"")
+        assert decoded_body(encode_delete(b"key")) == (OP_DEL, b"key", b"")
 
     def test_publish_round_trip(self):
-        assert decode_body(encode_publish(b"topic", b"data")) == (
+        assert decoded_body(encode_publish(b"topic", b"data")) == (
             OP_PUB, b"topic", b"data")
 
     def test_empty_key_and_value(self):
-        assert decode_body(encode_set(b"", b"")) == (OP_SET, b"", b"")
+        assert decoded_body(encode_set(b"", b"")) == (OP_SET, b"", b"")
+
+    @pytest.mark.parametrize("encode", [encode_set, encode_publish])
+    def test_longest_key_round_trips(self, encode):
+        key = b"x" * 0xFFFF
+        assert decoded_body(encode(key, b"v"))[1:] == (key, b"v")
 
     def test_key_too_long_raises(self):
         with pytest.raises(CodecError, match="key too long"):
             encode_set(b"x" * 0x10000, b"v")
+        with pytest.raises(CodecError, match="key too long"):
+            encode_delete(b"x" * 0x10000)
 
     def test_unknown_op_raises(self):
-        with pytest.raises(CodecError, match="unknown service op"):
-            decode_body(b"Z\x00\x01k")
+        with pytest.raises(CodecError, match="unknown service op b'Z'"):
+            decoded_body(b"Z\x00\x01k")
 
     @pytest.mark.parametrize("body", [b"", b"S", b"S\x00"])
     def test_truncated_header_raises(self, body):
-        with pytest.raises(CodecError, match="truncated"):
-            decode_body(body)
+        with pytest.raises(CodecError, match="service op truncated"):
+            decoded_body(body)
 
     def test_truncated_key_raises(self):
-        with pytest.raises(CodecError, match="truncated"):
-            decode_body(b"S\x00\x09shortkey")
+        with pytest.raises(CodecError, match="service op truncated"):
+            decoded_body(b"S\x00\x09shortkey")
 
 
 class TestResponses:

@@ -6,9 +6,13 @@
 
 ``events_per_msg``, the four ``virt_*`` metrics and the delivery digest are
 pure functions of (workload, seed, seconds), so a speed or simplicity PR must
-leave them equal to ``tests/perf_reference/quick_seed7.json``.  Prints every
-differing field and exits non-zero; ``--write`` regenerates the reference
-(for a PR that changes behaviour on purpose and says so).
+leave them equal to ``tests/perf_reference/quick_seed7.json``.  Beside them
+the reference keeps a ``py_calls_ceiling`` per workload that
+``py_calls_per_msg`` may not exceed — a ratchet, so a per-message call-count
+win cannot leak away unnoticed; a ceiling and not an equality because CPython
+3.12 counts fewer calls than 3.11 for the same code.  Prints every differing
+field and exits non-zero; ``--write`` regenerates the reference (for a PR that
+changes behaviour on purpose, or lowers the call count, and says so).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -23,16 +28,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = os.path.join(ROOT, "tests", "perf_reference", "quick_seed7.json")
 EXACT = ("events_per_msg", "virt_msgs_per_s", "virt_latency_p50_ms",
          "virt_latency_p99_ms", "virt_max_gap_ms")
+CALLS = "py_calls_per_msg"
+CEILING = "py_calls_ceiling"
+#: ``--write`` stores the measured call count times this, rounded up.
+CEILING_HEADROOM = 1.03
 
 
 def measured(out: str) -> dict:
-    """The exact fields of every seed-7 untraced result in ``out``."""
+    """The exact fields and the call count of every seed-7 untraced result
+    in ``out``."""
     fields = {}
     for path in glob.glob(os.path.join(out, "result-*-seed7-trace0.json")):
         with open(path) as handle:
             doc = json.load(handle)
         fields[doc["workload"]] = {
-            **{name: doc["metrics"][name]["value"] for name in EXACT},
+            **{name: doc["metrics"][name]["value"]
+               for name in EXACT + (CALLS,)},
             "delivery_digest": doc["detail"]["delivery_digest"]}
     return fields
 
@@ -44,6 +55,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     got = measured(args.out)
     if args.write:
+        for fields in got.values():
+            fields[CEILING] = math.ceil(fields.pop(CALLS) * CEILING_HEADROOM)
         os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
         with open(REFERENCE, "w") as handle:
             json.dump(got, handle, indent=1, sort_keys=True)
@@ -53,8 +66,16 @@ def main(argv=None) -> int:
         want = json.load(handle)
     differing = 0
     for workload, fields in want.items():
+        have = got.get(workload, {})
         for name, expected in fields.items():
-            actual = got.get(workload, {}).get(name, "not measured")
+            if name == CEILING:
+                actual = have.get(CALLS, "not measured")
+                if actual == "not measured" or actual > expected:
+                    differing += 1
+                    print(f"{workload}.{CALLS}: ceiling {expected!r}, "
+                          f"measured {actual!r}")
+                continue
+            actual = have.get(name, "not measured")
             if actual != expected:
                 differing += 1
                 print(f"{workload}.{name}: reference {expected!r}, "
