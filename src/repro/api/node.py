@@ -69,7 +69,10 @@ class TotemNode:
         # the fan-out frame (`_on_deliver`) costs one Python call per
         # delivered message, which is measurable at batch throughput.
         # A constructor-supplied callback — or a later `set_user_callbacks`
-        # — swaps the fan-out in.
+        # — swaps the fan-out in.  The target stays a bound *Python* method:
+        # `self.log.messages.append` would save a frame, but deepcopy treats
+        # a bound builtin as atomic, so a forked world (the explorer) would
+        # append to its parent's log.
         self.srp = TotemSrp(
             node_id, config, self.runtime, self.rrp,
             on_deliver=(self._on_deliver if self._user_deliver is not None

@@ -163,9 +163,7 @@ class ActivePassiveReplication(ReplicationEngine):
     def recv_batch(self, batch: BatchPacket, network: int) -> None:
         # Same shape as passive replication's batch receive: the monitor
         # records once per frame, then the §6 gap-closure check.
-        duplicate = self.srp.is_duplicate_batch(batch)
-        self.srp.on_batch(batch, network)
-        if not duplicate:
+        if self.srp.on_batch(batch, network):
             self._message_monitor(batch.sender).record(network)
         buffered = self._buffered_token
         if (buffered is not None

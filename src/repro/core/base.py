@@ -155,8 +155,9 @@ class ReplicationEngine:
         """CPU cost classifier for the network stack (duplicates are cheap).
 
         Runs once per received frame, when its CPU job starts, and is the
-        frame's one duplicate *probe*: the style's ``recv_data`` learns the
-        same fact afterwards from :meth:`TotemSrp.on_data`'s verdict.
+        frame's one duplicate *probe*: the style's ``recv_data`` /
+        ``recv_batch`` learns the same fact afterwards from the verdict of
+        :meth:`TotemSrp.on_data` / :meth:`TotemSrp.on_batch`.
         """
         lan = self._recv_lan_config
         if lan is None:  # pragma: no cover - stack always has a LanConfig
@@ -249,9 +250,8 @@ class ReplicationEngine:
     def recv_batch(self, batch: BatchPacket, network: int) -> None:
         """Default batch receive: hand the frame train to the SRP.
 
-        The SRP applies every carried packet inline through the same
-        per-packet code as unbatched traffic, then delivers once.  Styles
-        that observe data arrivals (the passive family's monitors and
+        The SRP applies the train inline in one pass, then delivers once.
+        Styles that observe data arrivals (the passive family's monitors and
         gap-closure check) override this.
         """
         self.srp.on_batch(batch, network)

@@ -137,12 +137,12 @@ class PassiveReplication(ReplicationEngine):
             self._release_buffered(network)
 
     def recv_batch(self, batch: BatchPacket, network: int) -> None:
-        duplicate = self.srp.is_duplicate_batch(batch)
-        self.srp.on_batch(batch, network)
-        if not duplicate:
-            # One frame arrived on this network; the monitor counts frames,
-            # not carried packets, so a batch records once (all nodes batch
-            # identically, so the per-network comparison stays symmetric).
+        if self.srp.on_batch(batch, network):
+            # Something in the train was new (on_batch's verdict, as
+            # recv_data uses on_data's).  One frame arrived on this network;
+            # the monitor counts frames, not carried packets, so a batch
+            # records once (all nodes batch identically, so the per-network
+            # comparison stays symmetric).
             self._message_monitor(batch.sender).record(network)
         # §6 latency optimisation, as in recv_data: the train was applied
         # inline, so it may have closed the last gap blocking the token.

@@ -409,14 +409,13 @@ class TotemSrp:
             verdict = fast(self, batch)
             if verdict is not NotImplemented:
                 return verdict
-        buffer = self._buffer_for_ring(batch.ring_id)
+        packets = batch.packets
+        buffer = self._buffer_for_ring(packets[0].ring_id)
         if buffer is None:
             return False
-        has = buffer.has
-        for packet in batch.packets:
-            if not has(packet.seq):
-                return False
-        return True
+        if packets[-1].seq <= buffer._my_aru:
+            return True  # ascending, so the whole train is at or below aru
+        return all(buffer.has(packet.seq) for packet in packets)
 
     # ------------------------------------------------------------------
     # receive entry points (called by the RRP layer below)
@@ -479,26 +478,44 @@ class TotemSrp:
                 self._try_deliver()
         return True
 
-    def on_batch(self, batch: BatchPacket, network: int = 0) -> None:
+    def on_batch(self, batch: BatchPacket, network: int = 0) -> bool:
         """A batch frame arrived: apply the whole frame train in this event.
 
-        Each carried packet goes through the ordinary :meth:`on_data` path —
-        same duplicate filter, retransmit-evidence check, recovery
-        absorption and statistics — so batched and unbatched operation
-        produce identical delivery logs; only the delivery attempt is
-        coalesced into one contiguous-prefix sweep behind the last packet.
+        One pass that equals :meth:`on_data` on each carried packet in turn
+        (same duplicate filter, retransmit evidence, recovery absorption and
+        statistics, hence the same delivery log), relying on the train being
+        ascending from one sender on one ring (:class:`BatchPacket`).
+        Returns False exactly when nothing in the train was new.
         """
+        stats = self.stats
+        packets = batch.packets
         fast = _fast.engine_on_batch
         if fast is not None:
-            # Compiled twin of the loop below (current-ring applies in C,
-            # everything rare bails back to on_data).
+            # Compiled twin (rare cases bail to on_data); verdict off its count
+            refused = stats.duplicate_packets
             fast(self, batch, network)
-            return
-        on_data = self.on_data
-        for packet in batch.packets:
-            on_data(packet, network, deliver=False)
+            return stats.duplicate_packets - refused < len(packets)
+        stats.packets_received += len(packets)
+        buffer = self._buffer_for_ring(packets[0].ring_id)
+        inserted = top = 0
+        if buffer is not None:
+            inserted, top = buffer.insert_run(packets)
+            stats.duplicate_packets += len(packets) - inserted
+        elif (self.state is SrpState.OPERATIONAL
+                and packets[0].sender not in self.membership):
+            # on_data's foreign-message rule, once: the first packet would
+            # leave OPERATIONAL and the rest then do nothing.
+            self._enter_gather(f"foreign message from {packets[0].sender}")
+        if inserted and buffer is self.recv_buffer:
+            if (self._token_retrans_timer is not None
+                    and self._last_token is not None
+                    and top > self._last_token.seq):
+                self._cancel_token_retrans_timer()
+            if self.state is SrpState.RECOVERY:
+                self._absorb_recovery_progress()
         if self.state is not SrpState.RECOVERY:
             self._try_deliver()
+        return inserted > 0 or buffer is None
 
     def on_token(self, token: Token, network: int = 0) -> None:
         """The regular token arrived (the RRP has already merged copies).
@@ -815,16 +832,11 @@ class TotemSrp:
             return 0
         node_id = self.node_id
         ring_id = self.ring_id
-        seq = token.seq
-        insert = self.recv_buffer.insert
-        packets = []
-        for chunks in chunk_lists:
-            seq += 1
-            packet = DataPacket(sender=node_id, ring_id=ring_id, seq=seq,
-                                chunks=tuple(chunks))
-            insert(packet)
-            packets.append(packet)
-        token.seq = seq
+        packets = [DataPacket(sender=node_id, ring_id=ring_id, seq=seq,
+                              chunks=tuple(chunks))
+                   for seq, chunks in enumerate(chunk_lists, token.seq + 1)]
+        self.recv_buffer.insert_run(packets)
+        token.seq += len(packets)
         self.stats.packets_broadcast += len(packets)
         if len(packets) == 1:
             self.transport.broadcast_data(packets[0])
@@ -879,8 +891,9 @@ class TotemSrp:
         # constants bound once (as the compiled twin binds them).
         buffer = self.recv_buffer
         limit = (self._stable_seq if self.config.safe_delivery
-                 else buffer.my_aru)
-        get = buffer.get
+                 else buffer._my_aru)
+        packets = buffer._packets
+        new_message = tuple.__new__
         feed = self._reassembler.feed
         stable_seq = self._stable_seq
         delivered_in = self.ring_id
@@ -889,9 +902,9 @@ class TotemSrp:
         on_deliver = self.on_deliver
         while self._delivered_seq < limit:
             seq = self._delivered_seq + 1
-            packet = get(seq)
-            if packet is None:
+            if seq not in packets:
                 break
+            packet = packets[seq]
             # Stored before any callback runs, so a re-entrant on_deliver
             # sees this packet as delivered.
             self._delivered_seq = seq
@@ -907,9 +920,9 @@ class TotemSrp:
                         continue
                 stats.msgs_delivered += 1
                 stats.bytes_delivered += len(payload)
-                on_deliver(DeliveredMessage(
+                on_deliver(new_message(DeliveredMessage, (
                     sender, seq, payload, packet.ring_id, seq <= stable_seq,
-                    delivered_in))
+                    delivered_in)))
 
     def _deliver_packet_chunks(self, packet: DataPacket,
                                reassembler: Reassembler, safe: bool,

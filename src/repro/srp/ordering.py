@@ -9,7 +9,7 @@ One :class:`ReceiveBuffer` exists per ring incarnation.  It triples as
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import _fast
 from ..types import SeqNum
@@ -22,6 +22,11 @@ class ReceiveBuffer:
     ``my_aru`` ("all received up to") is the highest sequence such that every
     packet ``1..my_aru`` is present; ``high_seq`` is the highest sequence
     seen at all.  A gap is any missing sequence in between.
+
+    Always ``gc_floor <= my_aru <= high_seq``, and every sequence in
+    ``(gc_floor, my_aru]`` is still stored: ``seq <= my_aru`` alone says
+    "received", which :meth:`has`, :meth:`insert_run` and the engine's O(1)
+    refusal of an ascending train that ends at or below ``my_aru`` rely on.
     """
 
     def __init__(self) -> None:
@@ -61,7 +66,7 @@ class ReceiveBuffer:
 
     def has(self, seq: SeqNum) -> bool:
         """Whether ``seq`` was ever received (even if since collected)."""
-        return seq <= self._gc_floor or seq <= self._my_aru or seq in self._packets
+        return seq <= self._my_aru or seq in self._packets
 
     def get(self, seq: SeqNum) -> Optional[DataPacket]:
         return self._packets.get(seq)
@@ -102,6 +107,28 @@ class ReceiveBuffer:
             self._my_aru = aru
         return True
 
+    def insert_run(self, run: Sequence[DataPacket]) -> Tuple[int, SeqNum]:
+        """:meth:`insert` for an ascending run (a frame train) in one call:
+        returns how many packets were new and the highest new sequence
+        number.  A run ending at or below ``my_aru`` is refused in O(1)."""
+        packets = self._packets
+        aru = self._my_aru
+        inserted = top = 0
+        if run[-1].seq > aru:
+            for packet in run:
+                seq = packet.seq
+                if seq > aru and seq not in packets:
+                    packets[seq] = packet
+                    inserted += 1
+                    top = seq
+        if inserted:
+            if top > self._high_seq:
+                self._high_seq = top
+            while aru + 1 in packets:
+                aru += 1
+            self._my_aru = aru
+        return inserted, top
+
     def gc_below(self, seq: SeqNum) -> int:
         """Drop packets with sequence ``<= seq`` (they are stable everywhere).
 
@@ -111,17 +138,17 @@ class ReceiveBuffer:
         seq = min(seq, self._my_aru)
         if seq <= self._gc_floor:
             return 0
-        collected = 0
         for s in range(self._gc_floor + 1, seq + 1):
-            if self._packets.pop(s, None) is not None:
-                collected += 1
+            del self._packets[s]  # all of (gc_floor, my_aru] is stored
+        collected = seq - self._gc_floor
         self._gc_floor = seq
         return collected
 
 
 if _fast.corec is not None:
     class CompiledReceiveBuffer(_fast.corec.ReceiveBuffer):
-        """The C store plus the cold Python methods (digests, gap scans).
+        """The C store plus the cold Python methods (digests, gap scans, and
+        ``insert_run`` for the pure engine after a mid-ring mode flip).
 
         The hot operations (``insert``/``has``/``get``/``my_aru``) run in C
         on state held in an ordinary Python dict and three ints, exposed as
@@ -135,6 +162,7 @@ if _fast.corec is not None:
 
         digest_state = ReceiveBuffer.digest_state
         missing_up_to = ReceiveBuffer.missing_up_to
+        insert_run = ReceiveBuffer.insert_run
 else:  # pragma: no cover - exercised by the REPRO_PURE CI leg
     CompiledReceiveBuffer = None  # type: ignore[assignment,misc]
 

@@ -80,30 +80,23 @@ class Packer:
                 self._partial = (msg_id, remaining[room:], True)
                 return chunks  # packet is full
 
+        # The leading whole messages that fit, ids consecutive in 1..2^32-1.
         queue = self._queue
-        while True:
-            payload = queue.peek()
-            if payload is None:
-                break
-            need = CHUNK_HEADER_BYTES + len(payload)
-            if need <= budget:
-                queue.dequeue()
-                chunks.append(Chunk(ChunkKind.APP, self._allocate_msg_id(),
-                                    FLAG_WHOLE, payload))
-                budget -= need
-                if not self._enable_packing:
-                    break
-                continue
-            if chunks:
-                break  # does not fit the remainder; start the next packet
-            # Message alone exceeds a whole packet: begin fragmenting it.
-            queue.dequeue()
-            msg_id = self._allocate_msg_id()
+        msg_id = self._next_msg_id
+        for payload in queue.dequeue_fitting(
+                budget, CHUNK_HEADER_BYTES,
+                None if self._enable_packing else 1):
+            chunks.append(Chunk(ChunkKind.APP, msg_id, FLAG_WHOLE, payload))
+            msg_id = msg_id % 0xFFFFFFFF + 1
+        if not chunks and len(queue):
+            # The head alone exceeds a whole packet: begin fragmenting it.
+            payload = queue.dequeue()
             room = self._max_payload - CHUNK_HEADER_BYTES
             chunks.append(Chunk(ChunkKind.APP, msg_id,
                                 FLAG_FIRST, payload[:room]))
             self._partial = (msg_id, payload[room:], True)
-            break
+            msg_id = msg_id % 0xFFFFFFFF + 1
+        self._next_msg_id = msg_id
         return chunks
 
     def next_batch(self, max_packets: int) -> List[List[Chunk]]:
@@ -125,11 +118,6 @@ class Packer:
     def digest_state(self) -> Tuple:
         """Canonical state tuple for explorer digests."""
         return ("packer", self._next_msg_id, self._partial)
-
-    def _allocate_msg_id(self) -> int:
-        msg_id = self._next_msg_id
-        self._next_msg_id = (self._next_msg_id + 1) & 0xFFFFFFFF or 1
-        return msg_id
 
 
 class Reassembler:

@@ -7,7 +7,7 @@ how many are drained per token visit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..errors import SendQueueFullError
 
@@ -77,5 +77,21 @@ class SendQueue:
         self._bytes -= len(payload)
         return payload
 
-    def peek(self) -> Optional[bytes]:
-        return self._queue[0] if self._queue else None
+    def dequeue_fitting(self, budget: int, overhead: int,
+                        limit: Optional[int] = None) -> List[bytes]:
+        """Pop the leading messages (at most ``limit``) that fit ``budget``
+        bytes at ``overhead`` bytes each on top of their own length — one
+        packet's worth for the packer; none when the head alone does not."""
+        queue = self._queue
+        taken: List[bytes] = []
+        count = taken_bytes = 0
+        while queue and count != limit:
+            size = len(queue[0])
+            budget -= overhead + size
+            if budget < 0:
+                break
+            taken_bytes += size
+            count += 1
+            taken.append(queue.popleft())
+        self._bytes -= taken_bytes
+        return taken

@@ -163,9 +163,13 @@ class BatchPacket:
     Invariants (enforced by the codec on decode, relied on by the SRP):
     at least one packet; every packet shares ``sender`` and ``ring_id`` with
     the batch; sequence numbers are contiguous ascending from ``first_seq``.
-    Senders build batches from their own token-visit send loop, which
-    produces exactly this shape.  Retransmissions and membership-recovery
-    traffic never ride in batches.
+    The receive path leans on "contiguous ascending": ``TotemSrp.on_batch``
+    resolves the ring once from the first packet, stores the train as one
+    run, and — like ``is_duplicate_batch`` — takes ``last_seq <= my_aru`` to
+    mean every carried packet was received already (:meth:`validate` checks
+    the shape).  Senders build batches from their own token-visit send
+    loop, which produces exactly this shape.  Retransmissions and
+    membership-recovery traffic never ride in batches.
     """
 
     packets: Tuple[DataPacket, ...]

@@ -99,6 +99,25 @@ class TestNodeApi:
         assert [m.payload for m in delivered] == [b"x"]
         assert cluster.nodes[2].log.payloads == [b"x"]
 
+    def test_deepcopy_of_a_started_node_delivers_into_its_own_log(self):
+        """World-forking (the explorer) deep-copies started clusters.  The
+        SRP's delivery target must be a bound *Python* method: ``deepcopy``
+        treats a bound builtin such as ``log.messages.append`` as atomic,
+        and a fork wired that way appends to its parent's log."""
+        import copy
+
+        cluster = small_cluster()
+        cluster.start()
+        cluster.nodes[1].submit(b"before the fork")
+        cluster.run_for(0.05)
+        fork = copy.deepcopy(cluster)
+        fork.nodes[1].submit(b"in the fork")
+        fork.run_for(0.05)
+        for node_id, node in cluster.nodes.items():
+            assert node.log.payloads == [b"before the fork"]
+            assert fork.nodes[node_id].log.payloads == [
+                b"before the fork", b"in the fork"]
+
     def test_membership_property(self):
         cluster = small_cluster()
         cluster.start()

@@ -87,6 +87,19 @@ class TestRunner:
         assert build_config(
             ReplicationStyle.ACTIVE_PASSIVE, 4).totem.num_networks == 3
 
+    @pytest.mark.parametrize("peak,beyond", [(700, 1024), (1400, 2048)])
+    def test_packing_peaks(self, peak, beyond):
+        """Paper §8: KB/s peaks at 700 B (two messages per Ethernet frame)
+        and at 1400 B (one full frame per message) — the shape the packer's
+        whole-message drain produces.  The same claims, at the same
+        duration, as ``benchmarks/bench_paper_claims.py`` (which nothing
+        runs in tier-1)."""
+        at_peak, past_it = (
+            run_throughput(ReplicationStyle.NONE, 4, size,
+                           duration=0.2, warmup=0.1).kbytes_per_sec
+            for size in (peak, beyond))
+        assert at_peak > past_it
+
     def test_zero_duration_rates(self):
         result = ThroughputResult(
             style=ReplicationStyle.NONE, num_nodes=1, num_networks=1,
@@ -385,6 +398,96 @@ class TestGateSmoke:
         messages = reference.srp.stats.msgs_delivered - delivered
         assert messages > 200
         assert calls / messages <= 300
+
+    def test_batched_path_python_calls_per_message(self, accel_mode):
+        """Saturated 4-node active ring, 2 networks, batched, 700 B (two
+        messages per packet, twenty packets per train): a frame train costs
+        one pass per layer — one ``insert_run`` and one delivery sweep per
+        received train, the second network's copy refused by its last
+        sequence number, one queue drain per packed packet.  Python-level
+        function calls per message delivered at the reference node, counted
+        with ``sys.setprofile`` ('call' events only): 15.2 here, 32.0 while
+        every carried packet went through ``on_data`` and ``insert`` and
+        every packed message through ``peek`` / ``dequeue``."""
+        import sys
+
+        from repro.api.cluster import SimCluster
+        from repro.bench.runner import build_config
+        from repro.bench.workload import SaturatingWorkload
+        from repro.types import ReplicationStyle
+
+        accel_mode("pure")
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+        config = build_config(ReplicationStyle.ACTIVE, 4, seed=42,
+                              enable_batching=True)
+        assert config.totem.num_networks == 2
+        cluster = SimCluster(config)
+        cluster.start()
+        SaturatingWorkload(cluster, 700).start()
+        cluster.run_for(0.02)
+        reference = cluster.nodes[min(cluster.nodes)]
+        delivered = reference.srp.stats.msgs_delivered
+        sys.setprofile(count_calls)
+        try:
+            cluster.run_for(0.05)
+        finally:
+            sys.setprofile(None)
+        messages = reference.srp.stats.msgs_delivered - delivered
+        assert messages > 500
+        assert calls / messages <= 18
+
+    def test_received_train_is_refused_in_constant_python_frames(
+            self, accel_mode):
+        """The redundant network's copy of a 20-packet train: ``on_batch``
+        learns from the last sequence number that nothing is new — four
+        Python frames (``on_batch``, the ring lookup, ``insert_run``, the
+        delivery sweep) and twenty counted duplicates, where the per-packet
+        loop entered ``on_data`` and ``insert`` twenty times each."""
+        import sys
+
+        from repro.config import TotemConfig
+        from repro.sim.runtime import SimRuntime
+        from repro.sim.scheduler import EventScheduler
+        from repro.srp.engine import TotemSrp
+        from repro.types import RingId
+        from repro.wire.packets import BatchPacket, Chunk, DataPacket
+
+        class NullTransport:
+            def broadcast_join(self, join):
+                pass
+
+        accel_mode("pure")
+        delivered = []
+        srp = TotemSrp(2, TotemConfig(), SimRuntime(EventScheduler()),
+                       NullTransport(), on_deliver=delivered.append)
+        srp.start([1, 2])
+        train = BatchPacket(packets=tuple(
+            DataPacket(sender=1, ring_id=RingId(4, 1), seq=seq,
+                       chunks=(Chunk.whole(seq, b"x" * 700),))
+            for seq in range(1, 21)))
+        srp.on_batch(train, 0)
+        assert len(delivered) == 20
+        frames = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal frames
+            if event == "call":
+                frames += 1
+        sys.setprofile(count_calls)
+        try:
+            verdict = srp.on_batch(train, 1)
+        finally:
+            sys.setprofile(None)
+        assert frames <= 5
+        assert verdict is False
+        assert srp.stats.duplicate_packets == 20
+        assert srp.stats.packets_received == 40
+        assert len(delivered) == 20
 
     def test_service_path_python_calls_per_completed_request(self, accel_mode):
         """A facade over 2 rings x 3 nodes with closed-loop clients offering

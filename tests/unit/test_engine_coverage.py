@@ -77,6 +77,7 @@ class FakeSrp:
         self.batches.append((batch, network))
         if self.batches_advance_aru:
             self.my_aru = batch.packets[-1].seq
+        return not self.duplicate  # as on_data: False iff nothing was new
 
     def on_token(self, token, network=0):
         self.tokens.append(token)

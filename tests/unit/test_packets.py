@@ -6,7 +6,9 @@ import pytest
 
 from repro.types import RingId
 from repro.wire.packets import (
+    BATCH_MAX_PACKETS,
     CHUNK_HEADER_BYTES,
+    BatchPacket,
     Chunk,
     ChunkFlags,
     ChunkKind,
@@ -50,6 +52,41 @@ class TestDataPacket:
     def test_packet_type(self):
         packet = DataPacket(sender=1, ring_id=RING, seq=1, chunks=())
         assert packet_type_of(packet) is PacketType.DATA
+
+
+class TestBatchPacket:
+    """``validate()`` holds the shape the SRP's one-pass receive relies on:
+    ascending (so the last packet decides an all-duplicate train) and
+    contiguous from one sender on one ring."""
+
+    @staticmethod
+    def train(*seqs, ring=RING, sender=1):
+        return BatchPacket(packets=tuple(
+            DataPacket(sender=sender, ring_id=ring, seq=seq,
+                       chunks=(Chunk.whole(seq, b"m"),)) for seq in seqs))
+
+    def test_contiguous_ascending_train_is_valid(self):
+        batch = self.train(7, 8, 9)
+        batch.validate()
+        assert (batch.first_seq, batch.last_seq) == (7, 9)
+
+    @pytest.mark.parametrize("seqs", [(7, 9), (7, 8, 10), (8, 7), (9, 8, 7),
+                                      (7, 7)])
+    def test_gapped_or_descending_train_is_rejected(self, seqs):
+        with pytest.raises(ValueError, match="not contiguous"):
+            self.train(*seqs).validate()
+
+    def test_mixed_sender_or_ring_is_rejected(self):
+        good = self.train(7).packets[0]
+        for other in (self.train(8, sender=2), self.train(8, ring=RingId(8, 1))):
+            with pytest.raises(ValueError, match="mix senders or rings"):
+                BatchPacket(packets=(good, other.packets[0])).validate()
+
+    def test_empty_and_oversize_trains_are_rejected(self):
+        with pytest.raises(ValueError, match="no packets"):
+            BatchPacket(packets=()).validate()
+        with pytest.raises(ValueError, match="max"):
+            self.train(*range(1, BATCH_MAX_PACKETS + 2)).validate()
 
 
 class TestToken:

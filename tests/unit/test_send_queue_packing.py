@@ -40,11 +40,19 @@ class TestSendQueue:
         queue.dequeue()
         assert queue.pending_bytes == 2
 
-    def test_peek_does_not_consume(self):
+    def test_dequeue_fitting_pops_the_leading_messages_that_fit(self):
         queue = SendQueue(capacity=10)
-        queue.enqueue(b"a")
-        assert queue.peek() == b"a"
-        assert len(queue) == 1
+        for payload in (b"aaaa", b"bb", b"cccccc", b"d"):
+            queue.enqueue(payload)
+        # 2 bytes of overhead each: 6 + 4 = 10 fits, + 8 does not.
+        assert queue.dequeue_fitting(10, 2) == [b"aaaa", b"bb"]
+        assert len(queue) == 2 and queue.pending_bytes == 7
+        # An oversize head yields nothing even though "d" behind it fits.
+        assert queue.dequeue_fitting(7, 2) == []
+        assert queue.dequeue_fitting(100, 2, limit=1) == [b"cccccc"]
+        assert queue.dequeue_fitting(100, 2) == [b"d"]
+        assert queue.dequeue_fitting(100, 2) == []
+        assert len(queue) == 0 and queue.pending_bytes == 0
 
 
 class TestPacker:
