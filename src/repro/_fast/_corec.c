@@ -73,8 +73,7 @@ static PyObject *s_queue, *s_bytes, *s_max_payload, *s_enable_packing,
 /* CPU-pipeline / delivery-log fast paths (third coverage round) */
 static PyObject *g_transport_error;  /* repro.errors.TransportError */
 static PyObject *g_dlog_on_deliver;  /* DeliveryLog.on_deliver (plain fn) */
-static PyObject *g_recvjob_cls;      /* net.stack._RecvJobCost */
-static PyObject *g_stack_dispatch;   /* NetworkStack._dispatch (plain fn) */
+static PyObject *g_partial_cls;      /* functools.partial (deferred cost) */
 static PyObject *g_zero;             /* int(0) */
 
 /* dispatch-site shortcuts (fourth coverage round): the *scheduled*
@@ -95,8 +94,8 @@ static PyObject *g_recv_batch_fn;    /* ReplicationEngine.recv_batch */
 static PyObject *g_srp_on_batch_fn;  /* TotemSrp.on_batch */
 
 static PyObject *s_messages, *s_finish, *s_running, *s_append, *s_counter,
-    *s_recv_cost_fn, *s_stack_attr, *s_packet_attr, *s_handler,
-    *s_undelivered, *s_busy_time, *s_operations, *s_scheduler,
+    *s_recv_cost_fn, *s_stack_attr, *s_func_attr, *s_args_attr, *s_handler,
+    *s_busy_time, *s_operations, *s_scheduler,
     *s_dispatch_meth, *s_cpu_attr, *s_network_attr, *s_recv_lan,
     *s_srp_attr, *s_srp_pub, *s_recv_batch, *s_on_batch_meth,
     *s_cpu_recv, *s_cpu_byte_recv, *s_cpu_msg, *s_cpu_dup,
@@ -180,9 +179,9 @@ intern_all(void)
     INTERN(s_counter, "_counter")
     INTERN(s_recv_cost_fn, "_recv_cost_fn")
     INTERN(s_stack_attr, "_stack")
-    INTERN(s_packet_attr, "_packet")
+    INTERN(s_func_attr, "func")
+    INTERN(s_args_attr, "args")
     INTERN(s_handler, "_handler")
-    INTERN(s_undelivered, "undelivered")
     INTERN(s_busy_time, "busy_time")
     INTERN(s_operations, "operations")
     INTERN(s_scheduler, "_scheduler")
@@ -247,7 +246,7 @@ intern_all(void)
 /* _corec.bind(sim_error, delivered_cls, chunk_app, state_recovery,
  *             chunk_cls, data_cls, batch_cls, ring_cls,
  *             codec_error, checksum_error,
- *             transport_error, dlog_on_deliver, recvjob_cls, stack_dispatch,
+ *             transport_error, dlog_on_deliver, partial_cls,
  *             fanout_fn, cpu_finish_fn,
  *             portdeliver_cls, recv_cost_fn, try_deliver_fn, cpu_submit_fn,
  *             port_broadcast_fn, port_unicast_fn,
@@ -257,14 +256,14 @@ static PyObject *
 corec_bind(PyObject *self, PyObject *args)
 {
     PyObject *err, *dcls, *app, *rec, *ccls, *pcls, *bcls, *rcls,
-        *cerr, *crcerr, *terr, *dlogfn, *rjcls, *dispfn,
+        *cerr, *crcerr, *terr, *dlogfn, *partcls,
         *fanoutfn, *cfinfn, *pdcls, *rcostfn,
         *tdfn, *csubfn, *pbfn, *pufn, *onpktfn, *recvbfn, *srponbfn;
     int chunk_hdr, batch_base, batch_sub, batch_max;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOOOOOOOOOOOiiii",
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOOOOOOOOOOiiii",
                           &err, &dcls, &app, &rec,
                           &ccls, &pcls, &bcls, &rcls, &cerr, &crcerr,
-                          &terr, &dlogfn, &rjcls, &dispfn,
+                          &terr, &dlogfn, &partcls,
                           &fanoutfn, &cfinfn,
                           &pdcls, &rcostfn, &tdfn, &csubfn, &pbfn, &pufn,
                           &onpktfn, &recvbfn, &srponbfn,
@@ -294,8 +293,7 @@ corec_bind(PyObject *self, PyObject *args)
     Py_XSETREF(g_checksum_error, Py_NewRef(crcerr));
     Py_XSETREF(g_transport_error, Py_NewRef(terr));
     Py_XSETREF(g_dlog_on_deliver, Py_NewRef(dlogfn));
-    Py_XSETREF(g_recvjob_cls, Py_NewRef(rjcls));
-    Py_XSETREF(g_stack_dispatch, Py_NewRef(dispfn));
+    Py_XSETREF(g_partial_cls, Py_NewRef(partcls));
     Py_XSETREF(g_fanout_fn, Py_NewRef(fanoutfn));
     Py_XSETREF(g_cpu_finish_fn, Py_NewRef(cfinfn));
     Py_XSETREF(g_portdeliver_cls, Py_NewRef(pdcls));
@@ -3365,34 +3363,32 @@ static PyObject *
 cpu_job_cost(PyObject *cost)
 {
     PyObject *costv;
-    if (g_recvjob_cls != NULL
-            && Py_TYPE(cost) == (PyTypeObject *)g_recvjob_cls) {
-        /* _RecvJobCost.__call__ inlined: stack._recv_cost_fn(packet) */
-        PyObject *stack = PyObject_GetAttr(cost, s_stack_attr);
-        if (stack == NULL)
-            return NULL;
-        PyObject *packet = PyObject_GetAttr(cost, s_packet_attr);
-        PyObject *rcfn = packet ? PyObject_GetAttr(stack, s_recv_cost_fn)
-                                : NULL;
-        Py_DECREF(stack);
-        if (rcfn == NULL) {
-            Py_XDECREF(packet);
+    if (g_partial_cls != NULL
+            && Py_TYPE(cost) == (PyTypeObject *)g_partial_cls) {
+        /* A queued frame's deferred cost (see _PortDeliver):
+         * partial(stack._recv_cost_fn, packet) */
+        PyObject *rcfn = PyObject_GetAttr(cost, s_func_attr);
+        PyObject *pargs = rcfn ? PyObject_GetAttr(cost, s_args_attr) : NULL;
+        if (pargs == NULL) {
+            Py_XDECREF(rcfn);
             return NULL;
         }
         if (PyMethod_Check(rcfn)
-                && PyMethod_GET_FUNCTION(rcfn) == g_recv_cost_fn) {
+                && PyMethod_GET_FUNCTION(rcfn) == g_recv_cost_fn
+                && PyTuple_Check(pargs) && PyTuple_GET_SIZE(pargs) == 1) {
             /* ReplicationEngine._recv_cost in C; NotImplemented bails
              * to the pure classifier (old-ring / foreign traffic). */
-            costv = recv_cost_impl(PyMethod_GET_SELF(rcfn), packet);
+            costv = recv_cost_impl(PyMethod_GET_SELF(rcfn),
+                                   PyTuple_GET_ITEM(pargs, 0));
             if (costv == Py_NotImplemented) {
                 Py_DECREF(costv);
-                costv = PyObject_CallOneArg(rcfn, packet);
+                costv = PyObject_CallNoArgs(cost);
             }
         }
         else {
-            costv = PyObject_CallOneArg(rcfn, packet);
+            costv = PyObject_CallNoArgs(cost);
         }
-        Py_DECREF(packet);
+        Py_DECREF(pargs);
         Py_DECREF(rcfn);
     }
     else if (PyCallable_Check(cost)) {
@@ -3694,26 +3690,7 @@ static int
 cpu_finish_impl(PyObject *cpu, PyObject *fn, PyObject *fnargs)
 {
     PyObject *res;
-    if (g_stack_dispatch != NULL && PyMethod_Check(fn)
-            && PyMethod_GET_FUNCTION(fn) == g_stack_dispatch) {
-        /* NetworkStack._dispatch inlined: hand the frame to the installed
-         * receive handler (or count it undelivered). */
-        PyObject *stack = PyMethod_GET_SELF(fn);
-        PyObject *handler = PyObject_GetAttr(stack, s_handler);
-        if (handler == NULL) {
-            res = NULL;
-        }
-        else if (handler == Py_None) {
-            Py_DECREF(handler);
-            res = attr_add_ll(stack, s_undelivered, 1) < 0
-                ? NULL : Py_NewRef(Py_None);
-        }
-        else {
-            res = call_recv_handler(handler, fnargs);
-            Py_DECREF(handler);
-        }
-    }
-    else if (g_port_broadcast_fn != NULL && PyMethod_Check(fn)
+    if (g_port_broadcast_fn != NULL && PyMethod_Check(fn)
              && (PyMethod_GET_FUNCTION(fn) == g_port_broadcast_fn
                  || PyMethod_GET_FUNCTION(fn) == g_port_unicast_fn)
              && PyTuple_GET_SIZE(fnargs)
@@ -3747,7 +3724,9 @@ cpu_finish_impl(PyObject *cpu, PyObject *fn, PyObject *fnargs)
         }
     }
     else {
-        res = PyObject_Call(fn, fnargs, NULL);
+        /* A received frame's job is the installed handler itself (see
+         * _PortDeliver); anything else takes its generic call. */
+        res = call_recv_handler(fn, fnargs);
     }
     if (res == NULL) {
         PyObject *etype, *evalue, *etb;
@@ -3812,8 +3791,9 @@ fanout_impl(PyObject *lan, PyObject *cargs)
         if (g_portdeliver_cls != NULL
                 && Py_TYPE(deliver) == (PyTypeObject *)g_portdeliver_cls) {
             /* _PortDeliver.__call__ inlined:
-             *   stack._cpu.submit(_RecvJobCost(stack, packet),
-             *                     stack._dispatch, packet, self._network)
+             *   stack._cpu.submit(partial(stack._recv_cost_fn, packet),
+             *                     stack._handler or stack._dispatch,
+             *                     packet, self._network)
              * — but only when stack._cpu.submit is the real NodeCpu
              * method (a mocked or patched CPU takes the generic call). */
             PyObject *stack = PyObject_GetAttr(deliver, s_stack_attr);
@@ -3832,15 +3812,15 @@ fanout_impl(PyObject *lan, PyObject *cargs)
             }
             if (PyMethod_Check(submeth)
                     && PyMethod_GET_FUNCTION(submeth) == g_cpu_submit_fn) {
-                PyObject *dispatch = PyObject_GetAttr(stack,
-                                                      s_dispatch_meth);
-                PyObject *cost = dispatch ? plain_new(g_recvjob_cls) : NULL;
-                if (cost != NULL
-                        && (PyObject_GenericSetAttr(cost, s_stack_attr,
-                                                    stack) < 0
-                            || PyObject_GenericSetAttr(cost, s_packet_attr,
-                                                       packet) < 0))
-                    Py_CLEAR(cost);
+                PyObject *dispatch = PyObject_GetAttr(stack, s_handler);
+                if (dispatch == Py_None)
+                    Py_SETREF(dispatch,
+                              PyObject_GetAttr(stack, s_dispatch_meth));
+                PyObject *rcfn =
+                    dispatch ? PyObject_GetAttr(stack, s_recv_cost_fn) : NULL;
+                PyObject *cost = rcfn ? PyObject_CallFunctionObjArgs(
+                    g_partial_cls, rcfn, packet, NULL) : NULL;
+                Py_XDECREF(rcfn);
                 PyObject *fnargs =
                     cost ? PyTuple_Pack(2, packet, network) : NULL;
                 int r = fnargs == NULL ? -1

@@ -21,9 +21,10 @@ Canonicalisation rules (see docs/MODELCHECK.md):
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Tuple
 
-from ..net.stack import _DefaultRecvCost, _PortDeliver, _RecvJobCost
+from ..net.stack import _DefaultRecvCost, _PortDeliver
 from ..types import Membership, RingId
 from ..wire.codec import encode_packet
 from ..wire.packets import (BatchPacket, CommitToken, DataPacket,
@@ -57,9 +58,11 @@ def callback_digest(callback) -> Tuple:
                 _owner_key(owner))
     if isinstance(callback, _PortDeliver):
         return ("portdeliver", callback._stack.node, callback._network)
-    if isinstance(callback, _RecvJobCost):
-        return ("recvjob", callback._stack.node,
-                value_digest(callback._packet))
+    if isinstance(callback, partial):
+        # A queued frame's deferred receive cost (net.stack._PortDeliver):
+        # ``partial(stack._recv_cost_fn, packet)``.
+        return ("recvjob", callback_digest(callback.func),
+                value_digest(callback.args))
     if isinstance(callback, _DefaultRecvCost):
         return ("defaultcost",)
     name = getattr(callback, "__qualname__", None)

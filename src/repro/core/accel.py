@@ -42,6 +42,8 @@ pure sweeps accept either container, so mixed worlds stay correct).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .. import _fast
 from .._fast import corec
 
@@ -84,7 +86,7 @@ def _bind() -> None:
     )
     from ..core.base import ReplicationEngine
     from ..net.simlan import LanPort, SimLan
-    from ..net.stack import NetworkStack, NodeCpu, _PortDeliver, _RecvJobCost
+    from ..net.stack import NodeCpu, _PortDeliver
     from ..srp.engine import SrpState, TotemSrp
     from ..types import DeliveredMessage, DeliveryLog, RingId
     from ..wire.packets import (
@@ -103,8 +105,7 @@ def _bind() -> None:
                Chunk, DataPacket, BatchPacket, RingId,
                CodecError, ChecksumError,
                TransportError, DeliveryLog.on_deliver,
-               _RecvJobCost, NetworkStack._dispatch,
-               SimLan._fanout, NodeCpu._finish,
+               partial, SimLan._fanout, NodeCpu._finish,
                _PortDeliver, ReplicationEngine._recv_cost,
                TotemSrp._try_deliver, NodeCpu.submit,
                LanPort.broadcast, LanPort.unicast,

@@ -39,6 +39,10 @@ class ActivePassiveReplication(ReplicationEngine):
         super().__init__(*args, **kwargs)
         self._send_message_via = self.config.num_networks - 1
         self._send_token_via = self.config.num_networks - 1
+        #: Per-start send windows and effective K (:meth:`_build_windows`).
+        self._windows: List[List[int]] = []
+        self._effective_k = 0
+        self._windows_version = -1
         # Stage 2 (active-style) token assembly state.
         self._last_token: Optional[Token] = None
         self._recv_flags: List[bool] = [False] * self.config.num_networks
@@ -102,46 +106,60 @@ class ActivePassiveReplication(ReplicationEngine):
 
     # ----- sends: K copies, round-robin window -----
 
-    def _window(self, start: int) -> List[int]:
-        """The next K non-faulty networks after ``start``, cyclically."""
-        chosen: List[int] = []
-        current = start
-        for _ in range(2 * self.config.num_networks):
-            current = (current + 1) % self.config.num_networks
-            if not self.faults.is_faulty(current) and current not in chosen:
-                chosen.append(current)
-                if len(chosen) == self.effective_k():
-                    break
-        return chosen
+    def _build_windows(self) -> None:
+        """Tabulate, per start index, the next K non-faulty networks after
+        it, cyclically — K capped by how many networks are operational.
+
+        Windows depend only on the fault marks: rebuilt when
+        ``faults.version`` moved, read per packet in between.
+        """
+        faults = self.faults
+        networks = self.config.num_networks
+        k = min(self.config.active_passive_k, faults.operational_count())
+        windows: List[List[int]] = []
+        for start in range(networks):
+            chosen: List[int] = []
+            current = start
+            for _ in range(2 * networks):
+                current = (current + 1) % networks
+                if not faults.is_faulty(current) and current not in chosen:
+                    chosen.append(current)
+                    if len(chosen) == k:
+                        break
+            windows.append(chosen)
+        self._windows = windows
+        self._effective_k = k
+        self._windows_version = faults.version
 
     def effective_k(self) -> int:
         """K, capped by how many networks are still operational."""
-        return min(self.config.active_passive_k,
-                   self.faults.operational_count())
+        if self._windows_version != self.faults.version:
+            self._build_windows()
+        return self._effective_k
 
     def broadcast_data(self, packet: DataPacket) -> None:
         self.stats.data_sends += 1
-        window = self._window(self._send_message_via)
+        if self._windows_version != self.faults.version:
+            self._build_windows()
+        window = self._windows[self._send_message_via]
+        broadcast = self.stack.broadcast
         for i in window:
-            self.stack.broadcast(i, packet)
+            broadcast(i, packet)
         if window:
             self._send_message_via = window[-1]
 
-    def broadcast_batch(self, batch: BatchPacket) -> None:
-        # K copies of the whole frame train, advancing the same window as a
-        # single data frame would.
-        self.stats.data_sends += 1
-        window = self._window(self._send_message_via)
-        for i in window:
-            self.stack.broadcast(i, batch)
-        if window:
-            self._send_message_via = window[-1]
+    # K copies of the whole frame train, advancing the same window as a
+    # single data frame would.
+    broadcast_batch = broadcast_data
 
     def send_token(self, token: Token, dest: NodeId) -> None:
         self.stats.token_sends += 1
-        window = self._window(self._send_token_via)
+        if self._windows_version != self.faults.version:
+            self._build_windows()
+        window = self._windows[self._send_token_via]
+        unicast = self.stack.unicast
         for i in window:
-            self.stack.unicast(i, dest, token)
+            unicast(i, dest, token)
         if window:
             self._send_token_via = window[-1]
 
@@ -199,7 +217,9 @@ class ActivePassiveReplication(ReplicationEngine):
 
         if self._delivered_current:
             return
-        if sum(self._recv_flags) >= self.effective_k():
+        if self._windows_version != self.faults.version:
+            self._build_windows()
+        if sum(self._recv_flags) >= self._effective_k:
             self._stop_assemble_timer()
             self._deliver_assembled(network)
 

@@ -106,10 +106,11 @@ class RecvCountMonitor:
         best = max(counts)
         if best - min(counts) <= self.threshold:
             return
+        # After a failure the marked network lags for good and every
+        # reception comes here: test the lag first, read the marks once.
+        faulty = self._faults._faulty
         for i, count in enumerate(counts):
-            if self._faults.is_faulty(i):
-                continue
-            if best - count > self.threshold:
+            if best - count > self.threshold and not faulty[i]:
                 self._faults.mark_faulty(
                     i,
                     detail=f"{self.label or 'monitor'}: reception lag "

@@ -29,6 +29,9 @@ class NetworkFaultState:
                  now_fn=None) -> None:
         self.node = node
         self._faulty: List[bool] = [False] * num_networks
+        #: Bumped on every mark and clear, so a sender can keep what it
+        #: derives from the marks until they next change.
+        self.version = 0
         self._on_fault_report = on_fault_report or (lambda report: None)
         self._now_fn = now_fn or (lambda: 0.0)
         self.reports: List[FaultReport] = []
@@ -76,6 +79,7 @@ class NetworkFaultState:
                          detail + " (refused: last operational network)")
             return False
         self._faulty[network] = True
+        self.version += 1
         if self.probe is not None:
             self.probe.network_marked_faulty(network, self.operational_count())
         self._report(network, FaultKind.NETWORK_FAILED, detail)
@@ -86,6 +90,7 @@ class NetworkFaultState:
         if not self._faulty[network]:
             return False
         self._faulty[network] = False
+        self.version += 1
         for listener in self._restore_listeners:
             listener(network)
         self._report(network, FaultKind.NETWORK_RESTORED, detail)

@@ -217,19 +217,30 @@ class SimLan:
         # the (overwhelmingly common) fault-free case.
         faulty = (faults.down or faults.recv_blocked or faults.blocked_pairs
                   or faults.partition is not None)
-        if dest is None and not faulty and loss <= 0.0 and observer is None:
-            # A broadcast nothing can thin out or watch reaches every other
-            # node of the channel, in attachment order: the same pairs for
-            # every frame of this source until the attachment set changes.
-            # In-flight events share the list, so it is replaced, never
-            # edited — a frame already in flight still reaches a node that
-            # detaches before it arrives.
+        if dest is None and not faulty and observer is None:
+            # A broadcast no fault can block and nobody watches reaches
+            # every other node of the channel, in attachment order: the same
+            # pairs for every frame of this source until the attachment set
+            # changes.  In-flight events share the list, so it is replaced,
+            # never edited — a frame already in flight still reaches a node
+            # that detaches before it arrives.
             fanout = self._fanout_cache.get(src)
             if fanout is None:
                 fanout = self._fanout_cache[src] = [
                     (deliver, node)
                     for node, deliver in self._channel_of_sender(src).items()
                     if node != src]
+            if loss > 0.0:
+                # Independent loss thins the list by one draw per receiver,
+                # in attachment order like the loop below.  (Not a
+                # comprehension: on 3.11 it would make ``loss`` a cell
+                # variable of every transmit, lossy or not.)
+                pairs, fanout = fanout, []
+                rng_random = self._rng.random
+                for pair in pairs:
+                    if not rng_random() < loss:
+                        fanout.append(pair)
+                stats.frames_lost += len(pairs) - len(fanout)
             stats.deliveries += len(fanout)
         else:
             receivers = self._channel_of_sender(src)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from .. import _fast
@@ -119,7 +120,11 @@ class NodeCpu:
             else:
                 cost, fn, args = queue.popleft()
                 try:
-                    if type(cost) is not float and callable(cost):
+                    cls = type(cost)
+                    # A queued frame's deferred cost (see _PortDeliver) is
+                    # known by its type; anything else not a float is asked.
+                    if cls is partial or (cls is not float
+                                          and callable(cost)):
                         cost = cost()
                     if cost < 0:
                         raise TransportError(f"negative CPU cost {cost}")
@@ -157,32 +162,16 @@ class _DefaultRecvCost:
         return self._lan_config.cpu_per_recv
 
 
-class _RecvJobCost:
-    """Deferred receive-cost evaluation for one *queued* frame.
-
-    Cost is resolved when the CPU job *starts*, so a copy arriving just
-    behind its twin is correctly billed as a duplicate.  Only a frame that
-    finds the CPU busy needs one (see :class:`_PortDeliver`).  Deepcopy-safe
-    (see :class:`_DefaultRecvCost`).
-    """
-
-    __slots__ = ("_stack", "_packet")
-
-    def __init__(self, stack: "NetworkStack", packet: object) -> None:
-        self._stack = stack
-        self._packet = packet
-
-    def __call__(self) -> float:
-        return self._stack._recv_cost_fn(self._packet)
-
-
 class _PortDeliver:
     """The per-network delivery callback a stack registers with a LAN.
 
     A frame that finds the CPU idle starts its job inside this very call,
-    so it is classified and billed at once; only a frame that must queue
-    defers its cost in a :class:`_RecvJobCost`.  Both read the same engine
-    state at the same virtual instant as the job start always did.
+    so it is classified and billed at once.  A frame that must queue defers
+    its cost as ``partial(stack._recv_cost_fn, packet)``, resolved when its
+    job *starts* — so a copy queued behind its twin is billed as a
+    duplicate, from the same engine state the job start always read.  The
+    job is the installed receive handler itself; ``_dispatch`` only stands
+    in for a frame that arrives before there is one.
 
     Instances live in ``SimLan._receivers`` and inside in-flight fanout
     events, so they must be deepcopy-safe (see :class:`_DefaultRecvCost`).
@@ -197,9 +186,9 @@ class _PortDeliver:
     def __call__(self, src: NodeId, packet: object) -> None:
         stack = self._stack
         cpu = stack._cpu
-        cpu.submit(_RecvJobCost(stack, packet) if cpu._running
+        cpu.submit(partial(stack._recv_cost_fn, packet) if cpu._running
                    else stack._recv_cost_fn(packet),
-                   stack._dispatch, packet, self._network)
+                   stack._handler or stack._dispatch, packet, self._network)
 
 
 class NetworkStack:

@@ -31,6 +31,7 @@ summarised in §2 of the RRP paper):
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
 
@@ -91,6 +92,15 @@ class SrpState(enum.Enum):
     GATHER = "gather"
     COMMIT = "commit"
     RECOVERY = "recovery"
+
+
+@functools.lru_cache(maxsize=None)
+def _boot_ring(representative: NodeId) -> RingId:
+    """The ring a static boot pre-installs: one shared (immutable) instance
+    per representative, so packets between its members pass ``ring_id is
+    self.ring_id`` as they do after a membership change, whose members all
+    hold ``commit.ring_id``."""
+    return RingId(seq=4, representative=representative)
 
 
 @dataclass
@@ -233,7 +243,7 @@ class TotemSrp:
         if self.node_id not in members:
             raise NotMemberError(
                 f"node {self.node_id} not in initial membership {members}")
-        ring = RingId(seq=4, representative=min(members))
+        ring = _boot_ring(min(members))
         self._install_ring(ring, members)
         if self.node_id == ring.representative:
             token = Token(ring_id=ring, aru_id=ring.representative)
@@ -722,12 +732,12 @@ class TotemSrp:
     # ------------------------------------------------------------------
 
     def _buffer_for_ring(self, ring_id: RingId) -> Optional[ReceiveBuffer]:
-        # Identity first: every member stamps outgoing packets with its own
-        # RingId instance, so value-equal copies of the current ring arrive
-        # under a handful of distinct identities (one per member).  Each is
-        # memoized on its first field comparison, turning the per-packet
-        # dataclass ``==`` into a single dict probe (the memo holds the
-        # objects themselves, so their ids cannot be recycled).
+        # Identity first: simulated members share their ring's RingId
+        # instance, but a decoded (real-UDP) or separately built identity
+        # is only value-equal.  Each such alias is memoized on its first
+        # field comparison, turning the per-packet dataclass ``==`` into a
+        # single dict probe (the memo holds the objects themselves, so
+        # their ids cannot be recycled).
         my_ring = self.ring_id
         if ring_id is my_ring or id(ring_id) in self._ring_aliases:
             return self.recv_buffer

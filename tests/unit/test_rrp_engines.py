@@ -8,6 +8,7 @@ a recording stack below.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 import pytest
@@ -403,6 +404,68 @@ class TestActivePassiveReplication:
         engine.faults.mark_faulty(0)
         engine.faults.mark_faulty(1)
         assert engine.effective_k() == 2
+
+    @pytest.mark.parametrize("networks,k", [
+        (n, k) for n in (3, 4, 5) for k in range(2, n)])
+    def test_window_table_matches_the_per_packet_loop(self, networks, k):
+        """Every (start, mark set): the tabulated window is what the loop
+        computed per packet — K capped by the operational count."""
+        def loop_window(faulty, start):
+            effective = min(k, networks - sum(faulty))
+            chosen, current = [], start
+            for _ in range(2 * networks):
+                current = (current + 1) % networks
+                if not faulty[current] and current not in chosen:
+                    chosen.append(current)
+                    if len(chosen) == effective:
+                        break
+            return chosen
+
+        for marks in itertools.product((False, True), repeat=networks):
+            if all(marks):
+                continue    # the last operational network is never marked
+            _, engine, stack, _, _ = build(
+                ReplicationStyle.ACTIVE_PASSIVE, num_networks=networks,
+                active_passive_k=k)
+            for network, marked in enumerate(marks):
+                if marked:
+                    assert engine.faults.mark_faulty(network)
+            assert engine.effective_k() == min(k, networks - sum(marks))
+            for start in range(networks):
+                expected = loop_window(marks, start)
+                engine._send_message_via = engine._send_token_via = start
+                del stack.broadcasts[:], stack.unicasts[:]
+                engine.broadcast_data(data_packet(1))
+                engine.send_token(token(1), dest=2)
+                assert [net for net, _ in stack.broadcasts] == expected
+                assert [net for net, _, _ in stack.unicasts] == expected
+                assert engine._send_message_via == expected[-1]
+                assert engine._send_token_via == expected[-1]
+
+    def test_mark_or_clear_between_two_sends_moves_the_next_window(self):
+        _, engine, stack, _, _ = build(ReplicationStyle.ACTIVE_PASSIVE,
+                                       recv_count_threshold=3)
+        digest = engine._style_digest()
+        assert engine.effective_k() == 2            # builds the table,
+        assert engine._style_digest() == digest     # which is derived state
+        engine.broadcast_data(data_packet(0))
+        assert [net for net, _ in stack.broadcasts] == [0, 1]
+        # A monitor's mark, raised from inside recv_data: networks 1 and 2
+        # carry four receptions, network 0 none.
+        for seq in range(1, 5):
+            engine.recv_data(data_packet(seq), 1)
+            engine.recv_data(data_packet(seq), 2)
+        assert engine.faults.faulty_networks == [0]
+        del stack.broadcasts[:]
+        engine.broadcast_data(data_packet(5))
+        engine.send_token(token(5), dest=2)
+        assert [net for net, _ in stack.broadcasts] == [2, 1]
+        assert [net for net, _, _ in stack.unicasts] == [1, 2]
+        # An administrator's clear: network 0 is back in the next window.
+        engine.faults.clear_fault(0)
+        del stack.broadcasts[:]
+        engine.broadcast_data(data_packet(6))
+        assert [net for net, _ in stack.broadcasts] == [2, 0]
 
     def test_token_delivered_after_k_copies(self):
         _, engine, _, srp, _ = build(ReplicationStyle.ACTIVE_PASSIVE)
