@@ -2,7 +2,9 @@
 
 §1/§3: "The partial or total failure of a network remains transparent to the
 application processes" — no membership change, delivery continues, and the
-monitors raise fault reports for the administrator.
+monitors raise fault reports for the administrator.  Those claims are
+asserted in ``tests/integration/test_paper_claims.py``; this file records
+the rates either side of the failure.
 """
 
 from __future__ import annotations
@@ -40,17 +42,10 @@ def _run_failover(style: ReplicationStyle):
 @pytest.mark.parametrize("style", STYLES, ids=lambda s: s.value)
 def test_x3_network_failure_transparency(benchmark, style):
     cluster, before, after = run_once(benchmark, _run_failover, style)
-    reference = cluster.nodes[1]
-    # Transparent: the ring never reconfigured (1 = the initial install).
-    assert reference.srp.stats.membership_changes == 1
-    # The system kept delivering after the failure.
-    assert after > 0.3 * before
-    # Every node eventually reported the fault to its application.
-    reporting_nodes = {r.node for r in cluster.all_fault_reports()}
-    assert reporting_nodes == set(cluster.nodes)
-    # The order is still a total order.
-    cluster.assert_total_order()
+    # 1 = the initial install.
+    changes = cluster.nodes[1].srp.stats.membership_changes - 1
     benchmark.extra_info["rate_before"] = round(before)
     benchmark.extra_info["rate_after"] = round(after)
+    benchmark.extra_info["membership_changes"] = changes
     record_row(f"X3   {style.value:15s}: {before:,.0f} msgs/s before failure, "
-               f"{after:,.0f} after, 0 membership changes")
+               f"{after:,.0f} after, {changes} membership changes")

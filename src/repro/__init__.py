@@ -73,10 +73,3 @@ __all__ = [
     "SimulationError",
     "TransportError",
 ]
-
-# Arm the optional compiled core (no-op unless `python tools/build_accel.py`
-# was run and REPRO_PURE is unset).  Last, so every module the C core binds
-# against is fully loaded.
-from .core import accel as _accel
-
-_accel.activate()

@@ -1,18 +1,15 @@
 """``python -m repro.bench profile`` — cProfile the hot workloads.
 
-This is how the compiled core's contents were chosen (and how a reviewer
-audits them): profile the fig6 microworkload and the closed-loop service
-workload, print the top-N functions by cumulative and internal time, and
-dump the raw ``pstats`` data to a file for interactive digging::
+Profiles the fig6 microworkload and the closed-loop service workload,
+prints the top-N functions by cumulative and internal time, and dumps the
+raw ``pstats`` data to a file for interactive digging::
 
     python -m repro.bench profile                        # both workloads
     python -m repro.bench profile --workload fig6 --top 15
     python -m repro.bench profile --pstats-out prof.pstats
-    REPRO_PURE=1 python -m repro.bench profile           # pure-mode profile
 
-A function that is hot here and absent from ``docs/PERFORMANCE.md``'s
-compiled-surface table is either newly hot (a regression to chase) or a
-deliberate pure-Python residue (protocol logic, documented there).
+A first look only: host-cost claims are made on ``perfbench/``'s counters
+(``docs/PERFORMANCE.md``), not on these tables.
 """
 
 from __future__ import annotations

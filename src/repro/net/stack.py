@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence
 
-from .. import _fast
 from ..config import LanConfig
 from ..errors import TransportError
 from ..sim.scheduler import EventScheduler
@@ -84,13 +83,6 @@ class NodeCpu:
         returning seconds, evaluated when the job reaches the head of the
         queue.
         """
-        fast = _fast.cpu_submit
-        if fast is not None:
-            # Compiled twin of the queue/begin logic below; the scheduled
-            # entry stays `[when, counter, self._finish, (fn, args)]`, so
-            # explorer classification and deepcopy snapshots are unchanged.
-            fast(self, cost, fn, args)
-            return
         if self._running:
             self._queue.append((cost, fn, args))
             return
@@ -107,10 +99,6 @@ class NodeCpu:
 
     def _finish(self, fn: Callable[..., None], args: tuple) -> None:
         """The scheduled end of a job: run it, then begin the next one."""
-        fast = _fast.cpu_finish
-        if fast is not None:
-            fast(self, fn, args)
-            return
         try:
             fn(*args)
         finally:

@@ -30,7 +30,6 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from .. import _fast
 from ..errors import SimulationError
 from .clock import VirtualClock
 
@@ -310,13 +309,6 @@ class EventScheduler:
 
         Events scheduled exactly at ``t`` do fire.
         """
-        fast = _fast.scheduler_run_until
-        if fast is not None:
-            # The compiled twin of the loop below (repro._fast._corec);
-            # byte-identical dispatch order and accounting, selected per
-            # call so repro.core.accel can flip modes mid-process.
-            fast(self, t)
-            return
         # Hot loop: one heappop per entry, no per-event helper calls.  The
         # heap list is aliased, never rebound (push/pop/_compact all mutate
         # in place), so callbacks scheduling further events remain visible.

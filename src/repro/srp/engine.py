@@ -35,7 +35,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
 
-from .. import _fast
 from ..config import TotemConfig
 from ..errors import NotMemberError
 from ..sim.runtime import Runtime
@@ -66,8 +65,8 @@ from ..wire.packets import (
     TOKEN_MAX_RTR,
 )
 from .flow import FlowController
-from .ordering import ReceiveBuffer, make_receive_buffer
-from .packing import Packer, Reassembler, make_reassembler
+from .ordering import ReceiveBuffer
+from .packing import Packer, Reassembler
 from .send_queue import SendQueue
 
 
@@ -171,9 +170,9 @@ class TotemSrp:
         #: RingId instances known value-equal to :attr:`ring_id` (other
         #: members' copies), memoized by :meth:`_buffer_for_ring`.
         self._ring_aliases: dict = {}
-        self.recv_buffer = make_receive_buffer()
+        self.recv_buffer = ReceiveBuffer()
         self._delivered_seq: SeqNum = 0
-        self._reassembler = make_reassembler()
+        self._reassembler = Reassembler()
         self.send_queue = SendQueue(config.send_queue_capacity)
         self._packer = Packer(self.send_queue, config.max_packet_payload,
                               config.enable_packing)
@@ -210,7 +209,7 @@ class TotemSrp:
         self._old_delivered: SeqNum = 0
         self._old_reassembler: Optional[Reassembler] = None
         self._recovery_pending: List[DataPacket] = []
-        self._recovery_reassembler = make_reassembler()
+        self._recovery_reassembler = Reassembler()
         #: True once this node voted "done" on the recovery token.  From
         #: that moment other members may complete the installation, so the
         #: new ring may no longer be silently abandoned (EVS safety).
@@ -412,13 +411,6 @@ class TotemSrp:
         already is dropped after the sequence checks, without ordering or
         delivery work.
         """
-        fast = _fast.engine_is_duplicate_batch
-        if fast is not None:
-            # Current-ring batches (the common case) resolve in C; old-ring
-            # or foreign traffic returns NotImplemented and falls through.
-            verdict = fast(self, batch)
-            if verdict is not NotImplemented:
-                return verdict
         packets = batch.packets
         buffer = self._buffer_for_ring(packets[0].ring_id)
         if buffer is None:
@@ -499,12 +491,6 @@ class TotemSrp:
         """
         stats = self.stats
         packets = batch.packets
-        fast = _fast.engine_on_batch
-        if fast is not None:
-            # Compiled twin (rare cases bail to on_data); verdict off its count
-            refused = stats.duplicate_packets
-            fast(self, batch, network)
-            return stats.duplicate_packets - refused < len(packets)
         stats.packets_received += len(packets)
         buffer = self._buffer_for_ring(packets[0].ring_id)
         inserted = top = 0
@@ -830,12 +816,6 @@ class TotemSrp:
         return sent
 
     def _broadcast_batched(self, token: Token, allowance: int) -> int:
-        fast = _fast.engine_broadcast_batched
-        if fast is not None:
-            # Compiled twin of the body below: C packer drain, packet
-            # construction (with the wire-size cache precomputed) and
-            # self-insert; the transport call and flow control stay here.
-            return fast(self, token, allowance)
         chunk_lists = self._packer.next_batch(
             allowance if allowance < BATCH_MAX_PACKETS else BATCH_MAX_PACKETS)
         if not chunk_lists:
@@ -888,17 +868,9 @@ class TotemSrp:
 
     def _try_deliver(self) -> None:
         """Deliver contiguous packets (agreed order; safe order if configured)."""
-        fast = _fast.engine_try_deliver
-        if fast is not None:
-            # Compiled twin of the sweep below.  The indirection lives
-            # *inside* the method so instrumentation that patches
-            # ``_try_deliver`` (e.g. the explorer's eager-delivery
-            # mutation) replaces both implementations at once.
-            fast(self)
-            return
         # One loop over packets and their chunks: what
         # _deliver_packet_chunks does per packet, with the per-sweep
-        # constants bound once (as the compiled twin binds them).
+        # constants bound once.
         buffer = self.recv_buffer
         limit = (self._stable_seq if self.config.safe_delivery
                  else buffer._my_aru)
@@ -1192,7 +1164,7 @@ class TotemSrp:
             self._old_reassembler = self._reassembler
 
         self._recovery_pending = self._plan_recovery(commit)
-        self._recovery_reassembler = make_reassembler()
+        self._recovery_reassembler = Reassembler()
         self._voted_done = False
         self._recovery_absorbed = 0
         self.trace("recovery",
@@ -1203,9 +1175,9 @@ class TotemSrp:
         self.ring_id = commit.ring_id
         self._ring_aliases.clear()
         self._pending_membership = new_members
-        self.recv_buffer = make_receive_buffer()
+        self.recv_buffer = ReceiveBuffer()
         self._delivered_seq = 0
-        self._reassembler = make_reassembler()
+        self._reassembler = Reassembler()
         self._flow.reset()
         self._last_token = None
         self._last_accepted_stamp = (-1, -1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .. import _fast
 from ..types import SeqNum
 from ..wire.packets import DataPacket
 
@@ -143,38 +142,3 @@ class ReceiveBuffer:
         collected = seq - self._gc_floor
         self._gc_floor = seq
         return collected
-
-
-if _fast.corec is not None:
-    class CompiledReceiveBuffer(_fast.corec.ReceiveBuffer):
-        """The C store plus the cold Python methods (digests, gap scans, and
-        ``insert_run`` for the pure engine after a mid-ring mode flip).
-
-        The hot operations (``insert``/``has``/``get``/``my_aru``) run in C
-        on state held in an ordinary Python dict and three ints, exposed as
-        ``_packets``/``_my_aru``/``_high_seq``/``_gc_floor`` — the same
-        protocol-visible state, under the same names, as the pure
-        :class:`ReceiveBuffer`, so digests, ``deepcopy`` world-forking and
-        these cold methods are implementation-agnostic.
-        """
-
-        __slots__ = ()
-
-        digest_state = ReceiveBuffer.digest_state
-        missing_up_to = ReceiveBuffer.missing_up_to
-        insert_run = ReceiveBuffer.insert_run
-else:  # pragma: no cover - exercised by the REPRO_PURE CI leg
-    CompiledReceiveBuffer = None  # type: ignore[assignment,misc]
-
-
-def make_receive_buffer() -> ReceiveBuffer:
-    """A receive buffer of the active implementation (see repro.core.accel).
-
-    Chosen at construction time: a buffer keeps its implementation for the
-    life of its ring incarnation even if the accel mode later flips (both
-    delivery sweeps accept either class).
-    """
-    from ..core import accel
-    if CompiledReceiveBuffer is not None and accel.enabled():
-        return CompiledReceiveBuffer()  # type: ignore[return-value]
-    return ReceiveBuffer()

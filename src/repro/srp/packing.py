@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .. import _fast
 from ..types import NodeId
 from ..wire.packets import (
     CHUNK_HEADER_BYTES,
@@ -160,27 +159,3 @@ class Reassembler:
     def clear(self) -> None:
         """Discard partial messages (on a configuration change)."""
         self._partial.clear()
-
-
-if _fast.corec is not None:
-    class CompiledReassembler(_fast.corec.Reassembler):
-        """The C ``feed`` plus the cold Python digest method.
-
-        State is the same ``_partial`` dict, under the same name, as the
-        pure :class:`Reassembler` — digests, ``deepcopy`` world-forking and
-        the delivery sweeps treat both classes interchangeably.
-        """
-
-        __slots__ = ()
-
-        digest_state = Reassembler.digest_state
-else:  # pragma: no cover - exercised by the REPRO_PURE CI leg
-    CompiledReassembler = None  # type: ignore[assignment,misc]
-
-
-def make_reassembler() -> Reassembler:
-    """A reassembler of the active implementation (see repro.core.accel)."""
-    from ..core import accel
-    if CompiledReassembler is not None and accel.enabled():
-        return CompiledReassembler()  # type: ignore[return-value]
-    return Reassembler()

@@ -15,7 +15,6 @@ import struct
 import zlib
 from typing import Tuple, Union
 
-from .. import _fast
 from ..errors import ChecksumError, CodecError
 from ..types import RingId
 from .packets import (
@@ -79,14 +78,6 @@ def _decode_ring(data: bytes, offset: int) -> Tuple[RingId, int]:
 
 def encode_packet(packet: Packet) -> bytes:
     """Serialise a packet object to bytes (with trailing CRC32)."""
-    fast = _fast.codec_encode
-    if fast is not None:
-        # The C codec handles the data-plane kinds (DATA and the BATCH
-        # frame train) byte-identically; control traffic and anything
-        # unusual returns NotImplemented and takes the pure path below.
-        encoded = fast(packet)
-        if encoded is not NotImplemented:
-            return encoded
     ptype = packet.packet_type
     buf = _ENCODE_BUF
     del buf[:]
@@ -193,13 +184,6 @@ class PackedPacketCache:
 
 def decode_packet(data: bytes) -> Packet:
     """Parse bytes into a packet object, verifying magic, version and CRC."""
-    fast = _fast.codec_decode
-    if fast is not None:
-        # DATA/BATCH parse in C (same validation, same error types and
-        # messages); control kinds return NotImplemented and fall through.
-        packet = fast(data)
-        if packet is not NotImplemented:
-            return packet
     if len(data) < _HEADER.size + _CRC.size:
         raise CodecError(f"packet too short: {len(data)} bytes")
     body, crc_bytes = data[:-_CRC.size], data[-_CRC.size:]

@@ -9,7 +9,6 @@ import pytest
 
 from repro.api.cluster import SimCluster
 from repro.config import ClusterConfig, LanConfig, TotemConfig
-from repro.core import accel
 from repro.types import ReplicationStyle
 
 
@@ -80,21 +79,6 @@ ALL_STYLES = (ReplicationStyle.NONE, ReplicationStyle.ACTIVE,
               ReplicationStyle.PASSIVE, ReplicationStyle.ACTIVE_PASSIVE)
 REDUNDANT_STYLES = (ReplicationStyle.ACTIVE, ReplicationStyle.PASSIVE,
                     ReplicationStyle.ACTIVE_PASSIVE)
-
-
-@pytest.fixture
-def accel_mode():
-    """``accel_mode("pure" | "compiled")`` switches the implementation mode
-    for the rest of the test (skipping when the compiled core is not
-    available); the session's mode is put back afterwards."""
-    before = accel.mode()
-
-    def switch(mode: str) -> None:
-        if mode == "compiled" and not accel.available():
-            pytest.skip("compiled core not built (or REPRO_PURE=1)")
-        (accel.use_compiled if mode == "compiled" else accel.use_pure)()
-    yield switch
-    switch(before)
 
 
 @pytest.fixture

@@ -105,7 +105,10 @@ class TestDeterminism:
                 [tuple(m.payload for m in n.delivered)
                  for n in cluster.nodes.values()],
                 [n.srp.stats.retransmissions_served
-                 for n in cluster.nodes.values()])
+                 for n in cluster.nodes.values()],
+                # Equal final states == the same draws in the same order.
+                {name: rng.getstate()
+                 for name, rng in sorted(cluster.rng._streams.items())})
 
     def test_same_seed_identical_run(self):
         assert self._run(seed=7) == self._run(seed=7)

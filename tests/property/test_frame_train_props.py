@@ -14,13 +14,10 @@ delivery log, the returned verdict and the timer state must be identical.
 
 from __future__ import annotations
 
-import contextlib
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import TotemConfig
-from repro.core import accel
 from repro.sim.runtime import SimRuntime
 from repro.sim.scheduler import EventScheduler
 from repro.srp.engine import SrpState, TotemSrp
@@ -46,17 +43,6 @@ OLD_RING = RingId(4, 1)       # what start((1, 2, 3)) installs
 NEW_RING = RingId(8, 1)       # the ring the recovery scenarios re-form on
 FOREIGN_RING = RingId(12, 9)
 MAX_SEQ = 30
-
-
-@contextlib.contextmanager
-def pure_mode():
-    """The pure bodies are what changed (the C twin kept its loop)."""
-    before = accel.mode()
-    accel.use_pure()
-    try:
-        yield
-    finally:
-        (accel.use_compiled if before == "compiled" else accel.use_pure)()
 
 
 class JoinCounter:
@@ -271,23 +257,22 @@ def case(kind, **fields):
                            first=2, count=8))
 @example(scenario=case("foreign", sender=9, first=5, count=3))
 def test_one_pass_train_matches_the_per_packet_loop(scenario):
-    with pure_mode():
-        srp, transport, log, batch = build(scenario)
-        ref, ref_transport, ref_log, ref_batch = build(scenario)
-        assert observable(srp, transport, log) == observable(
-            ref, ref_transport, ref_log)
-        # (b) the O(1) answer agrees with the probe of every packet.
-        assert srp.is_duplicate_batch(batch) == reference_is_duplicate_batch(
-            ref, ref_batch)
-        assert srp.on_batch(batch) == reference_on_batch(ref, ref_batch)
-        assert observable(srp, transport, log) == observable(
-            ref, ref_transport, ref_log)
-        # The copy from the second network: refused whole, same verdict.
-        assert srp.is_duplicate_batch(batch) == reference_is_duplicate_batch(
-            ref, ref_batch)
-        assert srp.on_batch(batch, 1) == reference_on_batch(ref, ref_batch, 1)
-        assert observable(srp, transport, log) == observable(
-            ref, ref_transport, ref_log)
+    srp, transport, log, batch = build(scenario)
+    ref, ref_transport, ref_log, ref_batch = build(scenario)
+    assert observable(srp, transport, log) == observable(
+        ref, ref_transport, ref_log)
+    # (b) the O(1) answer agrees with the probe of every packet.
+    assert srp.is_duplicate_batch(batch) == reference_is_duplicate_batch(
+        ref, ref_batch)
+    assert srp.on_batch(batch) == reference_on_batch(ref, ref_batch)
+    assert observable(srp, transport, log) == observable(
+        ref, ref_transport, ref_log)
+    # The copy from the second network: refused whole, same verdict.
+    assert srp.is_duplicate_batch(batch) == reference_is_duplicate_batch(
+        ref, ref_batch)
+    assert srp.on_batch(batch, 1) == reference_on_batch(ref, ref_batch, 1)
+    assert observable(srp, transport, log) == observable(
+        ref, ref_transport, ref_log)
 
 
 # ----- (c) the packer's drain -----

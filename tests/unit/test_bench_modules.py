@@ -91,9 +91,9 @@ class TestRunner:
     def test_packing_peaks(self, peak, beyond):
         """Paper §8: KB/s peaks at 700 B (two messages per Ethernet frame)
         and at 1400 B (one full frame per message) — the shape the packer's
-        whole-message drain produces.  The same claims, at the same
-        duration, as ``benchmarks/bench_paper_claims.py`` (which nothing
-        runs in tier-1)."""
+        whole-message drain produces.  Two of the paper's five T2 claims,
+        at the window of ``tests/integration/test_paper_claims.py``, which
+        asserts the other three."""
         at_peak, past_it = (
             run_throughput(ReplicationStyle.NONE, 4, size,
                            duration=0.2, warmup=0.1).kbytes_per_sec
@@ -358,7 +358,7 @@ class TestGateSmoke:
         assert metrics["messages"] > 0
         assert metrics["events"] / metrics["messages"] < 1.0
 
-    def test_per_frame_chain_python_calls_per_message(self, accel_mode):
+    def test_per_frame_chain_python_calls_per_message(self):
         """Saturated 4-node passive ring, 2 networks, unbatched, 4096 B
         (three frames per message): the send -> receive -> deliver chain
         runs one body per layer per frame.  Python-level function calls per
@@ -374,7 +374,6 @@ class TestGateSmoke:
         from repro.bench.workload import SaturatingWorkload
         from repro.types import ReplicationStyle
 
-        accel_mode("pure")
         calls = 0
 
         def count_calls(frame, event, arg):
@@ -399,7 +398,7 @@ class TestGateSmoke:
         assert messages > 200
         assert calls / messages <= 300
 
-    def test_batched_path_python_calls_per_message(self, accel_mode):
+    def test_batched_path_python_calls_per_message(self):
         """Saturated 4-node active ring, 2 networks, batched, 700 B (two
         messages per packet, twenty packets per train): a frame train costs
         one pass per layer — one ``insert_run`` and one delivery sweep per
@@ -416,7 +415,6 @@ class TestGateSmoke:
         from repro.bench.workload import SaturatingWorkload
         from repro.types import ReplicationStyle
 
-        accel_mode("pure")
         calls = 0
 
         def count_calls(frame, event, arg):
@@ -441,8 +439,7 @@ class TestGateSmoke:
         assert messages > 500
         assert calls / messages <= 18
 
-    def test_received_train_is_refused_in_constant_python_frames(
-            self, accel_mode):
+    def test_received_train_is_refused_in_constant_python_frames(self):
         """The redundant network's copy of a 20-packet train: ``on_batch``
         learns from the last sequence number that nothing is new — four
         Python frames (``on_batch``, the ring lookup, ``insert_run``, the
@@ -461,7 +458,6 @@ class TestGateSmoke:
             def broadcast_join(self, join):
                 pass
 
-        accel_mode("pure")
         delivered = []
         srp = TotemSrp(2, TotemConfig(), SimRuntime(EventScheduler()),
                        NullTransport(), on_deliver=delivered.append)
@@ -489,7 +485,7 @@ class TestGateSmoke:
         assert srp.stats.packets_received == 40
         assert len(delivered) == 20
 
-    def test_lossy_k_of_n_path_python_calls_per_message(self, accel_mode):
+    def test_lossy_k_of_n_path_python_calls_per_message(self):
         """Saturated 4-node active-passive ring, N = 3, K = 2, unbatched,
         700 B (two messages per packet), 0.3 % loss on every network — the
         path no fault-free shortcut serves: the send window is read from a
@@ -507,7 +503,6 @@ class TestGateSmoke:
         from repro.bench.workload import SaturatingWorkload
         from repro.types import ReplicationStyle
 
-        accel_mode("pure")
         calls = 0
 
         def count_calls(frame, event, arg):
@@ -581,7 +576,7 @@ class TestGateSmoke:
         assert events <= 1 + 3 + 1
         assert engine.stats.data_sends == 2
 
-    def test_service_path_python_calls_per_completed_request(self, accel_mode):
+    def test_service_path_python_calls_per_completed_request(self):
         """A facade over 2 rings x 3 nodes with closed-loop clients offering
         twice the probed capacity (2.3 requests offered per completion, the
         excess shed queue-full): each request reads the clock, its key's ring
@@ -602,8 +597,6 @@ class TestGateSmoke:
         from repro.obs.metrics import MetricRegistry
         from repro.service import ServiceConfig, ServiceFacade
         from repro.types import ReplicationStyle
-
-        accel_mode("pure")
 
         def started_cluster():
             cluster = MultiRingCluster(MultiRingConfig(

@@ -32,13 +32,6 @@ def packet(seq: int, ring: RingId = RING) -> DataPacket:
 
 
 @pytest.fixture
-def pure_mode(accel_mode):
-    """Counting wrappers only see the pure buffer (the C twin calls its own
-    ``has`` / ``insert`` without going through the class attributes)."""
-    accel_mode("pure")
-
-
-@pytest.fixture
 def counts(monkeypatch):
     calls = {"has": 0, "insert": 0}
     for name in calls:
@@ -67,8 +60,7 @@ STYLES = [(ReplicationStyle.PASSIVE, 2), (ReplicationStyle.ACTIVE_PASSIVE, 3)]
 
 
 @pytest.mark.parametrize("style,networks", STYLES)
-def test_one_probe_and_one_insert_per_frame(pure_mode, counts, style,
-                                            networks):
+def test_one_probe_and_one_insert_per_frame(counts, style, networks):
     scheduler, lans, node = build(style, networks)
     lan_config = lans[0].config
     monitors = node.rrp.message_monitors
@@ -108,7 +100,7 @@ def test_one_probe_and_one_insert_per_frame(pure_mode, counts, style,
 
 @pytest.mark.parametrize("style,networks", STYLES)
 def test_copy_queued_behind_its_twin_is_billed_when_its_job_starts(
-        pure_mode, counts, style, networks):
+        counts, style, networks):
     """The idle-CPU frame is billed at once; the copy that arrives while it
     is being processed defers its cost (a ``partial``) until the twin is
     in the buffer — and is then a duplicate."""
@@ -134,11 +126,9 @@ def test_copy_queued_behind_its_twin_is_billed_when_its_job_starts(
     assert node.rrp.message_monitors[1].recv_count[:2] == [1, 0]
 
 
-@pytest.mark.parametrize("mode", ["pure", "compiled"])
-def test_rejected_deferred_cost_does_not_wedge_the_cpu(accel_mode, mode):
+def test_rejected_deferred_cost_does_not_wedge_the_cpu():
     """A queued frame whose classifier raises is dropped when its job would
     start, and the frame behind it is received."""
-    accel_mode(mode)
     scheduler, lans, node = build(ReplicationStyle.ACTIVE_PASSIVE, 3)
     classify = node.stack._recv_cost_fn
 
@@ -157,7 +147,7 @@ def test_rejected_deferred_cost_does_not_wedge_the_cpu(accel_mode, mode):
     assert node.srp.recv_buffer.has(3)
 
 
-def test_deep_copy_of_queued_receive_jobs_is_self_contained(pure_mode):
+def test_deep_copy_of_queued_receive_jobs_is_self_contained():
     """A saturated ring always has frames queued behind a busy CPU.  A deep
     copy of the cluster (the explorer's fork) carries its own deferred
     costs and handlers — bound to the copy's engines, over the copy's
@@ -202,8 +192,7 @@ def test_deep_copy_of_queued_receive_jobs_is_self_contained(pure_mode):
         assert fork.nodes[node_id].cpu.stats == node.cpu.stats
 
 
-def test_worlds_differing_only_in_the_queued_frame_digest_differently(
-        pure_mode):
+def test_worlds_differing_only_in_the_queued_frame_digest_differently():
     """The explorer's digest tells a queued frame's deferred cost apart by
     the node it is bound to and the frame it will classify."""
     from repro.check.digest import _cpu_digest

@@ -105,17 +105,11 @@ class TestNodeCpu:
         assert done[1] == pytest.approx(1.003)
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def cpu_mode(request, accel_mode):
-    """Run the test on the pure NodeCpu and on its C twin."""
-    accel_mode(request.param)
-
-
 class TestRejectedJobDoesNotWedgeTheCpu:
     """A job whose cost is rejected used to leave ``_running`` set with no
     finish event scheduled: every later frame of the node queued forever."""
 
-    def test_rejected_submit_leaves_the_cpu_idle(self, cpu_mode):
+    def test_rejected_submit_leaves_the_cpu_idle(self):
         scheduler = EventScheduler()
         cpu = NodeCpu(scheduler)
         ran = []
@@ -129,7 +123,7 @@ class TestRejectedJobDoesNotWedgeTheCpu:
         assert cpu.stats.operations == 1
         assert cpu.stats.busy_time == pytest.approx(0.001)
 
-    def test_cost_callable_that_raises_on_an_idle_cpu(self, cpu_mode):
+    def test_cost_callable_that_raises_on_an_idle_cpu(self):
         scheduler = EventScheduler()
         cpu = NodeCpu(scheduler)
         ran = []
@@ -142,8 +136,7 @@ class TestRejectedJobDoesNotWedgeTheCpu:
         scheduler.run_until(1.0)
         assert ran == ["next"]
 
-    def test_rejected_queued_job_is_dropped_and_the_next_one_starts(
-            self, cpu_mode):
+    def test_rejected_queued_job_is_dropped_and_the_next_one_starts(self):
         scheduler = EventScheduler()
         cpu = NodeCpu(scheduler)
         ran = []
@@ -166,7 +159,7 @@ class TestRejectedJobDoesNotWedgeTheCpu:
         scheduler.run_until(2.0)
         assert ran == ["first", "third", "later"]
 
-    def test_every_queued_job_rejected_goes_idle(self, cpu_mode):
+    def test_every_queued_job_rejected_goes_idle(self):
         scheduler = EventScheduler()
         cpu = NodeCpu(scheduler)
         ran = []
