@@ -62,7 +62,7 @@ def main() -> None:
 
     replicas = {node_id: KvReplica() for node_id in range(1, 5)}
     for node_id, replica in replicas.items():
-        cluster.nodes[node_id]._user_deliver = replica.apply
+        cluster.nodes[node_id].set_user_callbacks(on_deliver=replica.apply)
 
     # Node 3 loses its receive path on network 0 at t=0.1s (§3 fault model):
     # the RRP must route around it without any replica diverging.

@@ -19,6 +19,7 @@ from ..types import (
     DeliverFn,
     FaultReportFn,
     NodeId,
+    SweepConsumer,
 )
 
 
@@ -51,7 +52,6 @@ class TotemNode:
         self.config = config
         self.channel = channel
         self.log = DeliveryLog()
-        self._user_deliver = on_deliver
         self._user_config_change = on_config_change
         self._user_fault_report = on_fault_report
 
@@ -65,46 +65,41 @@ class TotemNode:
         self.rrp: ReplicationEngine = make_replication_engine(
             node_id, config, self.runtime, self.stack,
             on_fault_report=self._on_fault_report)
-        # Deliver straight into the log while no user callback is installed:
-        # the fan-out frame (`_on_deliver`) costs one Python call per
-        # delivered message, which is measurable at batch throughput.
-        # A constructor-supplied callback — or a later `set_user_callbacks`
-        # — swaps the fan-out in.  The target stays a bound *Python* method:
-        # `self.log.messages.append` would save a frame, but deepcopy treats
-        # a bound builtin as atomic, so a forked world (the explorer) would
-        # append to its parent's log.
+        # Every message goes straight into the log, and a sweep reaches the
+        # user in one `_on_deliver` call, which the SRP makes only while a
+        # user callback is installed.  Both targets are bound *Python*
+        # methods: `self.log.messages.append` would save a frame, but
+        # deepcopy treats a bound builtin as atomic, so a forked world (the
+        # explorer) would append to its parent's log.
         self.srp = TotemSrp(
             node_id, config, self.runtime, self.rrp,
-            on_deliver=(self._on_deliver if self._user_deliver is not None
-                        else self.log.on_deliver),
+            on_deliver=self.log.on_deliver,
             on_config_change=self._on_config_change,
             trace=(tracer.bind(node_id, "membership")
                    if tracer is not None else None))
         self.rrp.bind(self.srp)
+        #: The user's ``on_deliver``, a SweepConsumer when ``_per_sweep``.
+        self._user_deliver = None
+        self._per_sweep = False
+        if on_deliver is not None:
+            self._set_user_deliver(on_deliver)
 
     # ----- callback fan-out -----
 
-    @property
-    def _user_deliver(self):
-        return self._user_deliver_cb
+    def _set_user_deliver(self, fn) -> None:
+        self._user_deliver = fn
+        self._per_sweep = isinstance(fn, SweepConsumer)
+        self.srp.on_sweep = self._on_deliver
 
-    @_user_deliver.setter
-    def _user_deliver(self, fn) -> None:
-        # Keep the SRP pointed at the cheapest delivery target: the log's
-        # bound append while nobody listens, the fan-out frame otherwise.
-        # A setter (rather than set_user_callbacks alone) so that tests and
-        # tools assigning the attribute directly stay correct.
-        self._user_deliver_cb = fn
-        srp = getattr(self, "srp", None)
-        if srp is not None:
-            srp.on_deliver = (self._on_deliver if fn is not None
-                              else self.log.on_deliver)
-
-    def _on_deliver(self, message) -> None:
-        self.log.on_deliver(message)
-        # The backing attribute, not the property: this runs per message.
-        user_deliver = self._user_deliver_cb
-        if user_deliver is not None:
+    def _on_deliver(self, count: int) -> None:
+        """One delivery sweep: the ``count`` messages the SRP just put in
+        the log, handed to the user callback."""
+        messages = self.log.messages[-count:]
+        user_deliver = self._user_deliver
+        if self._per_sweep:
+            user_deliver(messages)
+            return
+        for message in messages:
             user_deliver(message)
 
     def _on_config_change(self, change) -> None:
@@ -126,10 +121,12 @@ class TotemNode:
         """Install (or replace) the application callbacks after construction.
 
         Toolkits such as :class:`repro.app.ReplicatedStateMachine` use this
-        to take over the delivery stream of an already-built node.
+        to take over the delivery stream of an already-built node.  An
+        ``on_deliver`` that is a :class:`SweepConsumer` is called once per
+        delivery sweep with the sweep's messages, any other once per message.
         """
         if on_deliver is not None:
-            self._user_deliver = on_deliver
+            self._set_user_deliver(on_deliver)
         if on_config_change is not None:
             self._user_config_change = on_config_change
         if on_fault_report is not None:

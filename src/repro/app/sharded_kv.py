@@ -15,10 +15,10 @@ frame): ``op:1 key_len:2 key value`` with ``op`` one of ``S`` (set) or
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CodecError
-from ..types import NodeId
+from ..types import DeliveredMessage, NodeId
 
 OP_SET = b"S"
 OP_DEL = b"D"
@@ -50,7 +50,8 @@ def decode_op(payload: bytes) -> Tuple[bytes, bytes, bytes]:
 
 
 class _Apply:
-    """Per-member apply callback (callable object: deepcopy-safe)."""
+    """Per-member app handler, one call per delivery sweep (callable
+    object: deepcopy-safe)."""
 
     __slots__ = ("_kv", "_member")
 
@@ -58,8 +59,9 @@ class _Apply:
         self._kv = kv
         self._member = member
 
-    def __call__(self, group: int, message, body: bytes) -> None:
-        self._kv._apply(self._member, group, body)
+    def __call__(self, group: int,
+                 batch: List[Tuple[DeliveredMessage, bytes]]) -> None:
+        self._kv._apply(self._member, batch)
 
 
 class ShardedKv:
@@ -96,14 +98,16 @@ class ShardedKv:
 
     # ----- replica state -----
 
-    def _apply(self, member: NodeId, group: int, body: bytes) -> None:
-        op, key, value = decode_op(body)
+    def _apply(self, member: NodeId,
+               batch: List[Tuple[DeliveredMessage, bytes]]) -> None:
         store = self.stores[member]
-        if op == OP_SET:
-            store[key] = value
-        else:
-            store.pop(key, None)
-        self.applied[member] += 1
+        for _message, body in batch:
+            op, key, value = decode_op(body)
+            if op == OP_SET:
+                store[key] = value
+            else:
+                store.pop(key, None)
+            self.applied[member] += 1
 
     def get(self, member: NodeId, key: bytes) -> Optional[bytes]:
         """Read ``key`` from ``member``'s replica."""

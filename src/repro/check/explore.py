@@ -896,6 +896,7 @@ def _eager_try_deliver(self):
     permanently skipping sequence gaps instead of waiting for
     retransmission (what the ordered-delivery machinery exists to
     prevent).  Mirrors the campaign corpus' injected-bug fixture."""
+    before = self.stats.msgs_delivered
     while self._delivered_seq < self.recv_buffer.high_seq:
         seq = self._delivered_seq + 1
         packet = self.recv_buffer.get(seq)
@@ -905,6 +906,7 @@ def _eager_try_deliver(self):
                 packet, self._reassembler,
                 safe=seq <= self._stable_seq,
                 config_id=self.ring_id)
+    self._end_sweep(before)
 
 
 MUTATIONS = {

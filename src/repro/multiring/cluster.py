@@ -26,7 +26,7 @@ from ..net.faults import FaultPlan
 from ..net.simlan import SimLan
 from ..sim.rng import RngRegistry
 from ..sim.scheduler import EventScheduler
-from ..types import NodeId
+from ..types import DeliveredMessage, NodeId, SweepConsumer
 from .config import MultiRingConfig, group_addr
 from .merge import (
     DATA_PREFIX,
@@ -37,23 +37,23 @@ from .merge import (
 )
 from .partition import make_partitioner
 
-#: Application handler: ``handler(group, message, body)`` where ``body`` is
-#: the unwrapped application payload of one delivered data message.
-AppHandler = Callable[[int, object, bytes], None]
+#: Application handler: ``handler(group, batch)``, called once per delivery
+#: sweep of one engine with the sweep's application messages as ``(message,
+#: body)`` pairs in ring order — a data message with its prefix byte
+#: stripped, unprefixed traffic whole, markers left out.
+AppHandler = Callable[[int, List[Tuple[DeliveredMessage, bytes]]], None]
 
 
-class _EngineDeliver:
+class _EngineDeliver(SweepConsumer):
     """Delivery dispatcher for one (group, member) engine.
 
     Holds its own subscribers — the ``feed`` of every merger of its member
     that takes its group, and the member's application handler — which
     :meth:`MultiRingCluster.add_merger` / ``set_app_handler`` keep current,
-    so a delivery looks nothing up: each merger sees the message, then a
-    data message (told by its prefix byte) reaches the handler unwrapped,
-    a marker stops here and unprefixed traffic reaches the handler whole.
-
-    A ``__slots__`` callable object rather than a closure so the simulated
-    world stays deepcopy-safe (the explorer snapshots whole clusters).
+    so a sweep looks nothing up: each merger is fed every message of the
+    sweep, then the handler gets the sweep's data messages (told by their
+    prefix byte) unwrapped and its unprefixed traffic whole; markers stop
+    at the mergers.
     """
 
     __slots__ = ("_group", "feeds", "handler")
@@ -63,18 +63,26 @@ class _EngineDeliver:
         self.feeds: Tuple[Callable[[int, object], None], ...] = ()
         self.handler: Optional[AppHandler] = None
 
-    def __call__(self, message) -> None:
+    def __call__(self, messages: List[DeliveredMessage]) -> None:
         group = self._group
-        for feed in self.feeds:
-            feed(group, message)
+        feeds = self.feeds
+        if feeds:
+            # Message by message, so the mergers of one member see each
+            # message in their registration order.
+            for message in messages:
+                for feed in feeds:
+                    feed(group, message)
         handler = self.handler
         if handler is None:
             return
-        payload = message.payload
-        if payload[:1] == DATA_PREFIX:
-            handler(group, message, payload[1:])
-        elif decode_payload(payload)[0] != "marker":
-            handler(group, message, payload)
+        # A comprehension: sorting the sweep costs no call per message.
+        batch = [(message, payload[1:] if payload[:1] == DATA_PREFIX
+                  else payload)
+                 for message in messages
+                 if (payload := message.payload)[:1] == DATA_PREFIX
+                 or decode_payload(payload)[0] != "marker"]
+        if batch:
+            handler(group, batch)
 
 
 class RingGroup:
@@ -269,8 +277,9 @@ class MultiRingCluster:
         return merger
 
     def set_app_handler(self, member: NodeId, handler: AppHandler) -> None:
-        """Install (or replace) ``handler(group, message, body)`` for every
-        data message delivered at physical ``member`` (any ring)."""
+        """Install (or replace) ``handler(group, batch)`` for the
+        application messages delivered at physical ``member`` (any ring),
+        one call per delivery sweep (see :data:`AppHandler`)."""
         for deliver in self._member_deliverers(member):
             deliver.handler = handler
 

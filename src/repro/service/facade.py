@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
-from ..types import NodeId
+from ..types import DeliveredMessage, NodeId, SweepConsumer
 from .admission import FairAdmissionQueue, TokenBucket
 from .backpressure import RingPressureMonitor, SHED
 from .breaker import CircuitBreaker, DeadlineBudget
@@ -127,8 +127,8 @@ class ServiceConfig:
                 "need 0 < degrade_ratio <= shed_ratio <= 1")
 
 
-class _Deliver:
-    """Per-member delivery hook (``__slots__`` callable: deepcopy-safe)."""
+class _Deliver(SweepConsumer):
+    """Single-ring delivery hook of one member: one call per sweep."""
 
     __slots__ = ("_facade", "_member")
 
@@ -136,12 +136,14 @@ class _Deliver:
         self._facade = facade
         self._member = member
 
-    def __call__(self, message) -> None:
-        self._facade._on_apply(self._member, 0, message.payload)
+    def __call__(self, messages: List[DeliveredMessage]) -> None:
+        self._facade._on_apply(self._member, 0,
+                               [message.payload for message in messages])
 
 
 class _AppHandler:
-    """Multi-ring app handler (``handler(group, message, body)``)."""
+    """Multi-ring app handler of one member (``handler(group, batch)``,
+    one call per sweep; ``__slots__`` callable: deepcopy-safe)."""
 
     __slots__ = ("_facade", "_member")
 
@@ -149,8 +151,10 @@ class _AppHandler:
         self._facade = facade
         self._member = member
 
-    def __call__(self, group: int, message, body: bytes) -> None:
-        self._facade._on_apply(self._member, group, body)
+    def __call__(self, group: int,
+                 batch: List[Tuple[DeliveredMessage, bytes]]) -> None:
+        self._facade._on_apply(self._member, group,
+                               [body for _message, body in batch])
 
 
 class _SingleRingPort:
@@ -512,27 +516,38 @@ class ServiceFacade:
     # replicated apply path
     # ------------------------------------------------------------------
 
-    def _on_apply(self, member: NodeId, group: int, payload: bytes) -> None:
-        parsed = decode_op(payload)
-        if parsed is None:
-            return  # foreign (non-service) traffic on the same ring
-        client, uid, op, key, value = parsed
-        if op == OP_SET:
-            self.stores[member][key] = value
-        elif op == OP_DEL:
-            self.stores[member].pop(key, None)
-        elif op == OP_PUB:
-            for fn in self._subscribers.get(member, {}).get(key, ()):
-                fn(key, value)
-        self._applied[member].append((group, client, uid))
-        if member == self.port.gateway:
-            arrival = self._inflight.pop((client, uid), None)
-            if arrival is not None:
-                latency = self._now() - arrival
-                self.m_completed.inc()
-                self.m_latency.observe(latency)
-                if self._on_complete is not None:
-                    self._on_complete(client, uid, latency)
+    def _on_apply(self, member: NodeId, group: int,
+                  payloads: List[bytes]) -> None:
+        """Apply one delivery sweep of ``group``'s ring at ``member``.
+
+        The member's store and applied log, the gateway test and the clock
+        are read once per sweep (virtual time stands still within one).
+        """
+        store = self.stores[member]
+        applied = self._applied[member]
+        inflight = self._inflight if member == self.port.gateway else None
+        now = self._now()
+        for payload in payloads:
+            parsed = decode_op(payload)
+            if parsed is None:
+                continue  # foreign (non-service) traffic on the same ring
+            client, uid, op, key, value = parsed
+            if op == OP_SET:
+                store[key] = value
+            elif op == OP_DEL:
+                store.pop(key, None)
+            elif op == OP_PUB:
+                for fn in self._subscribers.get(member, {}).get(key, ()):
+                    fn(key, value)
+            applied.append((group, client, uid))
+            if inflight is not None:
+                arrival = inflight.pop((client, uid), None)
+                if arrival is not None:
+                    latency = now - arrival
+                    self.m_completed.inc()
+                    self.m_latency.observe(latency)
+                    if self._on_complete is not None:
+                        self._on_complete(client, uid, latency)
 
     # ------------------------------------------------------------------
     # reads

@@ -33,7 +33,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 from ..config import TotemConfig
 from ..errors import NotMemberError
@@ -152,6 +153,12 @@ class TotemSrp:
         self.runtime = runtime
         self.transport = transport
         self.on_deliver: DeliverFn = on_deliver or (lambda message: None)
+        #: Optional ``on_sweep(count)``: called once after each delivery
+        #: pass that delivered ``count >= 1`` messages, all of them already
+        #: handed to :attr:`on_deliver` and counted in :attr:`stats`, and
+        #: before any configuration change that follows is reported.  A
+        #: node points it at its per-sweep fan-out (see repro.api.node).
+        self.on_sweep: Optional[Callable[[int], None]] = None
         self.on_config_change: ConfigChangeFn = on_config_change or (lambda change: None)
         #: Flight-recorder hook: ``trace(event, detail)`` (see repro.trace).
         self.trace = trace or (lambda event, detail="": None)
@@ -867,7 +874,11 @@ class TotemSrp:
         self._try_deliver()
 
     def _try_deliver(self) -> None:
-        """Deliver contiguous packets (agreed order; safe order if configured)."""
+        """Deliver contiguous packets (agreed order; safe order if configured).
+
+        One delivery sweep: every message goes to :attr:`on_deliver`, then
+        the sweep as a whole to :attr:`on_sweep`.
+        """
         # One loop over packets and their chunks: what
         # _deliver_packet_chunks does per packet, with the per-sweep
         # constants bound once.
@@ -882,6 +893,7 @@ class TotemSrp:
         app_kind = ChunkKind.APP
         stats = self.stats
         on_deliver = self.on_deliver
+        before = stats.msgs_delivered
         while self._delivered_seq < limit:
             seq = self._delivered_seq + 1
             if seq not in packets:
@@ -905,6 +917,18 @@ class TotemSrp:
                 on_deliver(new_message(DeliveredMessage, (
                     sender, seq, payload, packet.ring_id, seq <= stable_seq,
                     delivered_in)))
+        # _end_sweep inline: this runs per received frame, mostly for
+        # sweeps that deliver nothing.
+        on_sweep = self.on_sweep
+        if on_sweep is not None and stats.msgs_delivered != before:
+            on_sweep(stats.msgs_delivered - before)
+
+    def _end_sweep(self, before: int) -> None:
+        """Close a delivery sweep that began at ``stats.msgs_delivered ==
+        before``: hand what it delivered to :attr:`on_sweep`."""
+        count = self.stats.msgs_delivered - before
+        if count and self.on_sweep is not None:
+            self.on_sweep(count)
 
     def _deliver_packet_chunks(self, packet: DataPacket,
                                reassembler: Reassembler, safe: bool,
@@ -913,7 +937,8 @@ class TotemSrp:
 
         The old-ring recovery deliveries (and the explorer's eager-delivery
         mutation) go through here; the operational sweep in
-        :meth:`_try_deliver` runs the same statements inline.
+        :meth:`_try_deliver` runs the same statements inline.  A caller
+        closes its sweep with :meth:`_end_sweep`.
         """
         sender = packet.sender
         seq = packet.seq
@@ -1331,7 +1356,9 @@ class TotemSrp:
         self._try_deliver()
 
     def _deliver_old_prefix(self) -> None:
+        """One sweep, closed before the transitional configuration."""
         assert self._old_buffer is not None and self._old_reassembler is not None
+        before = self.stats.msgs_delivered
         while True:
             seq = self._old_delivered + 1
             packet = self._old_buffer.get(seq)
@@ -1341,9 +1368,12 @@ class TotemSrp:
             # Contiguous old-ring messages are agreed in the old config.
             self._deliver_packet_chunks(packet, self._old_reassembler,
                                         safe=False, config_id=self._old_ring)
+        self._end_sweep(before)
 
     def _deliver_old_remainder(self) -> None:
+        """One sweep, closed before the new regular configuration."""
         assert self._old_buffer is not None and self._old_reassembler is not None
+        before = self.stats.msgs_delivered
         for seq in range(self._old_delivered + 1,
                          self._old_buffer.high_seq + 1):
             packet = self._old_buffer.get(seq)
@@ -1354,6 +1384,7 @@ class TotemSrp:
             self._deliver_packet_chunks(packet, self._old_reassembler,
                                         safe=False, config_id=self.ring_id)
         self._old_delivered = self._old_buffer.high_seq
+        self._end_sweep(before)
 
     def _install_ring(self, ring_id: RingId, members: Tuple[NodeId, ...]) -> None:
         self.ring_id = ring_id

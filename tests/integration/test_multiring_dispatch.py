@@ -36,13 +36,18 @@ def build() -> MultiRingCluster:
 
 
 class Handler:
-    """App handler recording ``(group, payload as delivered, body)``."""
+    """App handler recording ``(group, payload as delivered, body)``, and
+    the size of every sweep it was handed."""
 
     def __init__(self) -> None:
         self.seen = []
+        self.sweeps = []
 
-    def __call__(self, group, message, body) -> None:
-        self.seen.append((group, message.payload, body))
+    def __call__(self, group, batch) -> None:
+        assert batch, "a sweep without application messages is not handed on"
+        self.sweeps.append(len(batch))
+        for message, body in batch:
+            self.seen.append((group, message.payload, body))
 
 
 @pytest.fixture

@@ -92,7 +92,7 @@ class TestNodeApi:
     def test_user_callbacks_fan_out(self):
         cluster = small_cluster()
         delivered = []
-        cluster.nodes[2]._user_deliver = delivered.append
+        cluster.nodes[2].set_user_callbacks(on_deliver=delivered.append)
         cluster.start()
         cluster.nodes[1].submit(b"x")
         cluster.run_for(0.05)

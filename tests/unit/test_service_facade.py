@@ -60,12 +60,13 @@ class FakeCluster:
             send_queue_capacity=send_queue_capacity))
 
     def deliver_all(self, gateway=1):
-        """Drain the gateway queue, applying each payload at every member."""
+        """Drain the gateway queue, applying each payload at every member
+        as a one-message delivery sweep (the facade's hook takes sweeps)."""
         queue = self.nodes[gateway].srp.send_queue
         while queue:
             payload = queue.popleft()
             for node in self.nodes.values():
-                node.on_deliver(SimpleNamespace(payload=payload))
+                node.on_deliver([SimpleNamespace(payload=payload)])
 
 
 def build(config=None, **cluster_kwargs):

@@ -11,8 +11,11 @@ from repro.types import (
     ConfigurationChange,
     DeliveredMessage,
     Membership,
+    ReplicationStyle,
     RingId,
 )
+
+from conftest import make_cluster
 
 
 class StubNode:
@@ -21,6 +24,8 @@ class StubNode:
         self.submitted = []
         self.on_deliver = None
         self.on_config_change = None
+        #: ``try_submit``'s verdict (a full send queue when False).
+        self.accept = True
 
     def set_user_callbacks(self, on_deliver=None, on_config_change=None,
                            on_fault_report=None):
@@ -31,8 +36,9 @@ class StubNode:
         self.submitted.append(payload)
 
     def try_submit(self, payload):
-        self.submitted.append(payload)
-        return True
+        if self.accept:
+            self.submitted.append(payload)
+        return self.accept
 
 
 class ListMachine:
@@ -99,6 +105,27 @@ class TestCommandFlow:
         deliver(node, b"\x01hello")
         assert rsm.machine.log == [b"hello"]
         assert rsm.stats.commands_applied == 1
+
+    @pytest.mark.parametrize("accept", [True, False])
+    def test_try_submit_returns_the_nodes_verdict(self, accept):
+        node = StubNode()
+        node.accept = accept
+        rsm = ReplicatedStateMachine(node, ListMachine())
+        assert rsm.try_submit(b"payload") is accept
+        assert node.submitted == ([b"\x01payload"] if accept else [])
+        assert rsm.stats.commands_submitted == int(accept)
+
+    def test_try_submit_sees_a_full_send_queue(self):
+        """Backpressure reaches SMR callers: a real node's queue fills."""
+        cluster = make_cluster(ReplicationStyle.NONE, num_nodes=2)
+        node = cluster.nodes[1]
+        rsm = ReplicatedStateMachine(node, ListMachine())
+        cluster.start()
+        accepted = 0
+        while rsm.try_submit(b"cmd-%d" % accepted):
+            accepted += 1
+        assert accepted == node.config.send_queue_capacity
+        assert rsm.stats.commands_submitted == accepted
 
     def test_submit_prefixes_cmd_tag(self):
         node = StubNode()
