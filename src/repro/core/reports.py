@@ -12,11 +12,14 @@ One deliberate engineering addition: the RRP refuses to mark the *last*
 operational network as faulty.  Refusing keeps the node sending on its only
 remaining path; if that network is truly dead, token loss escalates to the
 membership protocol anyway, which is the correct system-level response.
+A refusal is reported once per network until the next mark or clear: a
+monitor that keeps finding the last network lagging would otherwise raise
+the same report on every reception.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..types import FaultKind, FaultReport, FaultReportFn, NetworkIndex, NodeId
 
@@ -32,6 +35,8 @@ class NetworkFaultState:
         #: Bumped on every mark and clear, so a sender can keep what it
         #: derives from the marks until they next change.
         self.version = 0
+        #: Network -> the ``version`` at which its refusal was reported.
+        self._refused: Dict[NetworkIndex, int] = {}
         self._on_fault_report = on_fault_report or (lambda report: None)
         self._now_fn = now_fn or (lambda: 0.0)
         self.reports: List[FaultReport] = []
@@ -70,13 +75,17 @@ class NetworkFaultState:
         """Declare a network faulty.  Returns False if refused or redundant.
 
         Refused when ``network`` is the last operational network (see module
-        docstring); redundant when it is already marked.
+        docstring), and then reported only if no refusal of ``network`` was
+        reported since the marks last changed; redundant when it is already
+        marked.
         """
         if self._faulty[network]:
             return False
         if self.operational_count() <= 1:
-            self._report(network, FaultKind.NETWORK_FAILED,
-                         detail + " (refused: last operational network)")
+            if self._refused.get(network) != self.version:
+                self._refused[network] = self.version
+                self._report(network, FaultKind.NETWORK_FAILED,
+                             detail + " (refused: last operational network)")
             return False
         self._faulty[network] = True
         self.version += 1

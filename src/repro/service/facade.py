@@ -29,6 +29,7 @@ schedule: same inputs, byte-identical decision and delivered-op logs.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,8 +70,12 @@ SLO_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.0)
 
-#: Decision-log detail of a shed, by reason.
-_SHED_DETAIL = {reason: f"shed reason={reason.value}" for reason in ShedReason}
+#: Decision kinds as recorded: 0 is an admit, 1.. a shed, by reason.
+_ADMIT = 0
+_SHED_KIND = {reason: kind for kind, reason in enumerate(ShedReason, 1)}
+#: Decision-log detail of a shed, by kind.
+_SHED_DETAIL = {kind: f"shed reason={reason.value}"
+                for reason, kind in _SHED_KIND.items()}
 
 
 @dataclass(frozen=True)
@@ -258,9 +263,19 @@ class ServiceFacade:
         self.stores: Dict[NodeId, Dict[bytes, bytes]] = {
             m: {} for m in self.port.members}
         self._subscribers: Dict[NodeId, Dict[bytes, List[SubscriberFn]]] = {}
-        self._applied: Dict[NodeId, List[Tuple[int, int, int]]] = {
-            m: [] for m in self.port.members}
-        self._decisions: List[str] = []
+        # The two per-operation histories hold fixed-width records, not
+        # objects; the text is formatted only when a reader asks for it
+        # (docs/SERVICE.md, "Decision and applied logs").
+        #: Per member, ``(group, client, uid)`` per applied op.
+        self._applied: Dict[NodeId, array] = {
+            m: array("Q") for m in self.port.members}
+        #: ``(now, queued_for)`` per decision; ``queued_for`` is 0.0 for a shed.
+        self._decision_times = array("d")
+        #: ``(client, uid, kind)`` per decision (``_ADMIT`` or ``_SHED_KIND``),
+        #: written first and with ``fromlist``, which stores all three or
+        #: none: an id outside u64 raises OverflowError and leaves both
+        #: arrays aligned.
+        self._decision_ids = array("Q")
         self._inflight: Dict[Tuple[int, int], float] = {}
         self._next_uid: Dict[int, int] = {}
         self._pump_timer = None
@@ -490,10 +505,13 @@ class ServiceFacade:
                               overload=True)
         self.m_admitted.inc()
         self._inflight[(request.client, request.uid)] = request.arrival
+        queued_for = now - request.arrival
         response = Admitted(request.client, request.uid,
-                            queued_for=now - request.arrival)
-        self._record(request, response, now,
-                     f"admit queued={response.queued_for:.6f}")
+                            queued_for=queued_for)
+        self._decision_ids.fromlist([request.client, request.uid, _ADMIT])
+        self._decision_times.extend((now, queued_for))
+        if self._on_decision is not None:
+            self._on_decision(request, response)
         return response
 
     def _shed(self, request: Request, reason: ShedReason, now: float,
@@ -502,15 +520,12 @@ class ServiceFacade:
         cls = Overload if overload else Shed
         response = cls(request.client, request.uid, reason=reason,
                        retry_after=retry_after)
-        self._record(request, response, now, _SHED_DETAIL[reason])
-        return response
-
-    def _record(self, request: Request, response: Response, now: float,
-                detail: str) -> None:
-        self._decisions.append(
-            f"t={now:.6f} client={request.client} uid={request.uid} {detail}")
+        self._decision_ids.fromlist(
+            [request.client, request.uid, _SHED_KIND[reason]])
+        self._decision_times.extend((now, 0.0))
         if self._on_decision is not None:
             self._on_decision(request, response)
+        return response
 
     # ------------------------------------------------------------------
     # replicated apply path
@@ -539,7 +554,7 @@ class ServiceFacade:
             elif op == OP_PUB:
                 for fn in self._subscribers.get(member, {}).get(key, ()):
                     fn(key, value)
-            applied.append((group, client, uid))
+            applied.extend((group, client, uid))
             if inflight is not None:
                 arrival = inflight.pop((client, uid), None)
                 if arrival is not None:
@@ -633,11 +648,20 @@ class ServiceFacade:
 
     @property
     def decisions(self) -> Tuple[str, ...]:
-        return tuple(self._decisions)
+        """One line per admit or shed decision, formatted from its record."""
+        times = iter(self._decision_times)
+        ids = iter(self._decision_ids)
+        return tuple(
+            f"t={now:.6f} client={client} uid={uid} "
+            + (f"admit queued={queued_for:.6f}" if kind == _ADMIT
+               else _SHED_DETAIL[kind])
+            for now, queued_for, client, uid, kind
+            in zip(times, times, ids, ids, ids))
 
     def decision_log_text(self) -> str:
         """The byte-stable admit/shed decision log."""
-        return "\n".join(self._decisions) + ("\n" if self._decisions else "")
+        decisions = self.decisions
+        return "\n".join(decisions) + ("\n" if decisions else "")
 
     def decision_digest(self) -> str:
         return hashlib.sha256(
@@ -645,11 +669,12 @@ class ServiceFacade:
 
     def applied_log(self, member: NodeId) -> List[Tuple[int, int, int]]:
         """``(group, client, uid)`` ops applied at ``member``, in order."""
-        return list(self._applied[member])
+        applied = self._applied[member]
+        return list(zip(applied[0::3], applied[1::3], applied[2::3]))
 
     def applied_log_bytes(self, member: NodeId) -> bytes:
         return b"".join(
-            b"%d.%d.%d;" % entry for entry in self._applied[member])
+            b"%d.%d.%d;" % entry for entry in self.applied_log(member))
 
     def applied_digest(self, member: NodeId) -> str:
         return hashlib.sha256(
@@ -658,7 +683,8 @@ class ServiceFacade:
     def applied_ids(self, member: Optional[NodeId] = None) -> frozenset:
         """The ``(client, uid)`` set applied at ``member`` (gateway)."""
         member = self.port.gateway if member is None else member
-        return frozenset((c, u) for _g, c, u in self._applied[member])
+        applied = self._applied[member]
+        return frozenset(zip(applied[1::3], applied[2::3]))
 
     def converged(self) -> bool:
         """True when every member's KV replica holds identical state."""

@@ -82,6 +82,33 @@ class TestLossMasking:
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1(a): recv_data / recv_batch count only the copy the "
+        "duplicate filter accepts; once network 2 is marked every send "
+        "window is [0, 1], network 0's copy always arrives first, and "
+        "network 1's receive counts fall behind until it is condemned"))
+    def test_one_failed_network_condemns_no_healthy_one(self):
+        """§7: after one of three networks fails, the K=2 pipeline keeps
+        both survivors.  No loss, every send queue kept full, network 2
+        failed at 0.3 s: by 0.6 s no node may have marked network 1."""
+        cluster = make_cluster(ReplicationStyle.ACTIVE_PASSIVE)
+        cluster.apply_fault_plan(FaultPlan().fail_network(at=0.3, network=2))
+        payload = b"x" * 700
+
+        def refill():
+            for node in cluster.nodes.values():
+                deficit = 256 - node.srp.send_queue_depth
+                if deficit > 0:
+                    node.submit_many([payload] * deficit)
+            cluster.scheduler.call_after(0.001, refill)
+
+        cluster.start()
+        refill()
+        cluster.run_for(0.6)
+        marked_1 = [node_id for node_id, node in cluster.nodes.items()
+                    if 1 in node.faulty_networks]
+        assert marked_1 == []
+
     def test_two_network_failures_still_survive(self):
         """With N=3, K=2 even two dead networks leave a working system."""
         cluster = make_cluster(ReplicationStyle.ACTIVE_PASSIVE)

@@ -46,6 +46,48 @@ class TestNetworkFaultState:
         # A report is still raised so the administrator hears about it.
         assert any("refused" in r.detail for r in reports)
 
+    def test_repeated_refusal_reported_once(self):
+        faults, reports = make_faults(2)
+        faults.mark_faulty(0)
+        for _ in range(5):
+            assert not faults.mark_faulty(1)
+        assert [r.network for r in reports] == [0, 1]
+        assert "refused" in reports[1].detail
+
+    def test_clear_and_mark_rearm_the_refusal_report(self):
+        faults, reports = make_faults(3)
+        faults.mark_faulty(0)
+        faults.mark_faulty(1)
+        faults.mark_faulty(2)
+        faults.mark_faulty(2)
+        # Network 1 is repaired, then condemned again: the clear and the
+        # mark each move the version, so the next refusal is news.
+        faults.clear_fault(1)
+        assert faults.mark_faulty(1)
+        faults.mark_faulty(2)
+        faults.mark_faulty(2)
+        refused = [r for r in reports if "refused" in r.detail]
+        assert [r.network for r in refused] == [2, 2]
+        assert reports[-1] is refused[-1]
+
+    def test_refusal_of_a_different_last_network_is_reported(self):
+        faults, reports = make_faults(2)
+        faults.mark_faulty(0)
+        faults.mark_faulty(1)
+        faults.clear_fault(0)
+        faults.clear_fault(1)
+        faults.mark_faulty(1)
+        faults.mark_faulty(0)
+        faults.mark_faulty(0)
+        refused = [r.network for r in reports if "refused" in r.detail]
+        assert refused == [1, 0]
+
+    def test_single_network_refusal_reported_once(self):
+        faults, reports = make_faults(1)
+        for _ in range(3):
+            assert not faults.mark_faulty(0)
+        assert len(reports) == 1
+
     def test_single_network_never_marked(self):
         faults, _ = make_faults(1)
         assert not faults.mark_faulty(0)
