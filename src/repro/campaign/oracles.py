@@ -18,6 +18,9 @@ proves the guarantees the paper sells to the application (§1, §3, §8).
 * ``smr-convergence``— after the settle window the surviving members share
   one membership, everyone is synced, and the replicated machines are
   byte-identical (the marker/snapshot protocol converged);
+* ``merge-agreement``— on a multi-ring cluster, every member's cross-ring
+  merged log is a prefix of one common sequence, and the merge clock
+  emitted at least one round (within the redundancy budget);
 * ``transparency``   — a timeline that never exceeds the redundancy
   budget must deliver everything its fault-free twin run delivers (§3's
   headline claim: masked faults are invisible to the application);
@@ -29,9 +32,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple)
 
 from ..types import DeliveredMessage, NodeId
+
+if TYPE_CHECKING:
+    from ..multiring import CrossRingMerger
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,33 @@ def check_total_order(histories: Sequence[NodeHistory]) -> List[OracleViolation]
                     "total-order",
                     f"{a} and {b} diverge at position {k}: "
                     f"{seq_a[k][:4]} != {seq_b[k][:4]}"))
+    return violations
+
+
+def check_merge_agreement(
+        mergers: Mapping[NodeId, CrossRingMerger]) -> List[OracleViolation]:
+    """Members' cross-ring merged logs agree line by line up to the
+    shortest, and each member's merge clock emitted at least one round.
+
+    ``mergers`` maps each physical member to its full-subscription merger.
+    """
+    violations: List[OracleViolation] = []
+    members = sorted(mergers)
+    for member in members:
+        if not mergers[member].rounds_emitted:
+            violations.append(OracleViolation(
+                "merge-agreement",
+                f"member {member}'s merge clock emitted no round"))
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            pairs = zip(mergers[a].merged, mergers[b].merged)
+            for k, (entry_a, entry_b) in enumerate(pairs):
+                if entry_a != entry_b:
+                    violations.append(OracleViolation(
+                        "merge-agreement",
+                        f"members {a} and {b} diverge at merged entry {k}: "
+                        f"{entry_a.line()!r} != {entry_b.line()!r}"))
+                    break
     return violations
 
 

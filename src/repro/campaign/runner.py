@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple)
 
 from ..api.cluster import SimCluster
 from ..app import ReplicatedStateMachine
@@ -30,6 +31,7 @@ from .oracles import (
     OracleViolation,
     SmrEndState,
     check_agreement,
+    check_merge_agreement,
     check_no_duplicates,
     check_sender_fifo,
     check_service_completion,
@@ -41,6 +43,9 @@ from .oracles import (
     stream_digest,
 )
 from .scenario import Scenario, ordered_events
+
+if TYPE_CHECKING:
+    from ..multiring import CrossRingMerger
 
 #: Workload payload layout: magic + (sender, uid), then zero filler.
 _PAYLOAD_MAGIC = b"CP01"
@@ -150,6 +155,8 @@ class _CompiledRun:
                 seed=scenario.seed,
                 invariants=scenario.invariants,
                 obs=obs))
+        #: One full-subscription merger per physical member (multiring).
+        self.mergers: Dict[NodeId, CrossRingMerger] = {}
         self.crashed: set = set()
         self.incarnation: Dict[NodeId, int] = {}
         #: (node, incarnation, TotemNode) — logs are read at the end.
@@ -174,6 +181,10 @@ class _CompiledRun:
             if self.scenario.smr:
                 self.rsms[node_id] = ReplicatedStateMachine(
                     node, DigestMachine(), initially_synced=True)
+        if self.multiring:
+            self.mergers = {
+                member: self.cluster.add_merger(member)
+                for member in range(1, self.scenario.num_nodes + 1)}
         if self.scenario.service:
             from ..service import ServiceConfig, ServiceFacade
             self.service = ServiceFacade(
@@ -426,6 +437,7 @@ def run_scenario(
                 by_group.setdefault(group_of(history.node), []).append(history)
             for group_histories in by_group.values():
                 violations += check_total_order(group_histories)
+            violations += check_merge_agreement(compiled.mergers)
         else:
             violations += check_total_order(histories)
         if twin_delivered is None:

@@ -47,31 +47,27 @@ AppHandler = Callable[[int, List[Tuple[DeliveredMessage, bytes]]], None]
 class _EngineDeliver(SweepConsumer):
     """Delivery dispatcher for one (group, member) engine.
 
-    Holds its own subscribers — the ``feed`` of every merger of its member
-    that takes its group, and the member's application handler — which
-    :meth:`MultiRingCluster.add_merger` / ``set_app_handler`` keep current,
-    so a sweep looks nothing up: each merger is fed every message of the
-    sweep, then the handler gets the sweep's data messages (told by their
-    prefix byte) unwrapped and its unprefixed traffic whole; markers stop
-    at the mergers.
+    Holds its own subscribers — the ``feed_sweep`` of every merger of its
+    member that takes its group, and the member's application handler —
+    which :meth:`MultiRingCluster.add_merger` / ``set_app_handler`` keep
+    current, so a sweep looks nothing up: each merger is handed the whole
+    sweep in one call, in registration order, then the handler gets the
+    sweep's data messages (told by their prefix byte) unwrapped and its
+    unprefixed traffic whole; markers stop at the mergers.
     """
 
     __slots__ = ("_group", "feeds", "handler")
 
     def __init__(self, group: int) -> None:
         self._group = group
-        self.feeds: Tuple[Callable[[int, object], None], ...] = ()
+        self.feeds: Tuple[Callable[[int, List[DeliveredMessage]], None],
+                          ...] = ()
         self.handler: Optional[AppHandler] = None
 
     def __call__(self, messages: List[DeliveredMessage]) -> None:
         group = self._group
-        feeds = self.feeds
-        if feeds:
-            # Message by message, so the mergers of one member see each
-            # message in their registration order.
-            for message in messages:
-                for feed in feeds:
-                    feed(group, message)
+        for feed in self.feeds:
+            feed(group, messages)
         handler = self.handler
         if handler is None:
             return
@@ -273,7 +269,7 @@ class MultiRingCluster:
         merger = CrossRingMerger(groups)
         deliverers = self._member_deliverers(member)
         for group in merger.groups:
-            deliverers[group].feeds += (merger.feed,)
+            deliverers[group].feeds += (merger.feed_sweep,)
         return merger
 
     def set_app_handler(self, member: NodeId, handler: AppHandler) -> None:

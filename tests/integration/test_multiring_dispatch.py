@@ -14,6 +14,7 @@ import copy
 
 import pytest
 
+from repro.api.node import TotemNode
 from repro.config import TotemConfig
 from repro.errors import ConfigError
 from repro.multiring import (
@@ -50,19 +51,43 @@ class Handler:
             self.seen.append((group, message.payload, body))
 
 
+class Feeds(list):
+    """Every message a merger was fed, as ``(merger, group, payload)`` rows
+    in feeding order; ``calls`` holds one ``(merger, group, sweep length)``
+    per ``feed_sweep`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+
 @pytest.fixture
 def feeds(monkeypatch):
-    """Every ``CrossRingMerger.feed`` call as ``(merger, group, payload)``,
-    recorded by a class-level wrapper installed before any merger exists —
-    the way ``perfbench/spans.py`` wraps the name."""
-    calls = []
-    plain = CrossRingMerger.feed
+    """Every ``CrossRingMerger.feed_sweep`` call, flattened into rows by a
+    class-level wrapper installed before any merger exists — the way
+    ``perfbench/spans.py`` wraps a name."""
+    rows = Feeds()
+    plain = CrossRingMerger.feed_sweep
 
-    def feed(self, group, message):
-        calls.append((self, group, message.payload))
-        plain(self, group, message)
-    monkeypatch.setattr(CrossRingMerger, "feed", feed)
-    return calls
+    def feed_sweep(self, group, messages):
+        rows.calls.append((self, group, len(messages)))
+        rows.extend((self, group, m.payload) for m in messages)
+        plain(self, group, messages)
+    monkeypatch.setattr(CrossRingMerger, "feed_sweep", feed_sweep)
+    return rows
+
+
+@pytest.fixture
+def engine_sweeps(monkeypatch):
+    """Every delivery sweep of every engine, as ``(node, count)``."""
+    sweeps = []
+    plain = TotemNode._on_deliver
+
+    def on_deliver(self, count):
+        sweeps.append((self, count))
+        plain(self, count)
+    monkeypatch.setattr(TotemNode, "_on_deliver", on_deliver)
+    return sweeps
 
 
 def drive(cluster: MultiRingCluster, tag: bytes = b"") -> None:
@@ -102,7 +127,8 @@ def per_group(seen):
 
 
 @pytest.mark.parametrize("handler_first", [True, False])
-def test_registration_order_does_not_matter(feeds, handler_first):
+def test_registration_order_does_not_matter(feeds, engine_sweeps,
+                                            handler_first):
     cluster = build()
     handler = Handler()
     if handler_first:
@@ -124,6 +150,11 @@ def test_registration_order_does_not_matter(feeds, handler_first):
                if m is merger and g == group]
         assert fed == delivered(cluster, group, 1)
         assert any(decode_payload(p)[0] == "marker" for p in fed)
+        # Each engine sweep reaches the merger whole, in one call.
+        engine = cluster.nodes[group_addr(group, 1)]
+        assert ([n for m, g, n in feeds.calls if m is merger and g == group]
+                == [n for node, n in engine_sweeps if node is engine])
+    assert any(n > 1 for _m, _g, n in feeds.calls)
     assert merger.rounds_emitted >= 2
     assert [e.payload for e in merger.merged if e.group == 0][:1] == [b"d0.0"]
 
@@ -164,8 +195,9 @@ def test_mergers_see_their_groups_only_and_other_members_nothing(feeds):
         for group in groups:
             assert [p for m, g, p in feeds if m is merger and g == group] \
                 == delivered(cluster, group, member)
-    # Two mergers of one member on one ring: fed in registration order.
-    ring0 = [m for m, g, _p in feeds if g == 0]
+    # Two mergers of one member on one ring: each sweep is fed to them in
+    # registration order (a sweep's rows come one call at a time).
+    ring0 = [m for m, g, _n in feeds.calls if g == 0]
     assert ring0[:2] == [partial, everything]
     # Member 1 has mergers and no handler; member 2's handler is not fed
     # by member 1's engines.

@@ -9,6 +9,7 @@ from repro.campaign.oracles import (
     NodeHistory,
     SmrEndState,
     check_agreement,
+    check_merge_agreement,
     check_no_duplicates,
     check_sender_fifo,
     check_smr_convergence,
@@ -17,6 +18,7 @@ from repro.campaign.oracles import (
     stream_digest,
 )
 from repro.campaign.runner import make_payload, payload_uid
+from repro.multiring import CrossRingMerger, encode_data, encode_marker
 from repro.types import DeliveredMessage, RingId
 
 RING = RingId(seq=4, representative=1)
@@ -97,6 +99,58 @@ class TestTotalOrder:
         violations = check_total_order([a, b])
         assert len(violations) == 1
         assert violations[0].oracle == "total-order"
+
+
+def merger(rounds):
+    """A two-ring merger fed ``rounds``: per round, ring 0's bodies; ring 1
+    stays idle and closes every round with a skip marker."""
+    result = CrossRingMerger([0, 1])
+    for round_no, bodies in enumerate(rounds, start=1):
+        result.feed_sweep(0, [DeliveredMessage(
+            sender=1, seq=seq, payload=encode_data(body), ring_id=RING)
+            for seq, body in enumerate(bodies, start=1)])
+        for group in (0, 1):
+            result.feed(group, DeliveredMessage(
+                sender=group * 1000 + 1, seq=99,
+                payload=encode_marker(group, round_no), ring_id=RING))
+    return result
+
+
+class TestMergeAgreement:
+    def test_identical_logs_and_prefixes_pass(self):
+        full = merger([[b"a", b"b"], [b"c"]])
+        assert check_merge_agreement({
+            1: full, 2: merger([[b"a", b"b"], [b"c"]]),
+            3: merger([[b"a", b"b"]])}) == []
+        assert full.rounds_emitted == 2 and len(full.merged) == 3
+
+    def test_a_changed_body_is_flagged(self):
+        violations = check_merge_agreement({
+            1: merger([[b"a", b"b"], [b"c"]]),
+            2: merger([[b"a", b"B"], [b"c"]])})
+        assert len(violations) == 1
+        assert violations[0].oracle == "merge-agreement"
+        assert "members 1 and 2 diverge at merged entry 1" in (
+            violations[0].detail)
+
+    def test_a_swapped_round_is_flagged(self):
+        # Same messages, same order: only the round boundaries differ.
+        violations = check_merge_agreement({
+            1: merger([[b"a"], [], [b"b"]]),
+            2: merger([[], [b"a"], [b"b"]])})
+        assert [v.oracle for v in violations] == ["merge-agreement"]
+        detail = violations[0].detail
+        assert "at merged entry 0: " in detail
+        assert "round=1 group=0" in detail and "round=2 group=0" in detail
+
+    def test_a_merge_clock_that_emitted_nothing_is_flagged(self):
+        idle = CrossRingMerger([0, 1])
+        idle.feed(0, DeliveredMessage(sender=1, seq=1,
+                                      payload=encode_marker(0, 1),
+                                      ring_id=RING))
+        violations = check_merge_agreement({1: merger([[b"a"]]), 2: idle})
+        assert [v.detail for v in violations] == [
+            "member 2's merge clock emitted no round"]
 
 
 class TestDuplicatesAndFifo:
