@@ -7,7 +7,9 @@ Three layers on top of the simulated cluster:
   churn, partition/merge transitions);
 * :mod:`repro.campaign.runner` + :mod:`repro.campaign.oracles` — compile
   a scenario onto :class:`~repro.api.cluster.SimCluster` and judge the
-  run against the application-visible EVS/atomic-broadcast contract;
+  run against the application-visible EVS/atomic-broadcast contract,
+  plus the invariant checker's findings when the scenario turns it on
+  (every :mod:`repro.campaign.generate` scenario does);
 * :mod:`repro.campaign.minimize` — delta-debug failing scenarios down to
   minimal, replayable fault timelines.
 

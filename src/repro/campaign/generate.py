@@ -11,9 +11,12 @@ The generator deliberately mixes two regimes:
 * **within-budget** draws confine network faults to N-1 networks and skip
   churn — these scenarios additionally arm the total-order and
   fault-transparency oracles;
-* **beyond-budget** draws add partitions and crash/restart churn — these
-  exercise the EVS agreement and SMR convergence oracles across
-  membership changes.
+* **beyond-budget** draws add partitions (of one network, and of the
+  whole cluster) and crash/restart churn — these exercise the EVS
+  agreement and SMR convergence oracles across membership changes.
+
+Every scenario also runs the white-box invariant checker in ``observe``
+mode, so one generated run is judged by both oracle families.
 """
 
 from __future__ import annotations
@@ -91,6 +94,18 @@ def random_scenario(seed: int,
             events.append(TimelineEvent(
                 at=round(start + rng.uniform(0.1, 0.2) * duration, 4),
                 kind="restore_network", params={"network": net}))
+        if churn and num_nodes >= 2 and rng.random() < 0.25:
+            # A partial partition (paper §3): this network splits while
+            # the others stay whole.  The final heal_all clears it.
+            members = list(range(1, num_nodes + 1))
+            rng.shuffle(members)
+            cut = rng.randrange(1, num_nodes)
+            events.append(TimelineEvent(
+                at=round(rng.uniform(0.05, fault_window), 4),
+                kind="partition",
+                params={"network": net,
+                        "groups": [sorted(members[:cut]),
+                                   sorted(members[cut:])]}))
 
     if churn and num_nodes >= 3:
         if rng.random() < 0.6:
@@ -128,5 +143,6 @@ def random_scenario(seed: int,
         # timeouts to play out before the convergence oracle reads state.
         settle=max(1.0 if churn else 0.5, duration * 0.5),
         smr=True,
+        invariants="observe",
         events=tuple(sorted(events, key=lambda e: e.at)),
         notes=f"generated by repro.campaign.generate (seed {seed})")

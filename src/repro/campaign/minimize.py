@@ -38,9 +38,20 @@ class MinimizeResult:
                 f"in {self.runs} run(s)")
 
 
-def default_predicate(scenario: Scenario) -> bool:
-    """Whether the scenario still fails (any conformance violation)."""
-    return not run_scenario(scenario).ok
+def same_failure(scenario: Scenario) -> Callable[[Scenario], bool]:
+    """Predicate: a candidate violates an oracle that ``scenario`` violates.
+
+    Accepting *any* violation would let the search trade the failure it
+    was given for another one — dropping the heal after a partition fails
+    ``smr-convergence``, which is expected, not the bug being minimized.
+    """
+    target = {v.oracle for v in run_scenario(scenario).violations}
+
+    def fails(candidate: Scenario) -> bool:
+        return bool(target) and any(
+            v.oracle in target for v in run_scenario(candidate).violations)
+
+    return fails
 
 
 def _rebuild(scenario: Scenario, faults: Sequence[TimelineEvent]) -> Scenario:
@@ -102,10 +113,10 @@ def minimize_scenario(
     """ddmin the fault timeline of a failing scenario.
 
     ``predicate(candidate) -> bool`` must return True while the candidate
-    still fails; it defaults to "run it and check for violations".
+    still fails; it defaults to :func:`same_failure` of the input.
     Raises ``ValueError`` if the input scenario does not fail at all.
     """
-    fails = predicate if predicate is not None else default_predicate
+    fails = predicate if predicate is not None else same_failure(scenario)
     runs = 0
 
     def test(faults: Sequence[TimelineEvent]) -> bool:

@@ -215,7 +215,7 @@ class _CompiledRun:
                     at, self._restart, params["node"])
             else:
                 # Network-fault vocabulary: ride FaultPlan so validation and
-                # the obs injection markers behave exactly as in sweeps.
+                # the obs injection markers match any other fault plan.
                 plan = FaultPlan()
                 method = {"loss": "set_loss",
                           "burst_loss": "set_burst_loss"}.get(kind, kind)
@@ -449,7 +449,9 @@ def run_scenario(
         twin_checked = True
 
     if compiled.cluster.checker is not None:
-        for violation in compiled.cluster.checker.violations:
+        # check_all adds the end-of-run ledger pass to what the online
+        # hooks collected.
+        for violation in compiled.cluster.checker.check_all():
             violations.append(OracleViolation("invariants", str(violation)))
 
     result = CampaignResult(

@@ -4,8 +4,8 @@ The stack's ``probe``/``observer`` hooks feed an
 :class:`InvariantChecker` that validates the paper's correctness
 requirements (A1-A6, P1-P5) while a simulation runs.  Enable it per
 cluster via :attr:`repro.config.ClusterConfig.invariants` (``"observe"``
-or ``"strict"``), or run randomized fault sweeps with the
-``totem-check`` / ``python -m repro.check`` CLI.
+or ``"strict"``); every generated campaign scenario runs with it on
+(``python -m repro.campaign run --batch N``).
 """
 
 from .invariants import (
@@ -15,7 +15,6 @@ from .invariants import (
     InvariantViolation,
     NodeProbe,
 )
-from .sweep import SWEEP_STYLES, SweepCase, SweepReport, run_case, run_sweep
 
 __all__ = [
     "INVARIANTS",
@@ -23,9 +22,4 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "NodeProbe",
-    "SWEEP_STYLES",
-    "SweepCase",
-    "SweepReport",
-    "run_case",
-    "run_sweep",
 ]

@@ -2,21 +2,22 @@
 
 Examples::
 
-    totem-check sweep                      # 3 seeds x 3 styles, ~1 s each
-    totem-check sweep --runs 10 --seed 42  # a bigger batch
-    totem-check sweep --styles active --strict
+    totem-check explore                    # exhaustive tiny-cluster search
+    totem-check explore --style passive --budget 2
     totem-check rules                      # print the invariant catalogue
-    python -m repro.check sweep --quick
+    python -m repro.check explore --time-limit 50
+
+Randomized fault runs under the checker are campaign batches:
+``python -m repro.campaign run --batch N`` (docs/TESTING.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
-from ..types import ReplicationStyle
+from ..campaign.generate import BATCH_STYLES
 from .explore import (
     DROP_KINDS,
     FAULT_ALPHABET,
@@ -26,10 +27,9 @@ from .explore import (
     explore,
     replay_trace,
 )
-from .invariants import INVARIANTS, CheckMode
-from .sweep import SWEEP_STYLES, run_sweep
+from .invariants import INVARIANTS
 
-_STYLE_BY_NAME = {style.value: style for style in SWEEP_STYLES}
+_STYLE_BY_NAME = {style.value: style for style in BATCH_STYLES}
 
 
 def _positive(kind, name):
@@ -43,32 +43,6 @@ def _positive(kind, name):
             raise argparse.ArgumentTypeError(f"{name} must be positive")
         return value
     return parse
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.styles:
-        styles = [_STYLE_BY_NAME[name] for name in args.styles]
-    else:
-        styles = list(SWEEP_STYLES)
-    duration = 0.4 if args.quick else args.duration
-    if args.runs is not None:
-        runs = args.runs
-    else:
-        runs = 1 if args.quick else 3
-    mode = CheckMode.STRICT if args.strict else CheckMode.OBSERVE
-    started = time.time()
-    report = run_sweep(
-        styles, runs_per_style=runs, base_seed=args.seed,
-        num_nodes=args.nodes, duration=duration, mode=mode,
-        messages=args.messages,
-        progress=(None if args.quiet
-                  else lambda case: print(case.summary(), file=sys.stderr)))
-    # Per-case lines already streamed to stderr as progress; don't repeat
-    # them on stdout in that case.
-    print(report.render(include_cases=args.quiet))
-    print(f"[swept {len(report.cases)} case(s) in "
-          f"{time.time() - started:.1f}s wall clock]", file=sys.stderr)
-    return 0 if report.clean else 1
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -110,34 +84,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="totem-check",
         description="Validate the Totem RRP protocol invariants "
-                    "(paper requirements A1-A6 / P1-P5) under randomized "
-                    "fault scripts.")
+                    "(paper requirements A1-A6 / P1-P5) by exhaustive "
+                    "small-scope exploration.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser(
-        "sweep", help="run randomized fault-plan sweeps under the checker")
-    sweep.add_argument("--runs", type=_positive(int, "--runs"), default=None,
-                       help="cases per style (default 3)")
-    sweep.add_argument("--seed", type=int, default=1,
-                       help="base seed (case i uses seed+i)")
-    sweep.add_argument("--duration", type=_positive(float, "--duration"),
-                       default=1.0,
-                       help="virtual seconds per case (default 1.0)")
-    sweep.add_argument("--nodes", type=_positive(int, "--nodes"), default=4,
-                       help="cluster size (default 4)")
-    sweep.add_argument("--messages", type=_positive(int, "--messages"),
-                       default=120,
-                       help="application messages submitted per case")
-    sweep.add_argument("--styles", nargs="*", choices=sorted(_STYLE_BY_NAME),
-                       help="restrict to these styles (default: all three)")
-    sweep.add_argument("--strict", action="store_true",
-                       help="abort a case at its first violation instead of "
-                            "collecting all of them")
-    sweep.add_argument("--quick", action="store_true",
-                       help="one short case per style (smoke test)")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress per-case progress on stderr")
-    sweep.set_defaults(func=_cmd_sweep)
 
     explore_cmd = sub.add_parser(
         "explore",

@@ -1,86 +1,44 @@
-"""Integration smoke tests for the ``repro.check`` CLI and sweep driver."""
+"""Same-seed determinism of generated campaign scenarios, trace by trace.
+
+A generated scenario is a pure function of ``(seed, style)``; running it
+twice must give bit-for-bit identical runs, trace-recorder line by line.
+This is the regression net for scheduler/LAN hot-path changes (event
+batching, heap compaction): any observable reordering shows up as a diff
+in the trace text.  The corpus replay test pins the same property for the
+hand-written case files; these tests cover the generator's fault mix.
+"""
 
 from __future__ import annotations
 
-from repro.check import INVARIANTS, CheckMode, SWEEP_STYLES, run_sweep
-from repro.check.cli import main
+from repro.campaign import random_scenario, run_scenario
+from repro.campaign.generate import BATCH_STYLES
+from repro.types import ReplicationStyle
 
 
-class TestSweepDriver:
-    def test_quick_sweep_all_styles_clean(self):
-        report = run_sweep(runs_per_style=1, base_seed=11, duration=0.4,
-                           mode=CheckMode.STRICT, messages=40)
-        assert len(report.cases) == len(SWEEP_STYLES)
-        assert report.clean, report.render()
-        assert all(case.fault_events > 0 for case in report.cases)
-
-    def test_report_renders_verdict(self):
-        report = run_sweep(runs_per_style=1, base_seed=2, duration=0.3,
-                           messages=30)
-        text = report.render()
-        assert "PASS: no invariant violations" in text
-        for style in SWEEP_STYLES:
-            assert style.value in text
-
-    def test_cases_are_deterministic(self):
-        from repro.check import run_case
-        from repro.types import ReplicationStyle
-        a = run_case(ReplicationStyle.PASSIVE, 5, duration=0.3, messages=30)
-        b = run_case(ReplicationStyle.PASSIVE, 5, duration=0.3, messages=30)
-        assert a.delivered == b.delivered
-        assert a.fault_events == b.fault_events
-
-
-class TestCli:
-    def test_sweep_quick_exits_zero(self, capsys):
-        assert main(["sweep", "--quick", "--quiet", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS: no invariant violations" in out
-
-    def test_rules_lists_full_catalogue(self, capsys):
-        assert main(["rules"]) == 0
-        out = capsys.readouterr().out
-        for name, (requirement, _) in INVARIANTS.items():
-            assert name in out
-            assert requirement in out
-
-    def test_style_filter(self, capsys):
-        assert main(["sweep", "--quick", "--quiet", "--styles", "active",
-                     "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "passive" not in out.replace("active_passive", "")
+def trace_of(scenario):
+    """The trace-recorder text and per-node delivery counts of one run."""
+    result = run_scenario(scenario, keep_cluster=True, check_twin=False)
+    trace = "\n".join(str(event) for event in result.cluster.tracer.events())
+    return trace, result.delivered_total
 
 
 class TestTraceDeterminism:
-    """Same-seed runs must be bit-for-bit identical, trace line by trace
-    line.  This is the regression net for scheduler/LAN hot-path changes
-    (event batching, heap compaction): any observable reordering shows up
-    as a diff in the trace-recorder output."""
-
     def test_same_seed_case_trace_byte_identical(self):
-        from repro.check import run_case
-        from repro.types import ReplicationStyle
-        kwargs = dict(duration=0.4, messages=40, capture_trace=True)
-        a = run_case(ReplicationStyle.ACTIVE, 13, **kwargs)
-        b = run_case(ReplicationStyle.ACTIVE, 13, **kwargs)
-        assert a.trace_text is not None and a.trace_text != ""
-        assert a.trace_text.encode() == b.trace_text.encode()
-        assert a.delivered == b.delivered
+        scenario = random_scenario(13, ReplicationStyle.ACTIVE, duration=0.4)
+        a_trace, a_delivered = trace_of(scenario)
+        b_trace, b_delivered = trace_of(scenario)
+        assert a_trace != ""
+        assert a_trace.encode() == b_trace.encode()
+        assert a_delivered == b_delivered
 
     def test_same_seed_sweep_trace_byte_identical(self):
-        kwargs = dict(runs_per_style=1, base_seed=4, duration=0.3,
-                      messages=30, capture_trace=True)
-        first = run_sweep(**kwargs)
-        second = run_sweep(**kwargs)
-        texts_a = [case.trace_text for case in first.cases]
-        texts_b = [case.trace_text for case in second.cases]
-        assert all(text for text in texts_a)
-        assert texts_a == texts_b
-        assert ([case.delivered for case in first.cases]
-                == [case.delivered for case in second.cases])
+        """One generated scenario per redundant style, run twice over."""
+        def sweep():
+            return [trace_of(random_scenario(4, style, duration=0.3))
+                    for style in BATCH_STYLES]
 
-    def test_trace_capture_off_by_default(self):
-        from repro.check import run_case
-        from repro.types import ReplicationStyle
-        case = run_case(ReplicationStyle.ACTIVE, 3, duration=0.2, messages=10)
-        assert case.trace_text is None
+        first, second = sweep(), sweep()
+        assert all(trace for trace, _ in first)
+        assert [trace for trace, _ in first] == [trace for trace, _ in second]
+        assert ([delivered for _, delivered in first]
+                == [delivered for _, delivered in second])

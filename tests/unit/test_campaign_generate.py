@@ -47,6 +47,16 @@ class TestRandomScenario:
                    for s in range(30)}
         assert budgets == {True, False}
 
+    def test_partial_partitions_drawn_and_checker_observes(self):
+        # Both oracle families judge every generated run, and the paper's
+        # §3 partial partition (one network split) is part of the draw.
+        scenarios = [random_scenario(s) for s in range(60)]
+        assert all(sc.invariants == "observe" for sc in scenarios)
+        partial = [sc for sc in scenarios
+                   if any(e.kind == "partition" for e in sc.events)]
+        assert partial
+        assert not any(sc.within_redundancy_budget() for sc in partial)
+
     def test_churn_scenarios_settle_longer(self):
         for seed in range(30):
             sc = random_scenario(seed)

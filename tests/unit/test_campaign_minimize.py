@@ -1,15 +1,19 @@
 """Unit tests for the delta-debug minimizer (repro.campaign.minimize).
 
-The predicates here are synthetic (no cluster runs), so these tests pin
-the ddmin search itself: convergence, 1-minimality, workload preservation
-and the crash/restart pairing fix-ups.
+The predicates and runs here are synthetic (no cluster runs), so these
+tests pin the ddmin search itself: convergence, 1-minimality, workload
+preservation, the crash/restart pairing fix-ups, and which failure the
+default predicate keeps.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.campaign import minimize
 from repro.campaign.minimize import _rebuild, minimize_scenario
+from repro.campaign.oracles import OracleViolation
 from repro.campaign.scenario import Scenario, TimelineEvent
 
 
@@ -133,6 +137,32 @@ class TestMinimize:
         sc = scenario((crash1, restart1, crash2, restart2))
         result = minimize_scenario(sc, predicate=needs(crash1, restart2))
         assert result.scenario.fault_events == (crash1, restart2)
+
+
+class TestDefaultPredicate:
+    def test_keeps_the_oracle_the_input_violated(self, monkeypatch):
+        """Without the heal, the partition alone fails ``smr-convergence``
+        — a different, expected failure the search must not settle for."""
+        part = TimelineEvent(0.2, "partition_all",
+                             {"groups": [[1, 2], [3, 4]]})
+        culprit = loss(0.3, 0, 0.9)
+        heal = TimelineEvent(0.6, "heal_all", {})
+
+        def fake_run(candidate):
+            faults = set(candidate.fault_events)
+            oracles = []
+            if part in faults and culprit in faults:
+                oracles.append("no-duplicates")
+            if part in faults and heal not in faults:
+                oracles.append("smr-convergence")
+            violations = [OracleViolation(name, "fake") for name in oracles]
+            return SimpleNamespace(violations=violations, ok=not violations)
+
+        monkeypatch.setattr(minimize, "run_scenario", fake_run)
+        result = minimize_scenario(scenario((part, culprit, heal)))
+        assert set(result.scenario.fault_events) == {part, culprit}
+        oracles = {v.oracle for v in fake_run(result.scenario).violations}
+        assert "no-duplicates" in oracles
 
 
 class TestRebuild:

@@ -1,63 +1,37 @@
 """Unit tests for the totem-check CLI surface (repro.check.cli).
 
-Exit-code contract: 0 = sweep clean, 1 = invariant violations found,
-2 = malformed arguments (argparse usage error).  The sweep itself is
-monkeypatched; tier-1 integration coverage of real sweeps lives in
-tests/integration/test_check_sweep.py.
+Exit-code contract: 0 = clean, 1 = violations found, 2 = malformed
+arguments (argparse usage error).  ``explore`` runs are covered by
+tests/integration/test_explore.py.
 """
 
 import pytest
 
-from repro.check import cli
-from repro.check.sweep import SweepCase, SweepReport
-from repro.types import ReplicationStyle
+from repro.check import INVARIANTS, cli
 
 
-def fake_case(violations=()):
-    return SweepCase(style=ReplicationStyle.ACTIVE, seed=1, num_nodes=4,
-                     duration=0.4, fault_events=3, delivered=100,
-                     violations=list(violations))
-
-
-def install_sweep(monkeypatch, report):
-    calls = []
-
-    def fake_run_sweep(styles, **kwargs):
-        calls.append((tuple(styles), kwargs))
-        return report
-
-    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
-    return calls
-
-
-class TestSweepExitCodes:
-    def test_clean_sweep_exits_zero(self, monkeypatch, capsys):
-        install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        assert cli.main(["sweep", "--quiet"]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_violations_exit_one(self, monkeypatch, capsys):
-        report = SweepReport(cases=[fake_case(violations=["aru regressed"])])
-        install_sweep(monkeypatch, report)
-        assert cli.main(["sweep", "--quiet"]) == 1
-        assert "aru regressed" in capsys.readouterr().out
-
+class TestExitCodes:
     def test_rules_exits_zero(self, capsys):
         assert cli.main(["rules"]) == 0
         assert "A1" in capsys.readouterr().out
 
+    def test_rules_lists_full_catalogue(self, capsys):
+        assert cli.main(["rules"]) == 0
+        out = capsys.readouterr().out
+        for name, (requirement, _) in INVARIANTS.items():
+            assert name in out
+            assert requirement in out
 
-class TestSweepArgumentValidation:
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--runs", "0"],
-        ["sweep", "--runs", "-2"],
-        ["sweep", "--runs", "three"],
-        ["sweep", "--nodes", "0"],
-        ["sweep", "--nodes", "-1"],
-        ["sweep", "--duration", "0"],
-        ["sweep", "--duration", "-0.5"],
-        ["sweep", "--messages", "0"],
-        ["sweep", "--styles", "quantum"],
+        ["explore", "--nodes", "0"],
+        ["explore", "--nodes", "-2"],
+        ["explore", "--nodes", "three"],
+        ["explore", "--networks", "0"],
+        ["explore", "--max-msgs", "-1"],
+        ["explore", "--horizon", "0"],
+        ["explore", "--settle", "-0.5"],
+        ["explore", "--budget", "0"],
+        ["explore", "--style", "quantum"],
     ])
     def test_malformed_arguments_exit_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -73,49 +47,3 @@ class TestSweepArgumentValidation:
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan"])
         assert exc.value.code == 2
-
-
-class TestSweepArgumentPlumbing:
-    def test_defaults(self, monkeypatch):
-        calls = install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        cli.main(["sweep", "--quiet"])
-        styles, kwargs = calls[0]
-        assert len(styles) == 3
-        assert kwargs["runs_per_style"] == 3
-        assert kwargs["base_seed"] == 1
-
-    def test_quick_shrinks_the_batch(self, monkeypatch):
-        calls = install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        cli.main(["sweep", "--quick", "--quiet"])
-        _, kwargs = calls[0]
-        assert kwargs["runs_per_style"] == 1
-        assert kwargs["duration"] == 0.4
-
-    def test_style_filter(self, monkeypatch):
-        calls = install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        cli.main(["sweep", "--styles", "passive", "--quiet"])
-        styles, _ = calls[0]
-        assert styles == (ReplicationStyle.PASSIVE,)
-
-    def test_strict_and_shape_flags_passed_through(self, monkeypatch):
-        from repro.check.invariants import CheckMode
-        calls = install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        cli.main(["sweep", "--strict", "--nodes", "6", "--messages", "50",
-                  "--duration", "0.7", "--seed", "42", "--runs", "2",
-                  "--quiet"])
-        _, kwargs = calls[0]
-        assert kwargs["mode"] is CheckMode.STRICT
-        assert kwargs["num_nodes"] == 6
-        assert kwargs["messages"] == 50
-        assert kwargs["duration"] == 0.7
-        assert kwargs["base_seed"] == 42
-        assert kwargs["runs_per_style"] == 2
-
-    def test_progress_streams_unless_quiet(self, monkeypatch, capsys):
-        calls = install_sweep(monkeypatch, SweepReport(cases=[fake_case()]))
-        cli.main(["sweep"])
-        _, kwargs = calls[0]
-        assert kwargs["progress"] is not None
-        cli.main(["sweep", "--quiet"])
-        _, kwargs = calls[1]
-        assert kwargs["progress"] is None
