@@ -10,6 +10,15 @@ up into multiple packets."  This is what produces the throughput peaks at
 packets worth of chunks; :class:`Reassembler` is its inverse on the receive
 side.  Fragments of one message always travel in consecutive packets from
 the same sender, so the reassembler only needs (sender, msg_id) keys.
+
+A fragmented message is delivered as the one ``bytes`` object its sender
+submitted, as a whole message is: the packer marks the LAST chunk with
+``(fragment list, payload)`` (``Chunk._source``), and a reassembler whose
+collected fragments compare equal to that list returns the payload itself
+instead of joining a copy.  The comparison costs a pointer check per fragment
+when the chunks are the sender's own objects (every simulated node shares
+them); chunks decoded by the codec, encapsulated recovery packets and
+fragments that do not match fall back to the join.
 """
 
 from __future__ import annotations
@@ -44,8 +53,9 @@ class Packer:
         self._max_payload = max_payload
         self._enable_packing = enable_packing
         self._next_msg_id = 1
-        #: In-flight fragmentation state: (msg_id, remaining bytes, first_sent).
-        self._partial: Optional[Tuple[int, bytes, bool]] = None
+        #: In-flight fragmentation: (msg_id, submitted payload, bytes sent,
+        #: fragments sent).
+        self._partial: Optional[Tuple[int, bytes, int, List[bytes]]] = None
 
     @property
     def max_payload(self) -> int:
@@ -64,20 +74,22 @@ class Packer:
         chunks: List[Chunk] = []
 
         # Resume an in-flight fragmented message first: its fragments must be
-        # consecutive.
+        # consecutive.  Each is sliced out of the submitted payload by offset.
         if self._partial is not None:
-            msg_id, remaining, first_sent = self._partial
-            room = budget - CHUNK_HEADER_BYTES
-            flags = 0 if first_sent else FLAG_FIRST
-            if len(remaining) <= room:
-                flags |= FLAG_LAST
-                chunks.append(Chunk(ChunkKind.APP, msg_id, flags, remaining))
-                self._partial = None
-                budget -= CHUNK_HEADER_BYTES + len(remaining)
-            else:
-                chunks.append(Chunk(ChunkKind.APP, msg_id, flags, remaining[:room]))
-                self._partial = (msg_id, remaining[room:], True)
-                return chunks  # packet is full
+            msg_id, payload, offset, fragments = self._partial
+            end = offset + budget - CHUNK_HEADER_BYTES
+            piece = payload[offset:end]
+            fragments.append(piece)
+            if end < len(payload):
+                self._partial = (msg_id, payload, end, fragments)
+                return [Chunk(ChunkKind.APP, msg_id, 0, piece)]  # packet is full
+            tail = Chunk(ChunkKind.APP, msg_id, FLAG_LAST, piece)
+            object.__setattr__(tail, "_source", (fragments, payload))
+            chunks.append(tail)
+            self._partial = None
+            if not self._enable_packing:
+                return chunks  # one message per packet, a tail included
+            budget -= CHUNK_HEADER_BYTES + len(piece)
 
         # The leading whole messages that fit, ids consecutive in 1..2^32-1.
         queue = self._queue
@@ -91,9 +103,9 @@ class Packer:
             # The head alone exceeds a whole packet: begin fragmenting it.
             payload = queue.dequeue()
             room = self._max_payload - CHUNK_HEADER_BYTES
-            chunks.append(Chunk(ChunkKind.APP, msg_id,
-                                FLAG_FIRST, payload[:room]))
-            self._partial = (msg_id, payload[room:], True)
+            piece = payload[:room]
+            chunks.append(Chunk(ChunkKind.APP, msg_id, FLAG_FIRST, piece))
+            self._partial = (msg_id, payload, room, [piece])
             msg_id = msg_id % 0xFFFFFFFF + 1
         self._next_msg_id = msg_id
         return chunks
@@ -115,8 +127,13 @@ class Packer:
         return batch
 
     def digest_state(self) -> Tuple:
-        """Canonical state tuple for explorer digests."""
-        return ("packer", self._next_msg_id, self._partial)
+        """Canonical state tuple for explorer digests: an in-flight message
+        shows as (msg_id, bytes not yet sent, True)."""
+        partial = self._partial
+        if partial is not None:
+            msg_id, payload, offset, _ = partial
+            partial = (msg_id, payload[offset:], True)
+        return ("packer", self._next_msg_id, partial)
 
 
 class Reassembler:
@@ -144,6 +161,9 @@ class Reassembler:
         fragments.append(chunk.data)
         if flags & FLAG_LAST:
             del self._partial[key]
+            source = chunk._source
+            if source is not None and fragments == source[0]:
+                return source[1]  # the sender's own payload object
             return b"".join(fragments)
         return None
 

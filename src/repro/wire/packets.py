@@ -84,6 +84,13 @@ class Chunk:
     flags: int
     data: bytes
 
+    #: ``(fragment list, submitted payload)`` on the LAST chunk of a message
+    #: the local :class:`~repro.srp.packing.Packer` fragmented, so a
+    #: reassembler holding exactly those fragments can hand back the
+    #: payload object instead of joining a copy.  Not a field: set with
+    #: ``object.__setattr__``, outside ==, hash, repr and the codec.
+    _source = None
+
     @property
     def is_first(self) -> bool:
         return bool(self.flags & FLAG_FIRST)

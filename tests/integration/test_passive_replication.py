@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.net.faults import FaultPlan
@@ -40,6 +42,50 @@ class TestRoundRobin:
         drain(cluster)
         assert all(lan.stats.frames_sent > 10 for lan in cluster.lans)
         cluster.assert_total_order()
+
+
+class TestFragmentedPayloads:
+    """Paper §8: a 4096-byte message travels in three packets, and every
+    node delivers it as the one object its sender submitted."""
+
+    @staticmethod
+    def submit(cluster):
+        submitted = []
+        for i in range(24):
+            payload = bytes([i]) * 4096
+            cluster.nodes[1 + i % 4].submit(payload)
+            submitted.append(payload)
+        return submitted
+
+    @staticmethod
+    def assert_shared_and_equal(cluster, submitted):
+        logs = [[m.payload for m in node.log.messages]
+                for node in cluster.nodes.values()]
+        assert sorted(logs[0]) == sorted(submitted)
+        for log in logs[1:]:
+            assert len(log) == len(submitted)
+            assert all(mine is first for mine, first in zip(log, logs[0]))
+
+    def test_one_payload_object_per_message_across_nodes(self):
+        cluster = make_cluster(ReplicationStyle.PASSIVE)
+        cluster.start()
+        submitted = self.submit(cluster)
+        drain(cluster)
+        self.assert_shared_and_equal(cluster, submitted)
+
+    def test_a_fork_taken_mid_message_delivers_equal_payloads(self):
+        """The explorer's fork: a deep copy taken while a receiver holds a
+        FIRST fragment still completes every message intact."""
+        cluster = make_cluster(ReplicationStyle.PASSIVE)
+        cluster.start()
+        submitted = self.submit(cluster)
+        while not any(node.srp._reassembler.pending_count()
+                      for node in cluster.nodes.values()):
+            assert cluster.scheduler.step()
+        fork = copy.deepcopy(cluster)
+        for run in (cluster, fork):
+            drain(run)
+            self.assert_shared_and_equal(run, submitted)
 
 
 class TestRequirementP1:

@@ -79,7 +79,13 @@ def reference_on_batch(srp, batch, network=0) -> bool:
 
 
 class ReferencePacker(Packer):
-    """``next_packet_chunks`` with its peek / dequeue loop."""
+    """``next_packet_chunks`` with its peek / dequeue loop, holding the
+    unsent remainder of a fragmented message (the shape the packer's
+    explorer digest keeps showing).  With packing off it stops after a
+    fragment tail, as the packer does: one message per packet."""
+
+    def digest_state(self):
+        return ("packer", self._next_msg_id, self._partial)
 
     def _allocate_msg_id(self) -> int:
         msg_id = self._next_msg_id
@@ -97,6 +103,8 @@ class ReferencePacker(Packer):
                 flags |= FLAG_LAST
                 chunks.append(Chunk(ChunkKind.APP, msg_id, flags, remaining))
                 self._partial = None
+                if not self._enable_packing:
+                    return chunks
                 budget -= CHUNK_HEADER_BYTES + len(remaining)
             else:
                 chunks.append(Chunk(ChunkKind.APP, msg_id, flags,

@@ -1,5 +1,5 @@
 """``tools/check_perf_reference.py``: equality check of perfbench's exact
-metrics, and ceiling check of its call count, against
+metrics, and ceiling check of its call count and peak RSS, against
 ``tests/perf_reference/quick_seed7.json``."""
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ def tool():
     return module
 
 
-def write_results(tool, out, fields, calls=None) -> None:
+def write_results(tool, out, fields, calls=None, rss=None) -> None:
     """Result files shaped like ``perfbench/run.py --out`` writes them;
-    ``py_calls_per_msg`` is ``calls[workload]``, else just under the
-    workload's ceiling (100.0 when the reference has none)."""
+    ``py_calls_per_msg`` is ``calls[workload]`` and ``peak_rss_mb`` is
+    ``rss[workload]``, else each is just under the workload's ceiling
+    (100.0 when the reference has none)."""
     for workload, values in fields.items():
         metrics = {name: {"value": values[name]} for name in tool.EXACT}
-        metrics[tool.CALLS] = {"value": (calls or {}).get(
-            workload, values.get(tool.CEILING, 101) - 1.0)}
+        for given, metric, ceiling in ((calls, tool.CALLS, tool.CEILING),
+                                       (rss, tool.RSS, tool.RSS_CEILING)):
+            metrics[metric] = {"value": (given or {}).get(
+                workload, values.get(ceiling, 101) - 1.0)}
         document = {
             "workload": workload, "metrics": metrics,
             "detail": {"delivery_digest": values["delivery_digest"]}}
@@ -47,12 +50,16 @@ def test_reference_covers_every_workload_and_exact_field(tool):
                                  "service_overload"]
     for fields in reference.values():
         assert sorted(fields) == sorted(
-            tool.EXACT + ("delivery_digest", tool.CEILING))
+            tool.EXACT + ("delivery_digest", tool.CEILING, tool.RSS_CEILING))
         assert isinstance(fields[tool.CEILING], int)
-    # The wins the ratchet exists to keep: PR 20's per-frame chain (<= 500)
-    # and the service path (<= 250), with the 3 % the tool adds.
+        assert isinstance(fields[tool.RSS_CEILING], int)
+    # The wins the ratchets exist to keep: the per-frame chain (<= 500
+    # calls) and the service path (<= 250), with the 3 % the tool adds; one
+    # payload object per fragmented message (sat_perframe's quick run
+    # near 34.5 MB, not 50), with the 15 % the tool adds.
     assert reference["sat_perframe"][tool.CEILING] <= 515
     assert reference["service_overload"][tool.CEILING] <= 258
+    assert reference["sat_perframe"][tool.RSS_CEILING] <= 42
 
 
 def test_equal_run_passes_and_a_moved_field_is_named(tool, tmp_path, capsys):
@@ -97,17 +104,35 @@ def test_call_count_over_its_ceiling_fails_and_names_the_workload(
     assert tool.main(["--out", str(tmp_path)]) == 0    # a win passes
 
 
+def test_peak_rss_over_its_ceiling_fails_and_names_the_workload(
+        tool, tmp_path, capsys):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    ceiling = reference["sat_perframe"][tool.RSS_CEILING]
+    write_results(tool, tmp_path, reference,
+                  rss={"sat_perframe": float(ceiling)})
+    assert tool.main(["--out", str(tmp_path)]) == 0    # at the ceiling
+    assert capsys.readouterr().out == ""
+
+    write_results(tool, tmp_path, reference,
+                  rss={"sat_perframe": ceiling + 0.5})
+    assert tool.main(["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"sat_perframe.peak_rss_mb: ceiling {ceiling}, "
+        f"measured {ceiling + 0.5}"]
+
+
 def test_reference_without_ceilings_still_checks_the_exact_fields(
         tool, tmp_path, monkeypatch, capsys):
     with open(tool.REFERENCE, encoding="utf-8") as handle:
         reference = json.load(handle)
     for fields in reference.values():
-        del fields[tool.CEILING]
+        del fields[tool.CEILING], fields[tool.RSS_CEILING]
     target = tmp_path / "no-ceilings.json"
     target.write_text(json.dumps(reference), encoding="utf-8")
     monkeypatch.setattr(tool, "REFERENCE", str(target))
     write_results(tool, tmp_path, reference,
-                  calls={"sat_batched": 1e9})
+                  calls={"sat_batched": 1e9}, rss={"sat_batched": 1e9})
     assert tool.main(["--out", str(tmp_path)]) == 0
     reference["sat_batched"]["virt_max_gap_ms"] += 0.5
     write_results(tool, tmp_path, reference)
@@ -121,17 +146,25 @@ def test_write_regenerates_the_reference(tool, tmp_path, monkeypatch):
     reference["sat_batched"]["virt_msgs_per_s"] = 1.5
     calls = {"faulty_ap": 174.08, "sat_batched": 67.2, "sat_perframe": 479.52,
              "service_overload": 200.0}
-    write_results(tool, tmp_path, reference, calls=calls)
+    rss = {"faulty_ap": 36.0, "sat_batched": 36.5, "sat_perframe": 34.5,
+           "service_overload": 53.7}
+    write_results(tool, tmp_path, reference, calls=calls, rss=rss)
     target = tmp_path / "reference" / "quick.json"
     monkeypatch.setattr(tool, "REFERENCE", str(target))
     assert tool.main(["--out", str(tmp_path), "--write"]) == 0
     written = json.loads(target.read_text(encoding="utf-8"))
-    # Measured x 1.03, rounded up; the call count itself is not stored.
+    # Calls x 1.03 and RSS x 1.15, rounded up; the measured values
+    # themselves are not stored.
     assert {w: fields[tool.CEILING] for w, fields in written.items()} == {
         "faulty_ap": 180, "sat_batched": 70, "sat_perframe": 494,
         "service_overload": 206}
+    assert {w: fields[tool.RSS_CEILING] for w, fields in written.items()} \
+        == {"faulty_ap": 42, "sat_batched": 42, "sat_perframe": 40,
+            "service_overload": 62}
     for workload, fields in written.items():
         assert fields[tool.CEILING] == math.ceil(calls[workload] * 1.03)
-        del fields[tool.CEILING], reference[workload][tool.CEILING]
+        assert fields[tool.RSS_CEILING] == math.ceil(rss[workload] * 1.15)
+        for key in (tool.CEILING, tool.RSS_CEILING):
+            del fields[key], reference[workload][key]
     assert written == reference
     assert tool.main(["--out", str(tmp_path)]) == 0

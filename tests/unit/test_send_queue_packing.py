@@ -129,6 +129,19 @@ class TestPacker:
         packer.next_packet_chunks()  # first fragment of m
         assert packer.backlog() == 2  # m still partially pending + n
 
+    def test_digest_shows_the_unsent_remainder_mid_fragmentation(self):
+        """The explorer's state space is keyed on this exact tuple."""
+        queue, packer = self._packer(max_payload=100)
+        payload = bytes(range(250))
+        queue.enqueue(payload)
+        packer.next_packet_chunks()
+        assert packer.digest_state() == ("packer", 2, (1, payload[92:], True))
+        packer.next_packet_chunks()
+        assert packer.digest_state() == ("packer", 2,
+                                         (1, payload[184:], True))
+        packer.next_packet_chunks()
+        assert packer.digest_state() == ("packer", 2, None)
+
     def test_msg_ids_unique_across_messages(self):
         queue, packer = self._packer()
         queue.enqueue(b"a")

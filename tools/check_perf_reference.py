@@ -7,12 +7,14 @@
 ``events_per_msg``, the four ``virt_*`` metrics and the delivery digest are
 pure functions of (workload, seed, seconds), so a speed or simplicity PR must
 leave them equal to ``tests/perf_reference/quick_seed7.json``.  Beside them
-the reference keeps a ``py_calls_ceiling`` per workload that
-``py_calls_per_msg`` may not exceed — a ratchet, so a per-message call-count
-win cannot leak away unnoticed; a ceiling and not an equality because CPython
-3.12 counts fewer calls than 3.11 for the same code.  Prints every differing
-field and exits non-zero; ``--write`` regenerates the reference (for a PR that
-changes behaviour on purpose, or lowers the call count, and says so).
+the reference keeps two ceilings per workload — ratchets, so a win cannot
+leak away unnoticed: ``py_calls_ceiling`` that ``py_calls_per_msg`` may not
+exceed (a ceiling and not an equality because CPython 3.12 counts fewer calls
+than 3.11 for the same code), and ``peak_rss_ceiling_mb`` that
+``peak_rss_mb`` may not exceed (resident memory varies with the interpreter
+and the host).  Prints every differing field and exits non-zero; ``--write``
+regenerates the reference (for a PR that changes behaviour on purpose, or
+lowers a ceiling, and says so).
 """
 
 from __future__ import annotations
@@ -30,20 +32,23 @@ EXACT = ("events_per_msg", "virt_msgs_per_s", "virt_latency_p50_ms",
          "virt_latency_p99_ms", "virt_max_gap_ms")
 CALLS = "py_calls_per_msg"
 CEILING = "py_calls_ceiling"
-#: ``--write`` stores the measured call count times this, rounded up.
-CEILING_HEADROOM = 1.03
+RSS = "peak_rss_mb"
+RSS_CEILING = "peak_rss_ceiling_mb"
+#: Ratchets: the reference key holding each measured metric's ceiling, and
+#: the headroom ``--write`` multiplies the measured value by (rounded up).
+CEILINGS = {CEILING: (CALLS, 1.03), RSS_CEILING: (RSS, 1.15)}
 
 
 def measured(out: str) -> dict:
-    """The exact fields and the call count of every seed-7 untraced result
-    in ``out``."""
+    """The exact fields and the ceilinged metrics of every seed-7 untraced
+    result in ``out``."""
+    names = EXACT + tuple(metric for metric, _ in CEILINGS.values())
     fields = {}
     for path in glob.glob(os.path.join(out, "result-*-seed7-trace0.json")):
         with open(path) as handle:
             doc = json.load(handle)
         fields[doc["workload"]] = {
-            **{name: doc["metrics"][name]["value"]
-               for name in EXACT + (CALLS,)},
+            **{name: doc["metrics"][name]["value"] for name in names},
             "delivery_digest": doc["detail"]["delivery_digest"]}
     return fields
 
@@ -56,7 +61,8 @@ def main(argv=None) -> int:
     got = measured(args.out)
     if args.write:
         for fields in got.values():
-            fields[CEILING] = math.ceil(fields.pop(CALLS) * CEILING_HEADROOM)
+            for key, (metric, headroom) in CEILINGS.items():
+                fields[key] = math.ceil(fields.pop(metric) * headroom)
         os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
         with open(REFERENCE, "w") as handle:
             json.dump(got, handle, indent=1, sort_keys=True)
@@ -68,11 +74,12 @@ def main(argv=None) -> int:
     for workload, fields in want.items():
         have = got.get(workload, {})
         for name, expected in fields.items():
-            if name == CEILING:
-                actual = have.get(CALLS, "not measured")
+            if name in CEILINGS:
+                metric = CEILINGS[name][0]
+                actual = have.get(metric, "not measured")
                 if actual == "not measured" or actual > expected:
                     differing += 1
-                    print(f"{workload}.{CALLS}: ceiling {expected!r}, "
+                    print(f"{workload}.{metric}: ceiling {expected!r}, "
                           f"measured {actual!r}")
                 continue
             actual = have.get(name, "not measured")
