@@ -1,6 +1,6 @@
 """Fault-campaign conformance harness (Jepsen-style, fully deterministic).
 
-Three layers on top of the simulated cluster:
+Four layers on top of the simulated cluster:
 
 * :mod:`repro.campaign.scenario` — a declarative, JSON-serialisable DSL
   for fault timelines (workload bursts, network fault injections, node
@@ -11,11 +11,14 @@ Three layers on top of the simulated cluster:
   plus the invariant checker's findings when the scenario turns it on
   (every :mod:`repro.campaign.generate` scenario does);
 * :mod:`repro.campaign.minimize` — delta-debug failing scenarios down to
-  minimal, replayable fault timelines.
+  minimal, replayable fault timelines;
+* :mod:`repro.campaign.explore` — bounded model checking: every schedule
+  and fault interleaving around a tiny root scenario, each path judged
+  like any other run and exported as a scenario when it fails.
 
-CLI: ``python -m repro.campaign run|replay|minimize`` (or the installed
-``totem-campaign`` script).  The seed-pinned regression corpus lives in
-``tests/scenarios/`` and is replayed by the tier-1 suite.
+CLI: ``python -m repro.campaign run|replay|minimize|explore|rules`` (or
+the installed ``totem-campaign`` script).  The seed-pinned regression
+corpus lives in ``tests/scenarios/`` and is replayed by the tier-1 suite.
 """
 
 from .generate import random_scenario

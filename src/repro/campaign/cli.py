@@ -7,6 +7,8 @@ Examples::
     totem-campaign run --batch 50 --minimize-on-failure --out-dir cases/
     totem-campaign replay cases/batch-7.min.json     # deterministic rerun
     totem-campaign minimize cases/failing.json --out-dir cases/
+    totem-campaign explore tests/scenarios/explore_active.json
+    totem-campaign rules                             # invariant catalogue
     python -m repro.campaign run --quick
 """
 
@@ -18,8 +20,11 @@ import sys
 import time
 from typing import List, Optional
 
+from ..check.invariants import INVARIANTS
 from ..errors import ConfigError
-from ..types import ReplicationStyle
+from .explore import (
+    DROP_KINDS, FAULT_ALPHABET, MUTATIONS, ExploreOptions, apply_mutation,
+    explore)
 from .generate import BATCH_STYLES, random_scenario
 from .minimize import minimize_scenario
 from .runner import CampaignResult, run_scenario
@@ -143,6 +148,26 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     return _minimize_and_emit(scenario, args.out_dir)
 
 
+def _cmd_explore(args: argparse.Namespace) -> int:
+    root = load_scenario(args.root)
+    options = ExploreOptions(
+        max_depth=args.max_depth, fault_budget=args.budget,
+        faults=tuple(args.faults), drop_kinds=tuple(args.drop_kinds),
+        por=not args.no_por, max_states=args.max_states,
+        time_limit=args.time_limit, export_dir=args.export_dir)
+    with apply_mutation(args.mutate):
+        report = explore(root, options)
+    print(report.render())
+    return 0 if report.clean else 1
+
+
+def _cmd_rules(args: argparse.Namespace) -> int:
+    width = max(len(name) for name in INVARIANTS)
+    for name, (requirement, statement) in INVARIANTS.items():
+        print(f"{name:<{width}}  [{requirement}]  {statement}")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="totem-campaign",
@@ -191,6 +216,48 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="directory for the minimized case + "
                                "forensics files")
     minimize.set_defaults(func=_cmd_minimize)
+
+    explore_cmd = sub.add_parser(
+        "explore",
+        help="exhaustively enumerate schedules and fault interleavings "
+             "around a root case file (model checking; see "
+             "docs/MODELCHECK.md)")
+    explore_cmd.add_argument(
+        "root", help="root scenario case file (JSON): cluster, workload, "
+                     "horizon (duration) and settle")
+    explore_cmd.add_argument("--max-depth",
+                             type=_positive(int, "--max-depth"), default=4,
+                             help="iterative-deepening ceiling on "
+                                  "deviations per path (default 4)")
+    explore_cmd.add_argument("--budget", type=_positive(int, "--budget"),
+                             default=1,
+                             help="drop/crash/partition budget (default 1)")
+    explore_cmd.add_argument("--faults", nargs="*",
+                             choices=list(FAULT_ALPHABET), default=["drop"],
+                             help="fault alphabet (default: drop)")
+    explore_cmd.add_argument("--drop-kinds", nargs="*",
+                             choices=list(DROP_KINDS),
+                             default=list(DROP_KINDS),
+                             help="frame kinds drop may target")
+    explore_cmd.add_argument("--no-por", action="store_true",
+                             help="disable partial-order reduction "
+                                  "(cross-check; much slower)")
+    explore_cmd.add_argument("--max-states",
+                             type=_positive(int, "--max-states"),
+                             default=500_000)
+    explore_cmd.add_argument("--time-limit", type=float, default=0.0,
+                             help="wall-clock cap in seconds (0 = none)")
+    explore_cmd.add_argument("--export-dir", default=None,
+                             help="write violating paths here as campaign "
+                                  "scenarios")
+    explore_cmd.add_argument("--mutate", choices=sorted(MUTATIONS),
+                             default=None,
+                             help="inject a known protocol bug first "
+                                  "(checker self-test)")
+    explore_cmd.set_defaults(func=_cmd_explore)
+
+    rules = sub.add_parser("rules", help="print the invariant catalogue")
+    rules.set_defaults(func=_cmd_rules)
 
     args = parser.parse_args(argv)
     if args.command == "run" and args.quick and not args.batch:

@@ -387,7 +387,22 @@ def run_scenario(
     """
     compiled = _CompiledRun(scenario, obs=obs)
     compiled.run()
+    return judge(compiled, scenario, twin_delivered=twin_delivered,
+                 check_twin=check_twin, keep_cluster=keep_cluster)
 
+
+def judge(
+        compiled: _CompiledRun, scenario: Scenario, *,
+        twin_delivered: Optional[Mapping] = None,
+        check_twin: bool = True,
+        keep_cluster: bool = False) -> CampaignResult:
+    """Judge a finished run as ``scenario`` with every oracle it arms.
+
+    ``scenario`` decides which oracles apply (SMR, service, the redundancy
+    budget); it is ``compiled.scenario`` except for the explorer, which
+    judges a forked run of its root as the root plus the faults the
+    explored path injected.
+    """
     histories = compiled.histories()
     violations: List[OracleViolation] = []
     violations += check_agreement(histories)

@@ -1,6 +1,6 @@
-"""Deterministic cluster state digests for ``repro.check explore``.
+"""Deterministic cluster state digests for ``repro.campaign explore``.
 
-The model-checking explorer (:mod:`repro.check.explore`) deduplicates its
+The model-checking explorer (:mod:`repro.campaign.explore`) deduplicates its
 search frontier on a canonical digest of the *entire* simulated world: every
 node's protocol state, every LAN's fault state, and every pending event on
 the scheduler.  Two worlds with equal digests behave identically on every

@@ -68,6 +68,11 @@ INVARIANTS: Dict[str, Tuple[str, str]] = {
         "accounting",
         "the per-style token counters balance: every token received is "
         "delivered, buffered, superseded or dropped — exactly once"),
+    "recovery-origin": (
+        "EVS",
+        "a message delivered in the transitional configuration that "
+        "follows old ring R was sent on R; every other message was sent on "
+        "the ring of the configuration it is delivered in"),
 }
 
 
@@ -110,6 +115,7 @@ class NodeProbe:
         self.node_id: NodeId = node.node_id
         self.rrp = node.rrp
         self.srp = node.srp
+        self.log = node.log
         self._num_networks: int = node.rrp.config.num_networks
         # Engine-level accounting the stats counters do not carry.
         self._receipts = 0       # tokens handed to the engine by the stack
@@ -277,6 +283,32 @@ class NodeProbe:
                     f"single: {self._receipts} receipts != delivered "
                     f"{stats.tokens_delivered}")
 
+    def validate_recovery_origin(self) -> None:
+        """Check that recovery never crossed rings (``recovery-origin``).
+
+        Reads the node's delivery log: a transitional configuration follows
+        the last regular configuration before it (the node's old ring), and
+        only that ring's messages may be delivered in it.  Called from
+        :meth:`InvariantChecker.check_all`.
+        """
+        follows: Dict[RingId, RingId] = {}
+        regular: Optional[RingId] = None
+        for change in self.log.config_changes:
+            ring = change.membership.ring_id
+            if not change.transitional:
+                regular = ring
+            elif regular is not None:
+                follows[ring] = regular
+        for message in self.log.messages:
+            config = message.delivery_config
+            origin = message.ring_id
+            if origin != config and origin != follows.get(config):
+                self._violation(
+                    "recovery-origin",
+                    f"delivered ({message.sender}, seq {message.seq}) of "
+                    f"ring {origin} in configuration {config}, which "
+                    f"follows ring {follows.get(config)}")
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -391,10 +423,12 @@ class InvariantChecker:
     # ----- end-of-run checks -----
 
     def check_all(self) -> List[InvariantViolation]:
-        """Run the final ledger validation over every probe (including the
-        probes of abandoned incarnations) and return all violations."""
+        """Run the final ledger and recovery-origin validation over every
+        probe (including the probes of abandoned incarnations) and return
+        all violations."""
         for probe in self.probes:
             probe.validate_ledger()
+            probe.validate_recovery_origin()
         return self.violations
 
     def assert_clean(self) -> None:

@@ -121,7 +121,7 @@ class ReplicationEngine:
             raise RuntimeError("replication engine not bound to an SRP")
         return self._srp
 
-    # ----- explorer digests (repro.check explore) -----
+    # ----- explorer digests (repro.campaign explore) -----
 
     def _timer_digest(self, timer):
         """A pending timer as a relative deadline (None when unset)."""
@@ -205,7 +205,7 @@ class ReplicationEngine:
             # flight to it at the moment of the restart still arrive at its
             # abandoned stack, but must not be processed — handling one
             # would re-arm engine timers *after* stop() cancelled them
-            # (found by `repro.check explore`: crash + in-flight token +
+            # (found by `repro.campaign explore`: crash + in-flight token +
             # restart re-armed the old engine's token timer).
             return
         # Dispatch on the concrete class: the ``packet_type`` discriminator

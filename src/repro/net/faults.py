@@ -96,7 +96,7 @@ class NetworkFaultModel:
         #: ``serial`` is the 1-based index of the frame among all frames
         #: ``src`` ever offered to this network.  The addressed frame is
         #: lost at the medium (all receivers of a broadcast share the drop).
-        #: This is how ``repro.check explore`` counterexamples express "the
+        #: This is how ``repro.campaign explore`` counterexamples express "the
         #: k-th frame from node s was lost" deterministically.
         self.drop_serials: Set[Tuple[NodeId, int]] = set()
 
@@ -112,7 +112,7 @@ class NetworkFaultModel:
             return False
 
     def digest_state(self) -> tuple:
-        """Canonical state tuple for explorer digests (repro.check explore)."""
+        """Canonical state tuple for explorer digests (campaign explore)."""
         burst = self.burst_loss
         return ("netfaults", self.down,
                 tuple(sorted(self.send_blocked)),

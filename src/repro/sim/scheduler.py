@@ -228,7 +228,7 @@ class EventScheduler:
             heappop(heap)
             self._dead -= 1
 
-    # ----- explorer hooks (repro.check explore) -----
+    # ----- explorer hooks (repro.campaign explore) -----
     #
     # The model checker drives the scheduler one event at a time, but needs
     # to *choose* which of several same-time events fires next (and to model

@@ -287,7 +287,7 @@ class TotemSrp:
         self._highest_ring_seq = max(self._highest_ring_seq, int(watermark))
 
     # ------------------------------------------------------------------
-    # explorer digests (repro.check explore)
+    # explorer digests (repro.campaign explore)
     # ------------------------------------------------------------------
 
     def _timer_digest(self, timer) -> Optional[float]:
@@ -300,7 +300,7 @@ class TotemSrp:
         """Canonical tuple of all protocol-visible state.
 
         Two engines with equal digests behave identically on every future
-        input; ``repro.check explore`` keys its visited-state set on this
+        input; ``repro.campaign explore`` keys its visited-state set on this
         (see docs/MODELCHECK.md).  Statistics counters, trace/probe hooks
         and rotation timing are excluded — they never feed back into a
         protocol decision.  Absolute times appear only as deadlines
@@ -1224,8 +1224,8 @@ class TotemSrp:
         same_old = [n for n in commit.members
                     if n in commit.info
                     and commit.info[n].old_ring_id == self._old_ring]
-        if not same_old:
-            return []
+        if not same_old or same_old == [self.node_id]:
+            return []  # nobody else continues from our old ring
         low = min(commit.info[n].my_aru for n in same_old)
         high = max(commit.info[n].high_seq for n in same_old)
         pending: List[DataPacket] = []
@@ -1309,8 +1309,11 @@ class TotemSrp:
                 if blob is None:
                     continue
                 old_packet = decode_packet(blob)
+                # Every member rebroadcasts its own old ring's packets; only
+                # ours may fill our old buffer (recovery never crosses rings).
                 if (isinstance(old_packet, DataPacket)
-                        and self._old_buffer is not None):
+                        and self._old_buffer is not None
+                        and old_packet.ring_id == self._old_ring):
                     self._old_buffer.insert(old_packet)
 
     def _complete_recovery(self) -> None:

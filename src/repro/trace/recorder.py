@@ -111,7 +111,7 @@ class BoundTrace:
     A callable object rather than a closure: engines hold these for their
     whole life, and ``copy.deepcopy`` treats plain functions as atomic — a
     closure here would leave a deep-copied cluster emitting trace events
-    into the *original* tracer.  Cluster snapshots (``repro.check explore``)
+    into the *original* tracer.  Cluster snapshots (``repro.campaign explore``)
     rely on every long-lived callable being an object or bound method.
     """
 

@@ -17,7 +17,11 @@ before it learned partial partitions.  Seed 103: a restarted node reused
 ring ids (no stable-storage ring-seq watermark), so two configurations
 shared a RingId.  Seed 108: a restarted incarnation was counted as an
 old-ring survivor in the transitional configuration, so the SMR layer
-never offered it state transfer.
+never offered it state transfer.  ``generated_passive_seed{224,228,277,285}``
+pin generated passive runs in which a restarted incarnation absorbed the
+packets another old ring rebroadcast during recovery and delivered them in
+its transitional configuration; recovery now keeps to the node's own old
+ring.
 """
 
 import glob
@@ -27,8 +31,11 @@ import pytest
 
 from repro.campaign import (
     Scenario, TimelineEvent, load_scenario, minimize_scenario, run_scenario)
+from repro.campaign.explore import apply_mutation
 from repro.campaign.runner import _CompiledRun
 from repro.srp.engine import TotemSrp
+from repro.wire.codec import decode_packet
+from repro.wire.packets import ChunkKind, DataPacket
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 #: Minimized cases of bugs found but not yet fixed; kept out of the corpus.
@@ -73,27 +80,17 @@ def test_corpus_replay_is_byte_identical(path):
 
 
 @pytest.fixture
-def eager_delivery_bug(monkeypatch):
+def eager_delivery_bug():
     """Inject a delivery-order bug: deliver in arrival order, skipping gaps.
 
     This is the canonical failure mode the ordered-delivery machinery
     exists to prevent — a node that missed a frame on a lossy network
     delivers later frames anyway and permanently skips the gap instead of
     waiting for retransmission, so lossy receivers diverge from clean ones.
+    The explorer's self-test injects the same mutation.
     """
-
-    def eager_try_deliver(self):
-        while self._delivered_seq < self.recv_buffer.high_seq:
-            seq = self._delivered_seq + 1
-            packet = self.recv_buffer.get(seq)
-            self._delivered_seq = seq
-            if packet is not None:
-                self._deliver_packet_chunks(
-                    packet, self._reassembler,
-                    safe=seq <= self._stable_seq,
-                    config_id=self.ring_id)
-
-    monkeypatch.setattr(TotemSrp, "_try_deliver", eager_try_deliver)
+    with apply_mutation("eager-delivery"):
+        yield
 
 
 def _lossy_scenario():
@@ -141,18 +138,70 @@ def test_end_of_run_ledger_check_is_reported(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known bug: passive replication delivers messages twice after a "
-    "partial partition overlaps a whole-cluster partition"))
+    "known bug: after a partial partition overlaps a whole-cluster "
+    "partition in passive replication, the agreement oracle compares a "
+    "transitional stream with a regular one of the same ring"))
 def test_known_bug_passive_partition_duplicates():
     """Generated seed 25 plus a partial partition, minimized to 6 faults.
 
-    Nodes 1, 2 and 4 deliver node 3's messages 3-16 and node 4's message
-    42 twice; the invariant checker reports nothing.  When the recovery
-    fix lands, this case moves into the corpus.
+    Before recovery kept to each node's own old ring, nodes 1, 2 and 4
+    delivered node 3's ring-4 messages a second time in their
+    transitional configuration.  Those duplicates are gone; node 3 still
+    delivers its own undelivered ring-4 messages in transitional
+    configuration {3} of ring 12, which ``check_agreement`` keys by ring
+    id alone and so compares with the others' regular ring-12 stream.
+    When that is settled, this case moves into the corpus.
     """
     result = run_scenario(load_scenario(
         os.path.join(KNOWN_BUG_DIR, "passive_partition_duplicates.json")))
     assert result.ok, "\n".join(str(v) for v in result.violations[:5])
+
+
+@pytest.fixture
+def cross_ring_recovery(monkeypatch):
+    """Re-open the cross-ring recovery bug: absorb every decoded old packet
+    into the old-ring buffer, whichever old ring rebroadcast it."""
+
+    def absorb_unfiltered(self):
+        while True:
+            packet = self.recv_buffer.get(self._recovery_absorbed + 1)
+            if packet is None:
+                return
+            self._recovery_absorbed += 1
+            for chunk in packet.chunks:
+                if chunk.kind is not ChunkKind.ENCAPSULATED:
+                    continue
+                blob = self._recovery_reassembler.feed(packet.sender, chunk)
+                if blob is None:
+                    continue
+                old_packet = decode_packet(blob)
+                if (isinstance(old_packet, DataPacket)
+                        and self._old_buffer is not None):
+                    self._old_buffer.insert(old_packet)
+
+    monkeypatch.setattr(TotemSrp, "_absorb_recovery_progress",
+                        absorb_unfiltered)
+
+
+CROSS_RING_SEEDS = [
+    os.path.join(SCENARIO_DIR, f"generated_passive_seed{seed}.json")
+    for seed in (224, 228, 277, 285)]
+
+
+@pytest.mark.parametrize("path", CROSS_RING_SEEDS,
+                         ids=[os.path.basename(p)[:-5]
+                              for p in CROSS_RING_SEEDS])
+def test_recovery_origin_rule_catches_cross_ring_recovery(
+        path, cross_ring_recovery):
+    """Without the engine's old-ring filter a fresh incarnation delivers
+    another ring's recovered messages in its transitional configuration:
+    the agreement oracle and the white-box recovery-origin rule both flag
+    it."""
+    result = run_scenario(load_scenario(path))
+    oracles = {v.oracle for v in result.violations}
+    assert "agreement" in oracles
+    assert any(v.oracle == "invariants" and "recovery-origin" in v.detail
+               for v in result.violations), result.violations
 
 
 def test_minimize_refuses_passing_scenario():

@@ -1,4 +1,4 @@
-"""End-to-end tests for the ``repro.check explore`` model checker.
+"""End-to-end tests for the ``repro.campaign explore`` model checker.
 
 Three things must hold:
 
@@ -11,36 +11,46 @@ Three things must hold:
 * the bug the explorer found for real (a stopped incarnation processing
   an in-flight frame and re-arming its timers after restart) stays fixed,
   pinned by ``tests/scenarios/restart_inflight_token.json``.
+
+Roots are ordinary campaign scenarios: the committed ``explore_*.json``
+files at the top of ``tests/scenarios/`` or small ones built here.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.campaign import load_scenario, run_scenario
-from repro.check.explore import (
-    ExploreOptions,
-    apply_mutation,
-    explore,
-    replay_trace,
-)
+from repro.campaign import Scenario, TimelineEvent, load_scenario, run_scenario
+from repro.campaign.explore import ExploreOptions, apply_mutation, explore
 from repro.core.base import ReplicationEngine
+from repro.errors import ConfigError
 from repro.types import ReplicationStyle
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-TRACE_DIR = os.path.join(os.path.dirname(__file__), "..", "traces")
 
 
-def _quick_options(**overrides):
-    base = dict(nodes=2, networks=2, max_msgs=2, horizon=0.003,
-                settle=0.3, max_depth=2, time_limit=120.0)
+def _root(style=ReplicationStyle.ACTIVE, per_node=1, duration=0.003,
+          settle=0.3, extra=(), **fields):
+    """A 2-node, 2-network root with ``per_node`` messages per node."""
+    bursts = tuple(
+        TimelineEvent(0.0, "burst",
+                      {"node": node, "count": per_node, "size": 64,
+                       "gap": 0.0})
+        for node in (1, 2))
+    fields = {"invariants": "observe", **fields}
+    return Scenario(name="quick", style=style, num_nodes=2, num_networks=2,
+                    duration=duration, settle=settle, smr=False,
+                    events=bursts + tuple(extra), **fields)
+
+
+def _options(**overrides):
+    base = dict(max_depth=2, time_limit=120.0)
     base.update(overrides)
     return ExploreOptions(**base)
 
 
 def test_exploration_is_exhaustive_and_clean():
-    report = explore(_quick_options())
+    report = explore(_root(), _options())
     assert report.exhaustive
     assert report.clean
     assert report.paths > 10
@@ -51,17 +61,23 @@ def test_exploration_is_exhaustive_and_clean():
 
 
 def test_por_and_no_por_agree():
-    with_por = explore(_quick_options())
-    without = explore(_quick_options(por=False))
-    assert with_por.clean and without.clean
-    assert with_por.exhaustive and without.exhaustive
-    # POR may only *merge* equivalent schedules, never skip distinct ones.
-    assert with_por.paths <= without.paths
+    """POR may only *merge* equivalent schedules, never skip distinct ones
+    — also when the root's timeline submits in the middle of the explored
+    horizon (stimulus entries are fired, never reordered or dropped)."""
+    second_burst = TimelineEvent(0.0015, "burst",
+                                 {"node": 2, "count": 1, "size": 64,
+                                  "gap": 0.0})
+    for root in (_root(), _root(extra=(second_burst,))):
+        with_por = explore(root, _options())
+        without = explore(root, _options(por=False))
+        assert with_por.clean and without.clean
+        assert with_por.exhaustive and without.exhaustive
+        assert with_por.paths <= without.paths
 
 
 def test_passive_style_exploration_clean():
-    report = explore(_quick_options(style=ReplicationStyle.PASSIVE,
-                                    settle=0.4))
+    report = explore(_root(style=ReplicationStyle.PASSIVE, settle=0.4),
+                     _options())
     assert report.exhaustive
     assert report.clean
 
@@ -69,13 +85,12 @@ def test_passive_style_exploration_clean():
 def test_batched_exploration_clean():
     """The batch hot path survives the same adversarial schedules.
 
-    Four messages over two nodes queue two per sender, so token visits
-    really coalesce multiple packets into one droppable frame train —
-    losing a train must lose every carried packet atomically and recover
-    through ordinary retransmission.
+    Two messages per node really coalesce multiple packets into one
+    droppable frame train — losing a train must lose every carried packet
+    atomically and recover through ordinary retransmission.
     """
-    report = explore(_quick_options(max_msgs=4, batching=True,
-                                    horizon=0.004, settle=0.4))
+    report = explore(_root(per_node=2, duration=0.004, settle=0.4,
+                           totem={"enable_batching": True}), _options())
     assert report.exhaustive
     assert report.clean
     assert report.paths > 10
@@ -84,19 +99,18 @@ def test_batched_exploration_clean():
 def test_mutation_is_caught_and_exported(tmp_path):
     """Acceptance: the eager-delivery bug is found and the exported
     counterexample replays through the campaign runner."""
-    options = _quick_options(
-        horizon=0.005, settle=0.4, fault_budget=2, max_depth=2,
-        drop_kinds=("data",), export_dir=str(tmp_path))
+    root = load_scenario(os.path.join(SCENARIO_DIR, "explore_short.json"))
+    options = _options(fault_budget=2, drop_kinds=("data",),
+                       export_dir=str(tmp_path))
     with apply_mutation("eager-delivery"):
-        report = explore(options)
+        report = explore(root, options)
+    assert (report.states, report.paths) == (10, 17)
     assert report.violations, "mutation not caught"
     first = report.violations[0]
     # Root cause: both network copies of one data frame dropped, so the
     # mutated node skips the gap and diverges -> agreement breach.
-    oracles = {violation.oracle for violation in first.oracles}
-    assert "agreement" in oracles or "evs-ledger" in oracles
+    assert "agreement" in {violation.oracle for violation in first.oracles}
     assert first.scenario_path and os.path.exists(first.scenario_path)
-    assert first.trace_path and os.path.exists(first.trace_path)
     assert first.replay_verified, "exported scenario did not reproduce"
 
     # The exported scenario is a valid, loadable campaign case and is
@@ -107,27 +121,14 @@ def test_mutation_is_caught_and_exported(tmp_path):
     result = run_scenario(scenario)
     assert result.ok, result.violations
 
-    # The decision trace replays exactly: violations under the mutation,
-    # none on the fixed tree.
-    with apply_mutation("eager-delivery"):
-        _options, violations = replay_trace(first.trace_path)
-    assert violations
-    _options, violations = replay_trace(first.trace_path)
-    assert violations == []
 
-
-def test_trace_export_is_json_roundtrippable(tmp_path):
-    options = _quick_options(
-        horizon=0.005, settle=0.4, fault_budget=2, max_depth=2,
-        drop_kinds=("data",), export_dir=str(tmp_path))
-    with apply_mutation("eager-delivery"):
-        report = explore(options)
-    with open(report.violations[0].trace_path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    assert data["decisions"]
-    rebuilt = ExploreOptions.from_dict(data["options"])
-    assert rebuilt.style is options.style
-    assert rebuilt.fault_budget == options.fault_budget
+@pytest.mark.parametrize("fields", [{"rings": 2, "invariants": "off"},
+                                    {"service": {"rate": 1000}}],
+                         ids=["rings", "service"])
+def test_multiring_and_service_roots_are_refused(fields):
+    root = _root(**fields)
+    with pytest.raises(ConfigError, match="single-ring"):
+        explore(root, _options())
 
 
 # ----- the explorer-found lifecycle bug, pinned -----
@@ -167,27 +168,10 @@ def test_restart_inflight_token_scenario_has_teeth(unguarded_on_packet):
                for violation in result.violations)
 
 
-def test_restart_inflight_token_trace_pinned():
-    """The explorer's own decision trace for the lifecycle bug replays
-    clean on the fixed tree (exact schedule, not just the scenario)."""
-    _options, violations = replay_trace(
-        os.path.join(TRACE_DIR, "restart_inflight_token.trace.json"))
-    assert violations == []
-
-
-def test_restart_inflight_token_trace_has_teeth(unguarded_on_packet):
-    _options, violations = replay_trace(
-        os.path.join(TRACE_DIR, "restart_inflight_token.trace.json"))
-    assert any("timer-after-stop" in violation.detail
-               for violation in violations)
-
-
 def test_crash_exploration_smoke():
     """A one-deviation churn exploration stays clean after the fix (the
     full crash+restart product runs in the nightly deep job)."""
-    report = explore(ExploreOptions(
-        nodes=2, networks=2, max_msgs=2, horizon=0.0001, settle=0.8,
-        faults=("crash", "restart"), fault_budget=1,
-        max_depth=1, time_limit=120.0))
+    report = explore(_root(duration=0.0001, settle=0.8),
+                     _options(faults=("crash", "restart"), max_depth=1))
     assert report.clean
     assert report.paths > 5

@@ -4,7 +4,7 @@ These drive the under-covered timer stages of :mod:`repro.srp.engine`
 end-to-end, but deterministically: instead of random loss rates, in-flight
 regular tokens are destroyed surgically through the scheduler's explorer
 hooks (``ready_entries`` / ``discard_entry`` — the same frame-loss model
-``repro.check explore`` forks on), so every run exercises exactly the
+``repro.campaign explore`` forks on), so every run exercises exactly the
 recovery path under test:
 
 * losing every wire copy of one token hand-off → the sender's

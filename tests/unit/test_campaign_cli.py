@@ -6,10 +6,12 @@ tests pin the CLI surface, not the simulator.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.campaign import cli
+from repro.check import INVARIANTS
 from repro.campaign.runner import CampaignResult
 from repro.campaign.scenario import Scenario, TimelineEvent, save_scenario
 
@@ -152,3 +154,65 @@ class TestMinimizeCommand:
         monkeypatch.setattr(cli, "minimize_scenario", refuse)
         assert cli.main(["minimize", case_file]) == 2
         assert "does not fail" in capsys.readouterr().err
+
+
+class TestExploreAndRulesCommands:
+    """``explore ROOT.json`` and ``rules``; exploration itself is covered
+    by tests/integration/test_explore.py."""
+
+    def test_rules_exits_zero(self, capsys):
+        assert cli.main(["rules"]) == 0
+        assert "A1" in capsys.readouterr().out
+
+    def test_rules_lists_full_catalogue(self, capsys):
+        assert cli.main(["rules"]) == 0
+        out = capsys.readouterr().out
+        for name, (requirement, _) in INVARIANTS.items():
+            assert name in out
+            assert requirement in out
+
+    @pytest.mark.parametrize("clean, code", [(True, 0), (False, 1)])
+    def test_explore_exit_code_follows_report(self, case_file, monkeypatch,
+                                              capsys, clean, code):
+        report = SimpleNamespace(clean=clean,
+                                 render=lambda: "explore report")
+        seen = []
+        monkeypatch.setattr(
+            cli, "explore",
+            lambda root, options: (seen.append((root, options)), report)[1])
+        assert cli.main(["explore", case_file, "--budget", "2",
+                         "--no-por"]) == code
+        root, options = seen[0]
+        assert root.name == "unit-case"
+        assert options.fault_budget == 2 and not options.por
+        assert "explore report" in capsys.readouterr().out
+
+    def test_missing_root_file_exits_two(self, capsys):
+        assert cli.main(["explore", "/nonexistent/root.json"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["explore"],
+        ["explore", "{root}", "--budget", "0"],
+        ["explore", "{root}", "--budget", "two"],
+        ["explore", "{root}", "--max-depth", "0"],
+        ["explore", "{root}", "--max-states", "-1"],
+        ["explore", "{root}", "--faults", "meteor"],
+        ["explore", "{root}", "--drop-kinds", "ack"],
+        ["explore", "{root}", "--mutate", "cosmic-ray"],
+        ["explore", "{root}", "--nodes", "3"],
+    ])
+    def test_malformed_arguments_exit_two(self, argv, case_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(root=case_file) for arg in argv])
+        assert exc.value.code == 2
+
+    def test_missing_subcommand_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == 2
+
+    def test_unknown_subcommand_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan"])
+        assert exc.value.code == 2
