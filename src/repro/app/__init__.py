@@ -12,7 +12,6 @@ a process group.  This package provides the canonical such layer:
   implements (apply / snapshot / restore).
 """
 
-from .primitives import CounterMachine, LockManagerMachine
 from .sharded_kv import ShardedKv, decode_op, encode_op
 from .smr import ReplicatedStateMachine, SmrStats, StateMachine
 
@@ -20,8 +19,6 @@ __all__ = [
     "ReplicatedStateMachine",
     "StateMachine",
     "SmrStats",
-    "LockManagerMachine",
-    "CounterMachine",
     "ShardedKv",
     "encode_op",
     "decode_op",

@@ -16,11 +16,7 @@ from .config import (
     group_of,
     member_of,
 )
-from .partition import (
-    HashPartitioner,
-    RoundRobinPartitioner,
-    make_partitioner,
-)
+from .partition import HashPartitioner
 from .merge import (
     DATA_PREFIX,
     MARKER_PREFIX,
@@ -39,8 +35,6 @@ __all__ = [
     "group_of",
     "member_of",
     "HashPartitioner",
-    "RoundRobinPartitioner",
-    "make_partitioner",
     "DATA_PREFIX",
     "MARKER_PREFIX",
     "CrossRingMerger",

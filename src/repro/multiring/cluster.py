@@ -35,7 +35,7 @@ from .merge import (
     encode_data,
     encode_marker,
 )
-from .partition import make_partitioner
+from .partition import HashPartitioner
 
 #: Application handler: ``handler(group, batch)``, called once per delivery
 #: sweep of one engine with the sweep's application messages as ``(message,
@@ -140,8 +140,7 @@ class MultiRingCluster:
         ]
         from ..trace import Tracer
         self.tracer = Tracer(self.scheduler.now)
-        self.partitioner = make_partitioner(
-            config.partitioner, config.num_rings, config.num_shards)
+        self.partitioner = HashPartitioner(config.num_rings)
         #: Kept for interface parity with SimCluster (no online checker:
         #: the invariant checker assumes one engine per node id space).
         self.checker = None

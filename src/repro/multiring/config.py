@@ -18,9 +18,6 @@ from ..types import NodeId
 #: Composite address stride between ring groups.
 GROUP_STRIDE = 1000
 
-#: Partitioner names accepted by :func:`repro.multiring.make_partitioner`.
-PARTITIONER_NAMES = ("hash", "round-robin")
-
 
 def group_addr(group: int, member: NodeId) -> NodeId:
     """The composite node id of ``member`` (1-based) in ``group``."""
@@ -43,16 +40,12 @@ class MultiRingConfig:
 
     ``num_rings`` independent Totem rings share the same ``totem.num_networks``
     simulated LANs (isolated by multicast-style channels), each ring with
-    ``num_nodes`` members.  Messages are sharded to rings by key through a
-    configurable partitioner; ``num_shards`` defaults to ``num_rings``
-    (shard *s* maps to ring ``s % num_rings``).
+    ``num_nodes`` members.  Messages are sharded to rings by key:
+    ``crc32(key) % num_rings`` (:class:`~repro.multiring.HashPartitioner`).
     """
 
     num_rings: int = 8
     num_nodes: int = 4
-    partitioner: str = "hash"
-    #: Number of key shards; ``None`` means one shard per ring.
-    num_shards: int = None  # type: ignore[assignment]
     #: Virtual-time interval between merge-clock round markers per ring.
     merge_interval: float = 0.005
     totem: TotemConfig = field(default_factory=TotemConfig)
@@ -72,12 +65,6 @@ class MultiRingConfig:
         if self.num_nodes >= GROUP_STRIDE:
             raise ConfigError(
                 f"num_nodes must be < {GROUP_STRIDE} (composite addressing)")
-        if self.partitioner not in PARTITIONER_NAMES:
-            raise ConfigError(
-                f"unknown partitioner {self.partitioner!r} "
-                f"(choose from {', '.join(PARTITIONER_NAMES)})")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ConfigError("num_shards must be >= 1")
         if self.merge_interval <= 0:
             raise ConfigError("merge_interval must be positive")
         if self.obs not in ("off", "sampled", "full"):
@@ -85,8 +72,3 @@ class MultiRingConfig:
                 f"obs must be 'off', 'sampled' or 'full', got {self.obs!r}")
         if self.obs_interval <= 0:
             raise ConfigError("obs_interval must be positive")
-
-    @property
-    def shards(self) -> int:
-        """Effective shard count (``num_shards`` or one per ring)."""
-        return self.num_shards if self.num_shards is not None else self.num_rings

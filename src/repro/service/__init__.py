@@ -1,19 +1,17 @@
 """The production service facade over the Cluster API.
 
-Admission control, backpressure-aware load shedding, weighted per-client
-fairness, and circuit-broken cross-shard reads for a replicated KV /
-pub-sub service running on a single Totem ring or a sharded multi-ring
-cluster.  See docs/SERVICE.md for the architecture and shedding policy.
+Admission control, backpressure-aware load shedding and weighted
+per-client fairness for a replicated KV / pub-sub service running on a
+single Totem ring or a sharded multi-ring cluster.  See docs/SERVICE.md
+for the architecture and shedding policy.
 """
 
 from .admission import FairAdmissionQueue, TokenBucket
 from .backpressure import DEGRADE, OK, SHED, RingPressureMonitor
-from .breaker import CircuitBreaker, DeadlineBudget
 from .facade import SLO_LATENCY_BUCKETS, ServiceConfig, ServiceFacade
 from .types import (
     Admitted,
     Overload,
-    ReadResult,
     Request,
     Response,
     Shed,
@@ -27,13 +25,10 @@ from .types import (
 
 __all__ = [
     "Admitted",
-    "CircuitBreaker",
     "DEGRADE",
-    "DeadlineBudget",
     "FairAdmissionQueue",
     "OK",
     "Overload",
-    "ReadResult",
     "Request",
     "Response",
     "RingPressureMonitor",

@@ -15,9 +15,6 @@ docs/SERVICE.md):
   would stall (``repro.service.backpressure``).
 * **Weighted fairness** — deficit-round-robin drain over per-client
   lanes, so one heavy client cannot starve the rest.
-* **Circuit breakers + deadlines** — cross-shard reads fail fast against
-  unhealthy shards and stop scattering once their deadline budget is
-  spent (``repro.service.breaker``).
 
 Every decision is appended to a byte-stable decision log and mirrored
 into :mod:`repro.obs` metrics labelled with the service name, so SLO
@@ -31,21 +28,19 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
 from ..types import DeliveredMessage, NodeId, SweepConsumer
 from .admission import FairAdmissionQueue, TokenBucket
 from .backpressure import RingPressureMonitor, SHED
-from .breaker import CircuitBreaker, DeadlineBudget
 from .types import (
     OP_DEL,
     OP_PUB,
     OP_SET,
     Admitted,
     Overload,
-    ReadResult,
     Request,
     Response,
     Shed,
@@ -110,13 +105,6 @@ class ServiceConfig:
     #: Default relative deadline stamped on requests without one;
     #: None = no deadline.
     default_deadline: Optional[float] = None
-    #: Circuit breaker: consecutive failures to open, reset timeout.
-    breaker_failures: int = 3
-    breaker_reset: float = 0.05
-    #: Modelled cost of one shard read (charged to the deadline budget).
-    read_cost: float = 0.0002
-    #: Default cross-shard read deadline budget.
-    read_timeout: float = 0.01
 
     def __post_init__(self) -> None:
         if self.rate <= 0 or self.burst < 1:
@@ -254,10 +242,6 @@ class ServiceFacade:
             inflight_budget=budget,
             degrade_ratio=self.config.degrade_ratio,
             shed_ratio=self.config.shed_ratio)
-        self.breakers: Dict[int, CircuitBreaker] = {
-            g: CircuitBreaker(self.config.breaker_failures,
-                              self.config.breaker_reset)
-            for g in self.port.groups}
 
         #: Per-member replicated KV state (converges across members).
         self.stores: Dict[NodeId, Dict[bytes, bytes]] = {
@@ -326,18 +310,6 @@ class ServiceFacade:
                          help="Ring backlog occupancy (0..1+ of the "
                               "inflight budget)")
             for g in self.port.groups}
-        self.m_breaker = {
-            g: reg.gauge("service_breaker_state",
-                         {**labels, "group": str(g)},
-                         help="Shard breaker: 0 closed, 1 half-open, 2 open")
-            for g in self.port.groups}
-        self.m_reads = reg.counter(
-            "service_reads_total", labels,
-            help="Keys read through the cross-shard read path")
-        self.m_reads_degraded = reg.counter(
-            "service_reads_degraded_total", labels,
-            help="Reads served stale/failed (breaker open, unhealthy "
-                 "shard, or deadline exhausted)")
 
     def _update_gauges(self) -> None:
         """Refresh the queue-depth gauge and every ring's pressure gauge.
@@ -569,57 +541,9 @@ class ServiceFacade:
     # ------------------------------------------------------------------
 
     def get(self, key: bytes, member: Optional[NodeId] = None) -> Optional[bytes]:
-        """Plain local read from ``member``'s replica (no wrappers)."""
+        """Local read from ``member``'s replica."""
         member = self.port.gateway if member is None else member
         return self.stores[member].get(key)
-
-    def multi_get(self, keys: Sequence[bytes],
-                  timeout: Optional[float] = None,
-                  member: Optional[NodeId] = None) -> List[ReadResult]:
-        """Cross-shard read with circuit breakers and a deadline budget.
-
-        Each key's shard is consulted under its breaker: an open breaker
-        or unhealthy shard serves the (possibly stale) local value as
-        ``circuit-open``/``degraded``; shards past the deadline budget
-        are not attempted (``deadline-expired``).  Healthy shard reads
-        cost :attr:`ServiceConfig.read_cost` of budget each.
-        """
-        member = self.port.gateway if member is None else member
-        store = self.stores[member]
-        budget = DeadlineBudget(self.scheduler.now(),
-                                timeout if timeout is not None
-                                else self.config.read_timeout)
-        results: List[ReadResult] = []
-        for key in keys:
-            self.m_reads.inc()
-            if budget.expired:
-                self.m_reads_degraded.inc()
-                results.append(ReadResult(key, None, "deadline-expired"))
-                continue
-            group = self.port.ring_for(key)
-            breaker = self.breakers[group]
-            if not breaker.allow(budget.now):
-                self.m_reads_degraded.inc()
-                results.append(ReadResult(key, store.get(key),
-                                          "circuit-open"))
-            elif not budget.charge(self.config.read_cost):
-                self.m_reads_degraded.inc()
-                results.append(ReadResult(key, None, "deadline-expired"))
-            elif self._shard_healthy(group):
-                breaker.record_success(budget.now)
-                results.append(ReadResult(key, store.get(key), "ok"))
-            else:
-                breaker.record_failure(budget.now)
-                self.m_reads_degraded.inc()
-                results.append(ReadResult(key, store.get(key), "degraded"))
-            self.m_breaker[group].set(breaker.value(budget.now))
-        return results
-
-    def _shard_healthy(self, group: int) -> bool:
-        """A shard is healthy with a quorum ring not in the shed band."""
-        members = self.port.engine(group).membership.members
-        quorum = len(self.port.members) // 2 + 1
-        return len(members) >= quorum and self.monitor.state(group) != SHED
 
     # ------------------------------------------------------------------
     # lifecycle / harvesting

@@ -5,9 +5,7 @@ every submitted :class:`Request` eventually yields exactly one *decision*
 response — :class:`Admitted` or a typed :class:`Shed` (with its
 :class:`Overload` subtype for pressure-driven rejections) — and admitted
 writes later yield one *completion* when the replicated operation applies
-at the gateway replica.  Reads return :class:`ReadResult` values that are
-explicit about degradation (stale local data served while a shard's
-circuit breaker is open).
+at the gateway replica.
 
 Wire envelope
 -------------
@@ -58,8 +56,6 @@ class ShedReason(str, Enum):
     #: The flow-control-aware shedder saw the ring near its backlog
     #: window and rejected the request before the ring could stall.
     BACKPRESSURE = "backpressure"
-    #: A shard's circuit breaker is open (cross-shard reads).
-    CIRCUIT_OPEN = "circuit-open"
     #: The gateway engine refused the submit (should never happen while
     #: the shedder holds headroom; counted as a flow-window stall).
     UNAVAILABLE = "unavailable"
@@ -124,21 +120,6 @@ class Overload(Shed):
     Distinguished so clients can treat overload sheds (back off) apart
     from per-request sheds like an expired deadline (give up).
     """
-
-
-@dataclass(frozen=True)
-class ReadResult:
-    """One key's outcome in a (cross-shard) read."""
-
-    key: bytes
-    value: Optional[bytes]
-    #: "ok", "degraded" (stale local value, breaker open or shard
-    #: unhealthy), "circuit-open" or "deadline-expired".
-    status: str = "ok"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 # ----------------------------------------------------------------------

@@ -146,17 +146,6 @@ class TestMultiRing:
         assert len(groups) > 1
         assert facade.slo_snapshot()["ring_stalls"] == 0
 
-    def test_multi_get_reads_across_shards(self):
-        cluster = multiring_cluster(seed=29)
-        facade = ServiceFacade(cluster, registry=MetricRegistry())
-        keys = [b"key:%03d" % i for i in range(12)]
-        for key in keys:
-            facade.set(1, key, b"v-" + key)
-        cluster.run_for(0.3)
-        results = facade.multi_get(keys)
-        assert all(r.ok for r in results)
-        assert [r.value for r in results] == [b"v-" + k for k in keys]
-
     def test_gateway_out_of_range_rejected(self):
         cluster = multiring_cluster(seed=31)
         with pytest.raises(ConfigError, match="gateway"):

@@ -1,5 +1,7 @@
 """Unit tests for the campaign scenario DSL (repro.campaign.scenario)."""
 
+import json
+
 import pytest
 
 from repro.campaign.scenario import (
@@ -224,6 +226,19 @@ class TestTwinAndSerialisation:
         # replication/num_networks belong to the scenario's own fields.
         with pytest.raises(ConfigError, match="unknown totem override"):
             Scenario(name="bad", totem={"num_networks": 3})
+
+    @pytest.mark.parametrize("knob", ["read_timeout", "rate_limt"],
+                             ids=["retired", "typo"])
+    def test_service_override_unknown_key_rejected(self, tmp_path, knob):
+        # An old case file naming a retired ServiceConfig field fails
+        # loudly instead of running without it.
+        case = Scenario(name="svc", smr=False, service={"rate": 500.0},
+                        events=()).to_dict()
+        case["service"][knob] = 0.01
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case))
+        with pytest.raises(ConfigError, match="bad service override"):
+            load_scenario(str(path))
 
     def test_missing_name_rejected(self):
         bad = self._scenario().to_dict()

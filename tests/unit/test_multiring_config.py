@@ -1,4 +1,4 @@
-"""Unit tests for multiring configuration, addressing and partitioners.
+"""Unit tests for multiring configuration, addressing and partitioning.
 
 The PR-8 validation satellite: every malformed ``MultiRingConfig`` knob
 is rejected with a clear :class:`~repro.errors.ConfigError` before any
@@ -14,10 +14,8 @@ from repro.multiring import (
     GROUP_STRIDE,
     HashPartitioner,
     MultiRingConfig,
-    RoundRobinPartitioner,
     group_addr,
     group_of,
-    make_partitioner,
     member_of,
 )
 
@@ -42,10 +40,6 @@ class TestMultiRingConfigValidation:
     def test_defaults_are_valid(self):
         config = MultiRingConfig()
         assert config.num_rings == 8
-        assert config.shards == 8
-
-    def test_num_shards_overrides_shards(self):
-        assert MultiRingConfig(num_shards=32).shards == 32
 
     @pytest.mark.parametrize("rings", [0, -1, -8])
     def test_non_positive_ring_count_rejected(self, rings):
@@ -60,16 +54,6 @@ class TestMultiRingConfigValidation:
     def test_node_count_must_fit_group_stride(self):
         with pytest.raises(ConfigError, match="composite addressing"):
             MultiRingConfig(num_nodes=GROUP_STRIDE)
-
-    @pytest.mark.parametrize("name", ["bogus", "HASH", "roundrobin", ""])
-    def test_unknown_partitioner_rejected(self, name):
-        with pytest.raises(ConfigError, match="partitioner"):
-            MultiRingConfig(partitioner=name)
-
-    @pytest.mark.parametrize("shards", [0, -1])
-    def test_non_positive_shard_count_rejected(self, shards):
-        with pytest.raises(ConfigError, match="num_shards"):
-            MultiRingConfig(num_shards=shards)
 
     @pytest.mark.parametrize("interval", [0.0, -0.005])
     def test_non_positive_merge_interval_rejected(self, interval):
@@ -96,51 +80,6 @@ class TestHashPartitioner:
         # CRC-32 spreads this keyspace over every ring.
         assert set(first) == set(range(4))
 
-    def test_shards_fold_onto_rings(self):
-        part = HashPartitioner(num_rings=4, num_shards=16)
-        for i in range(100):
-            key = f"k{i}".encode()
-            assert part.shard_for(key) < 16
-            assert part.ring_for(key) == part.shard_for(key) % 4
-
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
             HashPartitioner(num_rings=0)
-        with pytest.raises(ConfigError):
-            HashPartitioner(num_rings=4, num_shards=0)
-
-
-class TestRoundRobinPartitioner:
-    def test_cycles_through_shards(self):
-        part = RoundRobinPartitioner(num_rings=3)
-        rings = [part.ring_for(b"ignored") for _ in range(7)]
-        assert rings == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_mapping_depends_on_order_not_key(self):
-        part = RoundRobinPartitioner(num_rings=2)
-        assert part.ring_for(b"same") != part.ring_for(b"same")
-
-    def test_more_shards_than_rings_interleave(self):
-        part = RoundRobinPartitioner(num_rings=2, num_shards=4)
-        rings = [part.ring_for(b"x") for _ in range(4)]
-        assert rings == [0, 1, 0, 1]
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ConfigError):
-            RoundRobinPartitioner(num_rings=-1)
-        with pytest.raises(ConfigError):
-            RoundRobinPartitioner(num_rings=2, num_shards=-2)
-
-
-class TestMakePartitioner:
-    def test_builds_by_name(self):
-        assert isinstance(make_partitioner("hash", 4), HashPartitioner)
-        assert isinstance(make_partitioner("round-robin", 4),
-                          RoundRobinPartitioner)
-
-    def test_passes_shard_count_through(self):
-        assert make_partitioner("hash", 4, num_shards=12).num_shards == 12
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError, match="unknown partitioner"):
-            make_partitioner("modulo", 4)

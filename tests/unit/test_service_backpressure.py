@@ -1,17 +1,8 @@
-"""Unit tests for the pressure monitor, circuit breaker and deadline budget."""
+"""Unit tests for the ring pressure monitor."""
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.service.backpressure import DEGRADE, OK, SHED, RingPressureMonitor
-from repro.service.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    STATE_VALUES,
-    CircuitBreaker,
-    DeadlineBudget,
-)
 
 
 class FakeEngine:
@@ -73,76 +64,3 @@ class TestRingPressureMonitor:
     def test_bad_parameters_raise(self, kwargs):
         with pytest.raises(ValueError):
             RingPressureMonitor({0: FakeEngine()}, **kwargs)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=1.0)
-        for _ in range(2):
-            breaker.record_failure(0.0)
-        assert breaker.state(0.0) == CLOSED
-        breaker.record_failure(0.0)
-        assert breaker.state(0.0) == OPEN
-        assert not breaker.allow(0.5)
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=1.0)
-        breaker.record_failure(0.0)
-        breaker.record_success(0.0)
-        breaker.record_failure(0.0)
-        assert breaker.state(0.0) == CLOSED
-
-    def test_half_open_probe_then_close(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0)
-        breaker.record_failure(0.0)
-        assert breaker.state(0.5) == OPEN
-        assert breaker.state(1.0) == HALF_OPEN
-        assert breaker.allow(1.0)          # the single probe
-        assert not breaker.allow(1.0)      # probes exhausted
-        breaker.record_success(1.0)
-        assert breaker.state(1.0) == CLOSED
-        assert breaker.allow(1.0)
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(1.0)
-        breaker.record_failure(1.0)
-        assert breaker.state(1.5) == OPEN
-        # The reset timeout restarted at the half-open failure.
-        assert breaker.state(2.0) == HALF_OPEN
-
-    def test_gauge_values(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0)
-        assert breaker.value(0.0) == STATE_VALUES[CLOSED]
-        breaker.record_failure(0.0)
-        assert breaker.value(0.0) == STATE_VALUES[OPEN]
-        assert breaker.value(1.0) == STATE_VALUES[HALF_OPEN]
-
-    @pytest.mark.parametrize("kwargs", [
-        {"failure_threshold": 0},
-        {"reset_timeout": 0.0},
-        {"half_open_probes": 0},
-    ])
-    def test_bad_parameters_raise(self, kwargs):
-        with pytest.raises(ConfigError):
-            CircuitBreaker(**kwargs)
-
-
-class TestDeadlineBudget:
-    def test_charges_until_exhausted(self):
-        budget = DeadlineBudget(start=1.0, timeout=0.001)
-        assert not budget.expired
-        assert budget.charge(0.0004)
-        assert budget.charge(0.0004)
-        assert not budget.charge(0.0004)   # 1.0012 > 1.001
-        assert budget.expired
-
-    def test_now_tracks_charges(self):
-        budget = DeadlineBudget(start=2.0, timeout=1.0)
-        budget.charge(0.25)
-        assert budget.now == pytest.approx(2.25)
-
-    def test_zero_timeout_raises(self):
-        with pytest.raises(ConfigError):
-            DeadlineBudget(start=0.0, timeout=0.0)

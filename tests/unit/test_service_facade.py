@@ -1,9 +1,9 @@
-"""Unit tests for the service facade's admission pipeline and read path.
+"""Unit tests for the service facade's admission pipeline.
 
 The facade is exercised against a *fake* single-ring cluster — a real
 :class:`~repro.sim.scheduler.EventScheduler` plus stub nodes whose send
 queues the tests control directly — so every decision branch (fast-path
-admit, queueing, each typed shed, breaker trips, quiesce) is reachable
+admit, queueing, each typed shed, quiesce) is reachable
 deterministically and in milliseconds.  The integration suite runs the
 same facade over real clusters.
 """
@@ -27,9 +27,8 @@ from repro.sim.scheduler import EventScheduler
 
 
 class FakeSrp:
-    def __init__(self, members=(1, 2, 3, 4)):
+    def __init__(self):
         self.send_queue = deque()
-        self.membership = SimpleNamespace(members=tuple(members))
 
 
 class FakeNode:
@@ -303,44 +302,3 @@ class TestLogsAndSnapshot:
         assert facade.monitor.depth(0) == 0
         assert isinstance(facade.set(1, b"k", b"v"), Admitted)
         assert fresh.srp.send_queue          # submit went to the fresh node
-
-
-class TestReads:
-    def test_multi_get_ok(self):
-        cluster, facade = build(ServiceConfig(rate=1000.0, burst=8))
-        facade.set(1, b"k", b"v")
-        cluster.deliver_all()
-        (result,) = facade.multi_get([b"k"])
-        assert result.ok and result.value == b"v"
-        assert int(facade.m_reads.value) == 1
-        assert int(facade.m_reads_degraded.value) == 0
-
-    def test_unhealthy_shard_degrades_then_opens_breaker(self):
-        cluster, facade = build(ServiceConfig(rate=1000.0, burst=8,
-                                              breaker_failures=3))
-        facade.set(1, b"k", b"stale")
-        cluster.deliver_all()
-        for node in cluster.nodes.values():      # quorum lost
-            node.srp.membership = SimpleNamespace(members=(1,))
-        statuses = [facade.multi_get([b"k"])[0].status for _ in range(4)]
-        assert statuses == ["degraded", "degraded", "degraded",
-                            "circuit-open"]
-        # Stale local value still served while the breaker is open.
-        assert facade.multi_get([b"k"])[0].value == b"stale"
-        assert int(facade.m_reads_degraded.value) == 5
-
-    def test_shed_band_counts_as_unhealthy(self):
-        cluster, facade = build(ServiceConfig(rate=1000.0, burst=8,
-                                              inflight_windows=1.0))
-        cluster.nodes[1].srp.send_queue.extend([b"x"] * 4)
-        (result,) = facade.multi_get([b"k"])
-        assert result.status == "degraded"
-
-    def test_deadline_budget_exhaustion(self):
-        cluster, facade = build(ServiceConfig(rate=1000.0, burst=8,
-                                              read_cost=0.0002))
-        results = facade.multi_get([b"a", b"b", b"c", b"d"],
-                                   timeout=0.0005)
-        assert [r.status for r in results] == [
-            "ok", "ok", "deadline-expired", "deadline-expired"]
-        assert results[2].value is None

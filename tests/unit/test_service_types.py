@@ -10,7 +10,6 @@ from repro.service.types import (
     OP_SET,
     Admitted,
     Overload,
-    ReadResult,
     Request,
     Shed,
     ShedReason,
@@ -114,15 +113,9 @@ class TestResponses:
         assert ShedReason.QUEUE_FULL.value == "queue-full"
         assert ShedReason.DEADLINE_EXPIRED.value == "deadline-expired"
         assert ShedReason.BACKPRESSURE.value == "backpressure"
-        assert ShedReason.CIRCUIT_OPEN.value == "circuit-open"
         assert ShedReason.UNAVAILABLE.value == "unavailable"
 
     def test_request_arrival_not_part_of_identity(self):
         a = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.5)
         b = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.9)
         assert a == b
-
-    def test_read_result_ok_property(self):
-        assert ReadResult(b"k", b"v", "ok").ok
-        assert not ReadResult(b"k", b"v", "degraded").ok
-        assert not ReadResult(b"k", None, "deadline-expired").ok
