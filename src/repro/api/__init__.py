@@ -3,8 +3,6 @@
 * :class:`TotemNode` — one node's full protocol stack on the simulator.
 * :class:`SimCluster` — a whole simulated cluster (nodes + N redundant LANs),
   built deterministically from a :class:`~repro.config.ClusterConfig`.
-* :class:`~repro.api.asyncio_node.AsyncioTotemNode` — the same engines on
-  real UDP sockets via asyncio (import from ``repro.api.asyncio_node``).
 """
 
 from .cluster import SimCluster

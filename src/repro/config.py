@@ -25,8 +25,8 @@ from .types import ReplicationStyle
 class TotemConfig:
     """Protocol parameters for one Totem node.
 
-    All durations are in seconds (the simulator uses a virtual clock with
-    microsecond-scale events; the asyncio transport uses wall-clock time).
+    All durations are in seconds of the simulator's virtual clock, which
+    schedules microsecond-scale events.
     """
 
     # ----- replication (the RRP layer, paper §4-§7) -----

@@ -27,9 +27,7 @@ from ..wire.packets import (
     CommitToken,
     DataPacket,
     JoinMessage,
-    PacketType,
     Token,
-    packet_type_of,
 )
 from .reports import NetworkFaultState
 
@@ -165,13 +163,8 @@ class ReplicationEngine:
         # Dispatch on the concrete class, as on_packet does.
         cls = type(packet)
         if cls is not DataPacket and cls is not BatchPacket:
-            if isinstance(packet, DataPacket):
-                cls = DataPacket
-            elif isinstance(packet, BatchPacket):
-                cls = BatchPacket
-            else:
-                return (lan.cpu_per_recv
-                        + lan.cpu_per_byte_recv * packet.wire_size())  # type: ignore[attr-defined]
+            return (lan.cpu_per_recv
+                    + lan.cpu_per_byte_recv * packet.wire_size())  # type: ignore[attr-defined]
         srp = self._srp
         if srp is None:
             duplicate = False
@@ -225,22 +218,7 @@ class ReplicationEngine:
         elif cls is CommitToken:
             self.srp.on_commit_token(packet, network)
         else:
-            # Fallback for packet subclasses: dispatch on the discriminator
-            # (raises TypeError for non-packets), as the fast path above
-            # only recognises the concrete wire classes.
-            ptype = packet_type_of(packet)
-            if ptype is PacketType.DATA:
-                self.recv_data(packet, network)  # type: ignore[arg-type]
-            elif ptype is PacketType.BATCH:
-                self.recv_batch(packet, network)  # type: ignore[arg-type]
-            elif ptype is PacketType.TOKEN:
-                if self.probe is not None:
-                    self.probe.engine_recv_token(packet, network)
-                self.recv_token(packet, network)  # type: ignore[arg-type]
-            elif ptype is PacketType.JOIN:
-                self.srp.on_join(packet, network)
-            else:
-                self.srp.on_commit_token(packet, network)
+            raise TypeError(f"not a wire packet: {cls.__name__}")
 
     # ----- style-specific hooks -----
 

@@ -30,7 +30,7 @@ def make_replication_engine(
 ) -> ReplicationEngine:
     """Build the RRP engine for ``config.replication``.
 
-    ``stack`` is the node's network stack (simulated or UDP-backed); its
+    ``stack`` is the node's :class:`~repro.net.stack.NetworkStack`; its
     receive handler is claimed by the returned engine.
     """
     try:

@@ -36,7 +36,7 @@ class SimulationError(TotemError):
 
 
 class TransportError(TotemError):
-    """A transport (simulated or UDP) failed to carry out an operation."""
+    """A simulated network or a node's stack failed to carry out an operation."""
 
 
 class InvariantViolationError(TotemError):

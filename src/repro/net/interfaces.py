@@ -1,4 +1,4 @@
-"""Transport-facing protocols shared by the simulator and the UDP backend."""
+"""Transport-facing protocols between the simulated networks and a node's stack."""
 
 from __future__ import annotations
 

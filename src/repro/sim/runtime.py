@@ -2,10 +2,9 @@
 
 The SRP and RRP state machines never touch sockets, threads or wall clocks.
 They ask a :class:`Runtime` for the time and for timers, and they hand
-outgoing packets to a transport object injected at construction.  The same
-engine code therefore runs unmodified on the discrete-event simulator
-(:class:`SimRuntime`) and on asyncio UDP sockets
-(:class:`repro.api.asyncio_node.AsyncioRuntime`).
+outgoing packets to a transport object injected at construction.  The
+discrete-event simulator (:class:`SimRuntime`) is their one host; the
+protocols below are the whole of what the engines assume of it.
 """
 
 from __future__ import annotations

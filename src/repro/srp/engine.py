@@ -726,8 +726,8 @@ class TotemSrp:
 
     def _buffer_for_ring(self, ring_id: RingId) -> Optional[ReceiveBuffer]:
         # Identity first: simulated members share their ring's RingId
-        # instance, but a decoded (real-UDP) or separately built identity
-        # is only value-equal.  Each such alias is memoized on its first
+        # instance, but a separately built or decoded identity is only
+        # value-equal.  Each such alias is memoized on its first
         # field comparison, turning the per-packet dataclass ``==`` into a
         # single dict probe (the memo holds the objects themselves, so
         # their ids cannot be recycled).

@@ -14,8 +14,8 @@ membership protocol):
 * chunk framing shared by packing/fragmentation.
 
 The discrete-event simulator carries these objects directly (sizes come from
-``wire_size()``); the asyncio UDP transport serialises them with
-:mod:`repro.wire.codec`.
+``wire_size()``); :mod:`repro.wire.codec` serialises them where bytes are
+needed: old-ring packets encapsulated during recovery, and state digests.
 """
 
 from .packets import (

@@ -1,9 +1,11 @@
 """Binary codec for Totem packets.
 
 Layout: a 4-byte common header (magic, version, packet type), a
-type-specific body, and a trailing CRC32 of everything before it.  The codec
-is used by the asyncio UDP transport and by fidelity tests; the simulator
-carries packet objects directly.
+type-specific body, and a trailing CRC32 of everything before it.  The
+simulator carries packet objects directly; the codec serialises the old-ring
+packets the SRP encapsulates during recovery and renders packets into the
+explorer's state digests, and its decoders are the reference the round-trip
+tests check the encoder against.
 
 All integers are big-endian.  Sequence numbers are 64-bit, node and ring
 identifiers 32-bit.
@@ -140,46 +142,6 @@ def encode_packet(packet: Packet) -> bytes:
         raise CodecError(f"unknown packet type {ptype!r}")
     buf += _CRC.pack(zlib.crc32(buf))
     return bytes(buf)
-
-
-class PackedPacketCache:
-    """Small cache of encoded packet bytes for N-network resends.
-
-    Active replication sends the *same* packet object over every operational
-    network; over the UDP transport that re-serialised identical bytes N
-    times.  Entries are keyed by ``(id(packet), ring id)`` and pin the packet
-    object itself, so an id can never be recycled while its entry is alive;
-    a hit additionally verifies identity (``is``).  Only immutable packet
-    types (:class:`DataPacket`, :class:`BatchPacket`, :class:`JoinMessage`)
-    are cached — tokens are mutable by design and one stale byte image would
-    corrupt the ring.
-    """
-
-    __slots__ = ("_entries", "_capacity", "hits", "misses")
-
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._entries: dict = {}  # (id, ring) -> (packet, bytes); dicts are
-        self._capacity = capacity  # insertion-ordered, evict the oldest
-        self.hits = 0
-        self.misses = 0
-
-    def encode(self, packet: Packet) -> bytes:
-        if not isinstance(packet, (DataPacket, BatchPacket, JoinMessage)):
-            return encode_packet(packet)
-        key = (id(packet), getattr(packet, "ring_id", None))
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is packet:
-            self.hits += 1
-            return entry[1]
-        data = encode_packet(packet)
-        self.misses += 1
-        entries = self._entries
-        if len(entries) >= self._capacity and key not in entries:
-            entries.pop(next(iter(entries)))
-        entries[key] = (packet, data)
-        return data
 
 
 def decode_packet(data: bytes) -> Packet:

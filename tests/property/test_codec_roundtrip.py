@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, CodecError
 from repro.types import RingId
-from repro.wire.codec import PackedPacketCache, decode_packet, encode_packet
+from repro.wire.codec import decode_packet, encode_packet
 from repro.wire.packets import (
     Chunk,
     ChunkKind,
@@ -152,22 +152,3 @@ class TestCorruptionAlwaysRaises:
         with pytest.raises((ChecksumError, CodecError)):
             decode_packet(encode_packet(packet) + extra)
 
-
-class TestPackedPacketCache:
-    @given(packet=st.one_of(data_packets, joins))
-    def test_cached_bytes_match_fresh_encoding(self, packet):
-        cache = PackedPacketCache()
-        assert cache.encode(packet) == encode_packet(packet)
-        # Second call is a hit and must return identical bytes.
-        assert cache.encode(packet) == encode_packet(packet)
-        assert cache.hits >= 1
-
-    @given(packet=tokens)
-    def test_mutable_tokens_are_never_cached(self, packet):
-        cache = PackedPacketCache()
-        before = cache.encode(packet)
-        packet.seq += 1
-        after = cache.encode(packet)
-        assert cache.hits == 0
-        assert decode_packet(after).seq == packet.seq
-        assert before != after

@@ -76,7 +76,7 @@ def test_two_clusters_sharing_the_instance_run_as_if_alone():
 
 
 def test_a_decoded_ring_id_resolves_through_the_aliases():
-    """Over real UDP every packet carries a freshly decoded ``RingId``."""
+    """A packet that went through the codec carries a fresh ``RingId``."""
     cluster = make_cluster(ReplicationStyle.NONE, num_nodes=2)
     cluster.start()
     srp = cluster.nodes[2].srp

@@ -227,6 +227,11 @@ class TestActiveEdges:
         engine.on_packet(data_packet(1), 0)
         assert srp.tokens == [] and srp.data == []
 
+    def test_non_packet_rejected(self):
+        _, engine, _, _, _ = build_active()
+        with pytest.raises(TypeError, match="not a wire packet: object"):
+            engine.on_packet(object(), 0)
+
     def test_digest_tracks_merge_state(self):
         _, engine, _, _, _ = build_active()
         idle = engine.digest_state()
