@@ -39,17 +39,20 @@ class MinimizeResult:
 
 
 def same_failure(scenario: Scenario) -> Callable[[Scenario], bool]:
-    """Predicate: a candidate violates an oracle that ``scenario`` violates.
+    """Predicate: a candidate fails one of the ways ``scenario`` fails.
 
-    Accepting *any* violation would let the search trade the failure it
-    was given for another one — dropping the heal after a partition fails
-    ``smr-convergence``, which is expected, not the bug being minimized.
+    A failure is a violation's ``(oracle, kind)``.  Accepting *any*
+    violation, or any of the same oracle, would let the search trade the
+    failure it was given for another one: dropping the heal after a
+    partition fails ``smr-convergence`` with kind ``membership``, which is
+    expected, not the ``diverged`` replicas being minimized.
     """
-    target = {v.oracle for v in run_scenario(scenario).violations}
+    target = {(v.oracle, v.kind) for v in run_scenario(scenario).violations}
 
     def fails(candidate: Scenario) -> bool:
         return bool(target) and any(
-            v.oracle in target for v in run_scenario(candidate).violations)
+            (v.oracle, v.kind) in target
+            for v in run_scenario(candidate).violations)
 
     return fails
 

@@ -17,7 +17,8 @@ proves the guarantees the paper sells to the application (§1, §3, §8).
 * ``sender-fifo``    — each sender's messages arrive in submission order;
 * ``smr-convergence``— after the settle window the surviving members share
   one membership, everyone is synced, and the replicated machines are
-  byte-identical (the marker/snapshot protocol converged);
+  byte-identical (the marker/snapshot protocol converged); its three
+  failures are the kinds ``membership``, ``unsynced`` and ``diverged``;
 * ``merge-agreement``— on a multi-ring cluster, every member's cross-ring
   merged log is a prefix of one common sequence, and the merge clock
   emitted at least one round (within the redundancy budget);
@@ -43,10 +44,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class OracleViolation:
-    """One concrete breach of the delivery contract."""
+    """One concrete breach of the delivery contract.
+
+    ``kind`` separates the distinct failures one oracle can report (empty
+    where an oracle has only one), so two violations are the same failure
+    when their ``(oracle, kind)`` match.
+    """
 
     oracle: str
     detail: str
+    kind: str = ""
 
     def __str__(self) -> str:
         return f"[{self.oracle}] {self.detail}"
@@ -237,21 +244,23 @@ def check_smr_convergence(
             f"node {s.node}={s.membership}" for s in alive)
         violations.append(OracleViolation(
             "smr-convergence",
-            f"surviving nodes did not settle on one membership: {described}"))
+            f"surviving nodes did not settle on one membership: {described}",
+            "membership"))
         return violations
     unsynced = [s.node for s in alive if not s.synced]
     if unsynced:
         violations.append(OracleViolation(
             "smr-convergence",
             f"nodes {unsynced} still awaiting state transfer after the "
-            f"settle window (marker/snapshot round never completed)"))
+            f"settle window (marker/snapshot round never completed)",
+            "unsynced"))
     digests = sorted({s.state_digest for s in alive if s.synced})
     if len(digests) > 1:
         described = ", ".join(
             f"node {s.node}={s.state_digest}" for s in alive if s.synced)
         violations.append(OracleViolation(
             "smr-convergence",
-            f"synced replicas diverged: {described}"))
+            f"synced replicas diverged: {described}", "diverged"))
     return violations
 
 

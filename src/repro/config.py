@@ -62,7 +62,11 @@ class TotemConfig:
 
     # ----- SRP timers -----
     #: Token retransmission interval: a node re-sends its last token until it
-    #: sees evidence the successor received it (paper §2).
+    #: sees evidence the successor received it (paper §2).  This is the
+    #: interval after a token sent as one copy (passive, or a redundant ring
+    #: down to one network), and the floor after one sent as several, which
+    #: waits for the ring's measured rotation, up to a quarter of
+    #: ``token_loss_timeout`` (see docs/PROTOCOL.md §2).
     token_retransmit_interval: float = 0.005
     #: Token loss timeout: no token for this long starts the membership
     #: protocol (paper §2).

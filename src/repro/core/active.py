@@ -83,10 +83,13 @@ class ActiveReplication(ReplicationEngine):
         for i in self.faults.operational_networks:
             self.stack.broadcast(i, batch)
 
-    def send_token(self, token: Token, dest: NodeId) -> None:
+    def send_token(self, token: Token, dest: NodeId) -> int:
         self.stats.token_sends += 1
+        copies = 0  # counted in the loop: no len() call per token visit
         for i in self.faults.operational_networks:
             self.stack.unicast(i, dest, token)
+            copies += 1
+        return copies
 
     # ----- receives -----
 

@@ -152,7 +152,7 @@ class ActivePassiveReplication(ReplicationEngine):
     # single data frame would.
     broadcast_batch = broadcast_data
 
-    def send_token(self, token: Token, dest: NodeId) -> None:
+    def send_token(self, token: Token, dest: NodeId) -> int:
         self.stats.token_sends += 1
         if self._windows_version != self.faults.version:
             self._build_windows()
@@ -162,6 +162,7 @@ class ActivePassiveReplication(ReplicationEngine):
             unicast(i, dest, token)
         if window:
             self._send_token_via = window[-1]
+        return len(window)
 
     # ----- receives -----
 

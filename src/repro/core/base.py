@@ -245,7 +245,8 @@ class ReplicationEngine:
     def broadcast_batch(self, batch: BatchPacket) -> None:
         raise NotImplementedError
 
-    def send_token(self, token: Token, dest: NodeId) -> None:
+    def send_token(self, token: Token, dest: NodeId) -> int:
+        """Send the regular token; returns how many copies went out."""
         raise NotImplementedError
 
     def on_membership_trouble(self) -> None:
@@ -314,6 +315,7 @@ class SingleNetwork(ReplicationEngine):
         self.stats.data_sends += 1
         self.stack.broadcast(0, batch)
 
-    def send_token(self, token: Token, dest: NodeId) -> None:
+    def send_token(self, token: Token, dest: NodeId) -> int:
         self.stats.token_sends += 1
         self.stack.unicast(0, dest, token)
+        return 1

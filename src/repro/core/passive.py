@@ -111,10 +111,11 @@ class PassiveReplication(ReplicationEngine):
         self._send_message_via = self._next_network(self._send_message_via)
         self.stack.broadcast(self._send_message_via, batch)
 
-    def send_token(self, token: Token, dest: NodeId) -> None:
+    def send_token(self, token: Token, dest: NodeId) -> int:
         self.stats.token_sends += 1
         self._send_token_via = self._next_network(self._send_token_via)
         self.stack.unicast(self._send_token_via, dest, token)
+        return 1
 
     # ----- receives -----
 

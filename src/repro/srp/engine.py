@@ -17,7 +17,10 @@ summarised in §2 of the RRP paper):
 * **Token robustness** — the last token is periodically re-sent until there
   is evidence the successor received it; the ring leader bumps a rotation
   counter so an idle ring's retransmitted token is recognisable (§2
-  footnote).
+  footnote).  A token the RRP sent as one copy is re-sent every
+  ``token_retransmit_interval``; one sent as several copies waits for the
+  ring's measured rotation (see
+  :meth:`TotemSrp._restart_token_retrans_timer`).
 * **Fault detection** — no token for ``token_loss_timeout`` starts the
   membership protocol.
 * **Membership** — gather (join-message consensus) → commit (two-pass
@@ -78,7 +81,9 @@ class RingTransport(Protocol):
 
     def broadcast_batch(self, batch: BatchPacket) -> None: ...
 
-    def send_token(self, token: Token, dest: NodeId) -> None: ...
+    def send_token(self, token: Token, dest: NodeId) -> int:
+        """Send ``token`` to ``dest``; returns how many copies went out."""
+        ...
 
     def broadcast_join(self, join: JoinMessage) -> None: ...
 
@@ -189,6 +194,14 @@ class TotemSrp:
         self._last_token: Optional[Token] = None
         self._last_accepted_stamp: Tuple[int, int] = (-1, -1)
         self._last_token_accept_time: Optional[float] = None
+        #: Copies the RRP put on the wire for :attr:`_last_token`.
+        self._token_copies = 1
+        #: RFC 6298-form rotation estimate over this ring's token accepts
+        #: (smoothed mean, mean deviation; None until the first sample) and
+        #: the time of the last accept on the current ring.
+        self._srtt: Optional[float] = None
+        self._rttvar = 0.0
+        self._ring_accept_time: Optional[float] = None
         self._prev_token_aru: SeqNum = 0
         self._stable_seq: SeqNum = 0
 
@@ -301,12 +314,14 @@ class TotemSrp:
 
         Two engines with equal digests behave identically on every future
         input; ``repro.campaign explore`` keys its visited-state set on this
-        (see docs/MODELCHECK.md).  Statistics counters, trace/probe hooks
-        and rotation timing are excluded — they never feed back into a
-        protocol decision.  Absolute times appear only as deadlines
-        relative to "now", so states reached at different virtual times
-        can still coincide.  Packets are rendered through the wire codec,
-        which sorts every set it encodes.
+        (see docs/MODELCHECK.md).  Statistics counters (the rotation
+        statistics among them) and trace/probe hooks are excluded — they
+        never feed back into a protocol decision.  The rotation estimate is
+        included, because it sets the multi-copy token-retransmit timer.
+        Absolute times appear only as deadlines or ages relative to "now",
+        so states reached at different virtual times can still coincide.
+        Packets are rendered through the wire codec, which sorts every set
+        it encodes.
         """
         now = self.runtime.now()
 
@@ -338,6 +353,12 @@ class TotemSrp:
             self._timer_digest(self._join_resend_timer),
             self._timer_digest(self._consensus_timer),
             self._timer_digest(self._presence_timer),
+            # token-retransmit interval inputs
+            self._token_copies,
+            None if self._srtt is None else round(self._srtt, 9),
+            round(self._rttvar, 9),
+            None if self._ring_accept_time is None
+            else round(now - self._ring_accept_time, 9),
             # gather
             tuple(sorted(self._proc_set)), tuple(sorted(self._fail_set)),
             tuple(sorted(self._heard)),
@@ -595,6 +616,22 @@ class TotemSrp:
             if self.obs is not None:
                 self.obs.srp_rotation(self.node_id, rotation)
         self._last_token_accept_time = now
+        if self._ring_accept_time is not None:
+            # One rotation on this ring into the estimate, with RFC 6298's
+            # gains of 1/8 and 1/4 (inline and without builtin calls: this
+            # runs once per token visit).
+            rotation = now - self._ring_accept_time
+            srtt = self._srtt
+            if srtt is None:
+                self._srtt = rotation
+                self._rttvar = rotation / 2
+            else:
+                error = rotation - srtt
+                self._srtt = srtt + error / 8
+                if error < 0:
+                    error = -error
+                self._rttvar += (error - self._rttvar) / 4
+        self._ring_accept_time = now
         self._cancel_token_retrans_timer()
         self._cancel_token_loss_timer()
         return token.copy()
@@ -712,7 +749,7 @@ class TotemSrp:
                               aru_id=commit.ring_id.representative)
                 self._last_token = token
                 self.stats.tokens_sent += 1
-                self.transport.send_token(
+                self._token_copies = self.transport.send_token(
                     token, self._pending_successor())
                 self._restart_token_retrans_timer()
                 self._restart_token_loss_timer()
@@ -860,7 +897,7 @@ class TotemSrp:
         self._last_token = token
         dest = self._current_successor()
         self.stats.tokens_sent += 1
-        self.transport.send_token(token, dest)
+        self._token_copies = self.transport.send_token(token, dest)
         self._restart_token_retrans_timer()
         self._restart_token_loss_timer()
 
@@ -964,9 +1001,27 @@ class TotemSrp:
     # ------------------------------------------------------------------
 
     def _restart_token_retrans_timer(self) -> None:
+        """Arm the wait for evidence that the successor got the last token.
+
+        A token sent as one copy (passive, or a redundant ring down to one
+        operational network) is re-sent every ``token_retransmit_interval``:
+        that re-send is what masks a failed network until the RRP's monitors
+        mark it.  A token sent as several copies is lost only if every copy
+        is, so its re-send waits for the measured rotation (srtt + 4 rttvar),
+        clamped between that floor and a quarter of ``token_loss_timeout``;
+        racing the rotation would only put duplicate tokens on the wire.
+        """
         self._cancel_token_retrans_timer()
+        config = self.config
+        interval = config.token_retransmit_interval
+        if self._token_copies > 1 and self._srtt is not None:
+            estimate = self._srtt + 4 * self._rttvar
+            if estimate > interval:
+                interval = estimate
+                if interval > config.token_loss_timeout / 4:
+                    interval = config.token_loss_timeout / 4
         self._token_retrans_timer = self.runtime.set_timer(
-            self.config.token_retransmit_interval, self._on_token_retrans_timeout)
+            interval, self._on_token_retrans_timeout)
 
     def _cancel_token_retrans_timer(self) -> None:
         if self._token_retrans_timer is not None:
@@ -980,8 +1035,8 @@ class TotemSrp:
         if self._last_token is None:
             return
         self.stats.token_retransmits += 1
-        self.transport.send_token(self._last_token,
-                                  self._current_successor())
+        self._token_copies = self.transport.send_token(
+            self._last_token, self._current_successor())
         self._restart_token_retrans_timer()
 
     def _restart_token_loss_timer(self) -> None:
@@ -1206,6 +1261,9 @@ class TotemSrp:
         self._flow.reset()
         self._last_token = None
         self._last_accepted_stamp = (-1, -1)
+        self._srtt = None
+        self._rttvar = 0.0
+        self._ring_accept_time = None
         self._prev_token_aru = 0
         self._stable_seq = 0
         self.state = SrpState.RECOVERY

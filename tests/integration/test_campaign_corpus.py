@@ -32,6 +32,7 @@ import pytest
 from repro.campaign import (
     Scenario, TimelineEvent, load_scenario, minimize_scenario, run_scenario)
 from repro.campaign.explore import apply_mutation
+from repro.campaign.minimize import _rebuild, same_failure
 from repro.campaign.runner import _CompiledRun
 from repro.srp.engine import TotemSrp
 from repro.wire.codec import decode_packet
@@ -155,6 +156,45 @@ def test_known_bug_passive_partition_duplicates():
     result = run_scenario(load_scenario(
         os.path.join(KNOWN_BUG_DIR, "passive_partition_duplicates.json")))
     assert result.ok, "\n".join(str(v) for v in result.violations[:5])
+
+
+def _smr_divergence_case():
+    return load_scenario(
+        os.path.join(KNOWN_BUG_DIR, "passive_smr_divergence.json"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: after a whole-cluster partition, a network failure and a "
+    "partial partition heal in passive replication, synced replicas on "
+    "one membership hold different state digests"))
+def test_known_bug_passive_smr_divergence():
+    """Generated passive seed 343, minimized 10 -> 5 faults.
+
+    After the 0.6 s heal all four nodes are synced on ring (1, 2, 3, 4),
+    but node 2's replica digest differs from the other three.
+    ``agreement`` and every invariant rule are silent.  When the missing
+    property is found and the engine or SMR layer fixed, this case moves
+    into the corpus.
+    """
+    result = run_scenario(_smr_divergence_case())
+    assert result.ok, "\n".join(str(v) for v in result.violations[:5])
+
+
+def test_minimizer_keeps_the_heal_of_a_divergence_case():
+    """Without its heal, the divergence case fails ``smr-convergence``
+    too, but as an unsettled membership: the expected effect of an
+    unhealed partition, not the divergence.  Matching on the oracle alone
+    let ``minimize`` drop the heal and return that case; matching on
+    (oracle, kind) refuses it."""
+    scenario = _smr_divergence_case()
+    assert {(v.oracle, v.kind) for v in run_scenario(scenario).violations} \
+        == {("smr-convergence", "diverged")}
+    heal = next(e for e in scenario.fault_events if e.kind == "heal_all")
+    unhealed = _rebuild(
+        scenario, [e for e in scenario.fault_events if e is not heal])
+    assert {(v.oracle, v.kind) for v in run_scenario(unhealed).violations} \
+        == {("smr-convergence", "membership")}
+    assert not same_failure(scenario)(unhealed)
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ hooks (``ready_entries`` / ``discard_entry`` — the same frame-loss model
 recovery path under test:
 
 * losing every wire copy of one token hand-off → the sender's
-  retransmission timer recovers it without a membership change;
+  retransmission timer recovers it without a membership change, both
+  before the rotation estimate has a sample and once it has stretched
+  the multi-copy timer past its 5 ms floor;
 * sustained token destruction → token-loss timeout → gather → join
   resends → consensus → a new full ring, with EVS delivery intact;
 * a crashed peer → token loss plus a consensus timeout that nobody
@@ -19,6 +21,7 @@ oracle that the whole recovery chain is deterministic.
 """
 
 from repro.check.digest import cluster_digest
+from repro.config import LanConfig
 from repro.net.simlan import SimLan
 from repro.sim.scheduler import _ARGS, _CALLBACK, _WHEN
 from repro.srp.engine import SrpState
@@ -71,14 +74,17 @@ def discard_tokens_until(cluster, deadline: float) -> int:
 
 
 def test_token_retransmission_recovers_lost_handoff():
-    cluster = make_cluster(ReplicationStyle.ACTIVE, num_nodes=2)
+    cluster = make_cluster(ReplicationStyle.ACTIVE, num_nodes=2,
+                           lan=LanConfig(bandwidth_bps=10e6))
+
+    def retransmits():
+        return sum(node.srp.stats.token_retransmits
+                   for node in cluster.nodes.values())
+
     cluster.start()
     # Both network copies of the next hand-off vanish on the wire.
     discard_token_flights(cluster, 2)
-    cluster.run_until_condition(
-        lambda: sum(node.srp.stats.token_retransmits
-                    for node in cluster.nodes.values()) > 0,
-        timeout=1.0)
+    cluster.run_until_condition(lambda: retransmits() > 0, timeout=1.0)
     # The retransmission healed the ring below the membership layer.
     cluster.nodes[1].submit(b"after the loss")
     drain(cluster)
@@ -87,6 +93,24 @@ def test_token_retransmission_recovers_lost_handoff():
         assert node.srp.stats.token_loss_events == 0
         assert node.srp.stats.gathers_entered == 0
         assert node.log.payloads == [b"after the loss"]
+
+    # Again with a warm estimator: node 1's bulk traffic stretches the
+    # rotation past the 5 ms floor, so a two-copy token waits for the
+    # measured rotation before it is re-sent, and is still recovered.
+    cluster.nodes[1].srp.submit_many([b"x" * 1000] * 60)
+    cluster.run_for(0.02)
+    assert all(node.srp._srtt + 4 * node.srp._rttvar
+               > node.srp.config.token_retransmit_interval
+               for node in cluster.nodes.values())
+    before = retransmits()
+    discard_token_flights(cluster, 2)
+    cluster.run_until_condition(lambda: retransmits() > before, timeout=1.0)
+    drain(cluster)
+    for node in cluster.nodes.values():
+        assert node.srp.state is SrpState.OPERATIONAL
+        assert node.srp.stats.token_loss_events == 0
+        assert node.srp.stats.gathers_entered == 0
+        assert len(node.log.payloads) == 61
 
 
 def test_sustained_token_loss_reforms_full_ring():

@@ -164,6 +164,30 @@ class TestDefaultPredicate:
         oracles = {v.oracle for v in fake_run(result.scenario).violations}
         assert "no-duplicates" in oracles
 
+    def test_keeps_the_kind_the_input_violated(self, monkeypatch):
+        """One oracle, two failures: without the heal the partition fails
+        ``smr-convergence`` as an unsettled membership, which must not
+        stand in for the ``diverged`` replicas the input showed."""
+        part = TimelineEvent(0.2, "partition_all",
+                             {"groups": [[1, 2], [3, 4]]})
+        culprit = loss(0.3, 0, 0.9)
+        heal = TimelineEvent(0.6, "heal_all", {})
+
+        def fake_run(candidate):
+            faults = set(candidate.fault_events)
+            violations = []
+            if part in faults and heal not in faults:
+                violations.append(OracleViolation(
+                    "smr-convergence", "fake", "membership"))
+            elif {part, culprit, heal} <= faults:
+                violations.append(OracleViolation(
+                    "smr-convergence", "fake", "diverged"))
+            return SimpleNamespace(violations=violations, ok=not violations)
+
+        monkeypatch.setattr(minimize, "run_scenario", fake_run)
+        result = minimize_scenario(scenario((part, culprit, heal)))
+        assert result.scenario.fault_events == (part, culprit, heal)
+
 
 class TestRebuild:
     def test_orphaned_heal_pruned(self):

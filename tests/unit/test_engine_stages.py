@@ -48,6 +48,7 @@ class FakeTransport:
 
     def send_token(self, token, dest):
         self.tokens.append((token, dest))
+        return 1
 
     def broadcast_join(self, join):
         self.joins.append(join)

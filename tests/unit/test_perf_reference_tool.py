@@ -168,3 +168,45 @@ def test_write_regenerates_the_reference(tool, tmp_path, monkeypatch):
             del fields[key], reference[workload][key]
     assert written == reference
     assert tool.main(["--out", str(tmp_path)]) == 0
+
+
+def test_write_never_raises_a_ceiling(tool, tmp_path, monkeypatch):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    target = tmp_path / "quick.json"
+    target.write_text(json.dumps(reference), encoding="utf-8")
+    monkeypatch.setattr(tool, "REFERENCE", str(target))
+    calls = {w: fields[tool.CEILING] * 2.0 for w, fields in reference.items()}
+    rss = {w: fields[tool.RSS_CEILING] / 2.0
+           for w, fields in reference.items()}
+    write_results(tool, tmp_path, reference, calls=calls, rss=rss)
+    assert tool.main(["--out", str(tmp_path), "--write"]) == 0
+    written = json.loads(target.read_text(encoding="utf-8"))
+    for workload, fields in written.items():
+        # A higher measurement keeps the old ceiling; a lower one lowers it.
+        assert fields[tool.CEILING] == reference[workload][tool.CEILING]
+        assert fields[tool.RSS_CEILING] == math.ceil(rss[workload] * 1.15)
+        assert fields[tool.RSS_CEILING] < reference[workload][tool.RSS_CEILING]
+
+
+def test_write_prints_each_moved_exact_field(tool, tmp_path, monkeypatch,
+                                             capsys):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    target = tmp_path / "quick.json"
+    target.write_text(json.dumps(reference), encoding="utf-8")
+    monkeypatch.setattr(tool, "REFERENCE", str(target))
+    write_results(tool, tmp_path, reference)
+    assert tool.main(["--out", str(tmp_path), "--write"]) == 0
+    assert capsys.readouterr().out == ""    # nothing moved
+
+    old_p99 = reference["service_overload"]["virt_latency_p99_ms"]
+    old_digest = reference["faulty_ap"]["delivery_digest"]
+    reference["service_overload"]["virt_latency_p99_ms"] = 15.5
+    reference["faulty_ap"]["delivery_digest"] = "0" * 64
+    write_results(tool, tmp_path, reference)
+    assert tool.main(["--out", str(tmp_path), "--write"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"faulty_ap.delivery_digest: {old_digest!r} -> {'0' * 64!r}",
+        f"service_overload.virt_latency_p99_ms: {old_p99!r} -> 15.5"]
+    assert tool.main(["--out", str(tmp_path)]) == 0

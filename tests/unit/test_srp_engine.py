@@ -28,12 +28,15 @@ class FakeTransport:
         self.tokens: List[Tuple[Token, int]] = []
         self.joins: List[object] = []
         self.commits: List[Tuple[object, int]] = []
+        #: How many copies each token send reports (the RRP's return).
+        self.copies = 1
 
     def broadcast_data(self, packet):
         self.data.append(packet)
 
     def send_token(self, token, dest):
         self.tokens.append((token, dest))
+        return self.copies
 
     def broadcast_join(self, join):
         self.joins.append(join)
@@ -267,6 +270,40 @@ class TestTokenRetransmission:
         srp.on_data(data_packet(1, srp.ring_id, sender=3))
         scheduler.run_until(scheduler.now() + 0.03)
         assert len(transport.tokens) == sent
+
+    @staticmethod
+    def accept_tokens_at(scheduler, srp, times):
+        for at in times:
+            scheduler.run_until(at)
+            srp.on_token(Token(ring_id=srp.ring_id, seq=0,
+                               rotation=srp.stats.tokens_accepted + 1))
+
+    @pytest.mark.parametrize("gap, expected", [
+        (0.001, 0.005),     # srtt 1 ms + 4 x rttvar 0.5 ms: the floor
+        (0.004, 0.012),     # srtt 4 ms + 4 x rttvar 2 ms
+        (0.010, 0.025),     # a quarter of the token-loss timeout
+    ])
+    def test_multi_copy_interval_is_the_clamped_rotation_estimate(
+            self, gap, expected):
+        scheduler, srp, transport, _ = make_srp(node_id=2)
+        transport.copies = 2
+        self.accept_tokens_at(scheduler, srp, [0.0, gap])
+        assert srp._token_retrans_timer.when - scheduler.now() \
+            == pytest.approx(expected)
+        transport.copies = 1
+        self.accept_tokens_at(scheduler, srp, [2 * gap])
+        assert srp._token_retrans_timer.when - scheduler.now() \
+            == pytest.approx(0.005)
+
+    def test_digest_tells_rotation_estimates_apart(self):
+        (a_scheduler, a, _, _), (b_scheduler, b, _, _) = (
+            make_srp(node_id=2), make_srp(node_id=2))
+        self.accept_tokens_at(a_scheduler, a, [0.0, 0.010])
+        self.accept_tokens_at(b_scheduler, b, [0.0, 0.012])
+        assert a._srtt != b._srtt
+        assert a.digest_state() != b.digest_state()
+        b._srtt, b._rttvar = a._srtt, a._rttvar
+        assert a.digest_state() == b.digest_state()
 
     def test_token_loss_starts_membership(self):
         scheduler, srp, transport, _ = make_srp(

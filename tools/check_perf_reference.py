@@ -14,7 +14,9 @@ than 3.11 for the same code), and ``peak_rss_ceiling_mb`` that
 ``peak_rss_mb`` may not exceed (resident memory varies with the interpreter
 and the host).  Prints every differing field and exits non-zero; ``--write``
 regenerates the reference (for a PR that changes behaviour on purpose, or
-lowers a ceiling, and says so).
+lowers a ceiling, and says so), prints each exact field that moved as
+``old -> new``, and keeps each ceiling at the lower of the old one and the
+new measurement, so regenerating can never raise a ceiling.
 """
 
 from __future__ import annotations
@@ -60,9 +62,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     got = measured(args.out)
     if args.write:
-        for fields in got.values():
+        old = {}
+        if os.path.exists(REFERENCE):
+            with open(REFERENCE) as handle:
+                old = json.load(handle)
+        for workload, fields in sorted(got.items()):
+            before = old.get(workload, {})
             for key, (metric, headroom) in CEILINGS.items():
-                fields[key] = math.ceil(fields.pop(metric) * headroom)
+                ceiling = math.ceil(fields.pop(metric) * headroom)
+                fields[key] = min(ceiling, before.get(key, ceiling))
+            for name in EXACT + ("delivery_digest",):
+                if name in before and before[name] != fields[name]:
+                    print(f"{workload}.{name}: {before[name]!r} -> "
+                          f"{fields[name]!r}")
         os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
         with open(REFERENCE, "w") as handle:
             json.dump(got, handle, indent=1, sort_keys=True)
