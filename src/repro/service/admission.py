@@ -197,18 +197,22 @@ class FairAdmissionQueue:
         """Return a popped request to the head of its lane.
 
         Used when the drain pump pops a request and then finds its ring
-        without headroom: the request keeps its place at the front so
-        fairness and per-client FIFO order are preserved.
+        without headroom: the request keeps its place at the front and the
+        credit :meth:`pop` spent on it is refunded, so the pop order that
+        follows is the one the queue had before the pop (fairness and
+        per-client FIFO order are preserved).
         """
         client = request.client
         lane = self._lanes.get(client)
         if lane is None:
             lane = self._lanes[client] = _Lane(max(1, request.weight))
             self._active.appendleft(client)
-        elif self._active[0] != client:
-            # Make sure this client's lane is served first next time.
-            self._active.remove(client)
-            self._active.appendleft(client)
+        else:
+            lane.deficit += 1
+            if self._active[0] != client:
+                # Make sure this client's lane is served first next time.
+                self._active.remove(client)
+                self._active.appendleft(client)
         lane.queue.appendleft(request)
         self._size += 1
         deadline = request.deadline

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -380,8 +380,8 @@ class ServiceFacade:
         now = self._now()
         if deadline is None and self.config.default_deadline is not None:
             deadline = now + self.config.default_deadline
-        return Request(client=client, uid=uid, key=key, body=body,
-                       deadline=deadline, weight=weight, arrival=now)
+        return tuple.__new__(
+            Request, (client, uid, key, body, deadline, weight, now))
 
     def submit(self, request: Request) -> Optional[Response]:
         """Run one request through the admission pipeline.
@@ -392,7 +392,7 @@ class ServiceFacade:
         """
         now = self._now()
         if request.arrival == 0.0 and now != 0.0:
-            request = replace(request, arrival=now)
+            request = request._replace(arrival=now)
         self.m_requests.inc()
         if request.deadline is not None and now > request.deadline:
             return self._shed(request, ShedReason.DEADLINE_EXPIRED, now)
@@ -478,8 +478,8 @@ class ServiceFacade:
         self.m_admitted.inc()
         self._inflight[(request.client, request.uid)] = request.arrival
         queued_for = now - request.arrival
-        response = Admitted(request.client, request.uid,
-                            queued_for=queued_for)
+        response = tuple.__new__(
+            Admitted, (request.client, request.uid, queued_for))
         self._decision_ids.fromlist([request.client, request.uid, _ADMIT])
         self._decision_times.extend((now, queued_for))
         if self._on_decision is not None:
@@ -489,9 +489,9 @@ class ServiceFacade:
     def _shed(self, request: Request, reason: ShedReason, now: float,
               retry_after: float = 0.0, overload: bool = False) -> Response:
         self.m_shed[reason].inc()
-        cls = Overload if overload else Shed
-        response = cls(request.client, request.uid, reason=reason,
-                       retry_after=retry_after)
+        response = tuple.__new__(Overload if overload else Shed,
+                                 (request.client, request.uid, reason,
+                                  retry_after))
         self._decision_ids.fromlist(
             [request.client, request.uid, _SHED_KIND[reason]])
         self._decision_times.extend((now, 0.0))

@@ -20,9 +20,8 @@ delivered message back to the client request that produced it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..errors import CodecError
 
@@ -61,17 +60,33 @@ class ShedReason(str, Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client request, as the admission pipeline sees it.
+class _Record(tuple):
+    """Class-strict equality and hashing for the tuple records below.
 
-    ``uid`` increases per client; ``(client, uid)`` is the request's
-    identity everywhere (decision log, delivered-op log, oracles).
-    ``deadline`` is an absolute virtual time after which admission is
-    pointless; ``weight`` scales the client's share of the weighted-fair
-    drain (a weight-2 client drains twice as fast as a weight-1 one).
+    A plain tuple equals any tuple with the same items; a record equals
+    only a record of its own class, compared (and hashed) over its first
+    ``_IDENTITY`` fields — all of them when None.
     """
 
+    __slots__ = ()
+    _IDENTITY: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            end = self._IDENTITY
+            return self[:end] == other[:end]  # type: ignore[index]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # Not inherited from object: tuple's own ``__ne__`` would answer.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:self._IDENTITY])
+
+
+class _RequestFields(NamedTuple):
     client: int
     uid: int
     key: bytes
@@ -79,27 +94,57 @@ class Request:
     deadline: Optional[float] = None
     weight: int = 1
     #: Stamped by the facade when the request arrives.
-    arrival: float = field(default=0.0, compare=False)
+    arrival: float = 0.0
 
 
-class Response:
-    """Base class of every client-visible decision."""
+class Request(_Record, _RequestFields):
+    """One client request, as the admission pipeline sees it.
+
+    ``uid`` increases per client; ``(client, uid)`` is the request's
+    identity everywhere (decision log, delivered-op log, oracles).
+    ``deadline`` is an absolute virtual time after which admission is
+    pointless; ``weight`` scales the client's share of the weighted-fair
+    drain (a weight-2 client drains twice as fast as a weight-1 one).
+    ``arrival`` is not part of the request's equality or hash.
+    """
+
+    __slots__ = ()
+    _IDENTITY = 6
+
+
+class Response(_Record):
+    """Base class of every client-visible decision.
+
+    The request and the decisions are tuple records rather than frozen
+    dataclasses: every offered request builds one of each, and a tuple is
+    built in one C call where a frozen dataclass pays an
+    ``object.__setattr__`` per field.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Admitted(Response):
-    """The request was accepted into the replicated log."""
-
+class _AdmittedFields(NamedTuple):
     client: int
     uid: int
     #: Virtual seconds the request waited in the admission queue.
     queued_for: float = 0.0
 
 
-@dataclass(frozen=True)
-class Shed(Response):
+class Admitted(Response, _AdmittedFields):
+    """The request was accepted into the replicated log."""
+
+    __slots__ = ()
+
+
+class _ShedFields(NamedTuple):
+    client: int
+    uid: int
+    reason: ShedReason
+    retry_after: float = 0.0
+
+
+class Shed(Response, _ShedFields):
     """The request was rejected with a typed reason.
 
     ``retry_after`` is advisory: the earliest virtual time offset at
@@ -107,19 +152,17 @@ class Shed(Response):
     rate sheds, the drain interval otherwise).
     """
 
-    client: int
-    uid: int
-    reason: ShedReason
-    retry_after: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Overload(Shed):
     """A shed caused by pressure (backpressure / rate / queue bounds).
 
     Distinguished so clients can treat overload sheds (back off) apart
     from per-request sheds like an expired deadline (give up).
     """
+
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------

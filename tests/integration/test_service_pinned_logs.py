@@ -18,6 +18,13 @@ One thing was meant to move and is in the recorded values: with that commit's
 credit there, and resetting it (one line at that commit, or the lane-lifetime
 fix that came with the rebuild — both were run) gives the values below.  The
 fail-fast run never queues and is that commit's, unpatched.
+
+The queueing pins were re-recorded once since, on purpose: ``requeue_front``
+did not refund the round-robin credit ``pop`` had spent, so a weight-2 or
+weight-3 client whose request went back to its lane was served once, not
+``weight`` times, in its next turn.  With the refund the queueing run's
+decision digest moved from ``d651c508215c4ba1`` (9,390 decisions) to the
+value below; the fail-fast run did not move.
 """
 
 from __future__ import annotations
@@ -164,40 +171,40 @@ EXPECTED = {'fail-fast': {'decisions': 10936,
                          'latency_p50_ms': 0.265792,
                          'latency_p99_ms': 0.915848,
                          'pressure': {'0': 0.0, '1': 0.0}}},
- 'queueing': {'decisions': 9390,
-              'decision_digest': 'd651c508215c4ba1',
-              'applied_digest': {1: '06f08776dc8c2be5',
-                                 2: 'b0d758eafae4fce8',
-                                 3: 'b0d758eafae4fce8'},
-              'published': 1,
+ 'queueing': {'decisions': 9291,
+              'decision_digest': '1b14d330b3351630',
+              'applied_digest': {1: 'dc7fd0180bfdd85c',
+                                 2: 'd084523a1d7d59fb',
+                                 3: 'd084523a1d7d59fb'},
+              'published': 2,
               'running': {'service': 'pin',
-                          'requests': 9390,
-                          'admitted': 1208,
-                          'completed': 1208,
-                          'shed': {'rate-limited': 71,
-                                   'queue-full': 6216,
-                                   'deadline-expired': 982,
-                                   'backpressure': 889},
-                          'shed_total': 8158,
+                          'requests': 9291,
+                          'admitted': 1207,
+                          'completed': 1204,
+                          'shed': {'rate-limited': 127,
+                                   'queue-full': 5924,
+                                   'deadline-expired': 977,
+                                   'backpressure': 1032},
+                          'shed_total': 8060,
                           'ring_stalls': 0,
                           'queue_depth': 24,
-                          'latency_p50_ms': 1.924679,
-                          'latency_p99_ms': 4.876735,
-                          'pressure': {'0': 0.0, '1': 0.0}},
+                          'latency_p50_ms': 1.90981,
+                          'latency_p99_ms': 4.868559,
+                          'pressure': {'0': 0.75, '1': 0.0}},
               'final': {'service': 'pin',
-                        'requests': 9390,
-                        'admitted': 1208,
-                        'completed': 1208,
-                        'shed': {'rate-limited': 71,
-                                 'queue-full': 6216,
-                                 'deadline-expired': 982,
-                                 'backpressure': 889,
+                        'requests': 9291,
+                        'admitted': 1207,
+                        'completed': 1207,
+                        'shed': {'rate-limited': 127,
+                                 'queue-full': 5924,
+                                 'deadline-expired': 977,
+                                 'backpressure': 1032,
                                  'unavailable': 24},
-                        'shed_total': 8182,
+                        'shed_total': 8084,
                         'ring_stalls': 0,
                         'queue_depth': 0,
-                        'latency_p50_ms': 1.924679,
-                        'latency_p99_ms': 4.876735,
+                        'latency_p50_ms': 1.912184,
+                        'latency_p99_ms': 4.869935,
                         'pressure': {'0': 0.0, '1': 0.0}}}}
 
 

@@ -11,6 +11,10 @@ lane's content and its deficit-round-robin credit must be identical — and no
 queue may keep an empty lane: the reference deletes the lanes its sweep
 empties exactly as the bounded sweep does, because a lane that outlived its
 last request would keep its credit for the client's return.
+
+A second property pins ``requeue_front``: putting back the request ``pop``
+just returned leaves the deficit-round-robin schedule as it was, so every
+later pop comes out in the order of a queue that never popped.
 """
 
 from __future__ import annotations
@@ -96,3 +100,30 @@ def test_bounded_sweep_matches_the_full_sweep(capacity, per_client,
         else:
             assert list(queue.drain_all()) == list(reference.drain_all())
         assert state(queue) == state(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offers=st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+                                 st.integers(min_value=1, max_value=3)),
+                       min_size=1, max_size=24),
+       popped_before=st.integers(min_value=0, max_value=8))
+def test_requeue_front_leaves_the_pop_order_unchanged(offers, popped_before):
+    queues = [FairAdmissionQueue(len(offers)) for _ in range(2)]
+    for queue in queues:
+        for uid, (client, weight) in enumerate(offers):
+            queue.offer(Request(client=client, uid=uid, key=b"k", body=b"b",
+                                weight=weight))
+        # Pops before the requeue put lanes part-way through their turn.
+        for _ in range(min(popped_before, len(offers) - 1)):
+            queue.pop(0.0)
+    requeued, untouched = queues
+    request, _ = requeued.pop(0.0)
+    requeued.requeue_front(request)
+
+    def pop_order(queue):
+        order = []
+        while len(queue):
+            order.append(queue.pop(0.0)[0])
+        return order
+
+    assert pop_order(requeued) == pop_order(untouched)

@@ -104,6 +104,24 @@ def test_call_count_over_its_ceiling_fails_and_names_the_workload(
     assert tool.main(["--out", str(tmp_path)]) == 0    # a win passes
 
 
+def test_every_check_reports_each_ceilinged_margin(tool, tmp_path, capsys):
+    with open(tool.REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    ceiling = reference["service_overload"][tool.CEILING]
+    for calls, status in ((ceiling - 2.94, 0), (ceiling + 0.25, 1)):
+        write_results(tool, tmp_path, reference,
+                      calls={"service_overload": calls})
+        assert tool.main(["--out", str(tmp_path)]) == status
+        margins = capsys.readouterr().err.splitlines()
+        # One line per workload and ceiling, passing or not.
+        assert len(margins) == 2 * len(reference)
+        assert (f"service_overload.py_calls_per_msg {calls:.2f} / ceiling "
+                f"{ceiling}") in margins
+        rss_ceiling = reference["sat_perframe"][tool.RSS_CEILING]
+        assert (f"sat_perframe.peak_rss_mb {rss_ceiling - 1.0:.2f} / "
+                f"ceiling {rss_ceiling}") in margins
+
+
 def test_peak_rss_over_its_ceiling_fails_and_names_the_workload(
         tool, tmp_path, capsys):
     with open(tool.REFERENCE, encoding="utf-8") as handle:

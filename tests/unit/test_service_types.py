@@ -1,5 +1,8 @@
 """Unit tests for the service wire envelope and typed responses."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import CodecError
@@ -119,3 +122,83 @@ class TestResponses:
         a = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.5)
         b = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.9)
         assert a == b
+
+
+RECORDS = [
+    Request(client=1, uid=2, key=b"k", body=b"b", deadline=0.5, weight=2,
+            arrival=0.25),
+    Admitted(1, 2, queued_for=0.003),
+    Shed(1, 2, reason=ShedReason.DEADLINE_EXPIRED),
+    Overload(1, 2, reason=ShedReason.QUEUE_FULL, retry_after=0.0005),
+]
+
+
+@pytest.fixture(params=RECORDS, ids=lambda record: type(record).__name__)
+def record(request):
+    return request.param
+
+
+class TestRecords:
+    """The request and decision records keep what the frozen dataclasses
+    they replaced promised."""
+
+    def test_setting_an_attribute_raises(self, record):
+        with pytest.raises(AttributeError):
+            record.uid = 3
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_no_per_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+
+    def test_deepcopy_and_pickle_round_trip(self, record):
+        for clone in (copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record)
+            assert clone == record
+            assert tuple(clone) == tuple(record)
+
+    def test_equality_is_class_strict(self):
+        shed = Shed(1, 2, reason=ShedReason.QUEUE_FULL, retry_after=0.1)
+        overload = Overload(1, 2, reason=ShedReason.QUEUE_FULL,
+                            retry_after=0.1)
+        assert shed != overload and overload != shed
+        assert not shed == overload
+        assert shed == Shed(1, 2, ShedReason.QUEUE_FULL, 0.1)
+        # Nor does a record equal the plain tuple of its fields.
+        assert Admitted(1, 2) != (1, 2, 0.0)
+        assert (1, 2, 0.0) != Admitted(1, 2)
+
+    def test_equal_requests_hash_equally_whatever_their_arrival(self):
+        a = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.5)
+        b = Request(client=1, uid=1, key=b"k", body=b"b", arrival=0.9)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != a._replace(weight=2)
+
+    def test_defaults_and_keyword_construction(self):
+        request = Request(client=3, uid=4, key=b"k", body=b"b")
+        assert (request.deadline, request.weight, request.arrival) == (
+            None, 1, 0.0)
+        assert request == Request(3, 4, b"k", b"b", None, 1, 0.0)
+        assert Admitted(client=1, uid=2).queued_for == 0.0
+        assert Shed(client=1, uid=2,
+                    reason=ShedReason.BACKPRESSURE).retry_after == 0.0
+        assert Overload(1, 2, ShedReason.RATE_LIMITED).retry_after == 0.0
+        with pytest.raises(TypeError):
+            Shed(1, 2)
+
+    def test_replace_keeps_the_class(self):
+        request = RECORDS[0]
+        moved = request._replace(arrival=1.5)
+        assert type(moved) is Request
+        assert moved.arrival == 1.5 and moved == request
+        overload = RECORDS[3]._replace(retry_after=0.25)
+        assert type(overload) is Overload
+        assert overload.retry_after == 0.25
+
+    def test_repr_names_the_class_and_fields(self):
+        assert repr(Admitted(1, 2)) == (
+            "Admitted(client=1, uid=2, queued_for=0.0)")
+        assert repr(RECORDS[3]).startswith(
+            "Overload(client=1, uid=2, reason=<ShedReason.QUEUE_FULL")

@@ -12,7 +12,9 @@ leak away unnoticed: ``py_calls_ceiling`` that ``py_calls_per_msg`` may not
 exceed (a ceiling and not an equality because CPython 3.12 counts fewer calls
 than 3.11 for the same code), and ``peak_rss_ceiling_mb`` that
 ``peak_rss_mb`` may not exceed (resident memory varies with the interpreter
-and the host).  Prints every differing field and exits non-zero; ``--write``
+and the host).  Prints every differing field and exits non-zero, and on
+every check, passing or not, reports each ceilinged metric's margin on stderr
+(``service_overload.py_calls_per_msg 206.06 / ceiling 209``); ``--write``
 regenerates the reference (for a PR that changes behaviour on purpose, or
 lowers a ceiling, and says so), prints each exact field that moved as
 ``old -> new``, and keeps each ceiling at the lower of the old one and the
@@ -89,6 +91,9 @@ def main(argv=None) -> int:
             if name in CEILINGS:
                 metric = CEILINGS[name][0]
                 actual = have.get(metric, "not measured")
+                if actual != "not measured":
+                    print(f"{workload}.{metric} {actual:.2f} / ceiling "
+                          f"{expected}", file=sys.stderr)
                 if actual == "not measured" or actual > expected:
                     differing += 1
                     print(f"{workload}.{metric}: ceiling {expected!r}, "
