@@ -8,8 +8,9 @@ replay the deterministic cross-ring merge — every auditor sees the same
 operation sequence in the same order, byte for byte.
 
 Operation wire format (the application payload inside the multiring data
-frame): ``op:1 key_len:2 key value`` with ``op`` one of ``S`` (set) or
-``D`` (delete).
+frame): ``op:1 key_len:2 key value``.  The store's one operation is the
+write, ``S`` (set); the op byte stays on the wire, and a decoder refuses
+any other value.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from ..errors import CodecError
 from ..types import DeliveredMessage, NodeId
 
 OP_SET = b"S"
-OP_DEL = b"D"
 
 _KEY_LEN = struct.Struct(">H")
 
 
 def encode_op(op: bytes, key: bytes, value: bytes = b"") -> bytes:
     """Serialise one store operation."""
-    if op not in (OP_SET, OP_DEL):
+    if op != OP_SET:
         raise CodecError(f"unknown kv op {op!r}")
     if len(key) > 0xFFFF:
         raise CodecError("key too long")
@@ -40,7 +40,7 @@ def decode_op(payload: bytes) -> Tuple[bytes, bytes, bytes]:
     if len(payload) < 1 + _KEY_LEN.size:
         raise CodecError("kv op truncated")
     op = payload[:1]
-    if op not in (OP_SET, OP_DEL):
+    if op != OP_SET:
         raise CodecError(f"unknown kv op {op!r}")
     (key_len,) = _KEY_LEN.unpack_from(payload, 1)
     key_end = 1 + _KEY_LEN.size + key_len
@@ -93,20 +93,14 @@ class ShardedKv:
         queue at ``sender`` is full."""
         return self.cluster.submit(key, encode_op(OP_SET, key, value), sender)
 
-    def delete(self, key: bytes, sender: NodeId = 1) -> bool:
-        return self.cluster.submit(key, encode_op(OP_DEL, key), sender)
-
     # ----- replica state -----
 
     def _apply(self, member: NodeId,
                batch: List[Tuple[DeliveredMessage, bytes]]) -> None:
         store = self.stores[member]
         for _message, body in batch:
-            op, key, value = decode_op(body)
-            if op == OP_SET:
-                store[key] = value
-            else:
-                store.pop(key, None)
+            _op, key, value = decode_op(body)
+            store[key] = value
             self.applied[member] += 1
 
     def get(self, member: NodeId, key: bytes) -> Optional[bytes]:

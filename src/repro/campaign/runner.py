@@ -307,7 +307,7 @@ class _CompiledRun:
         if self.service is not None:
             # Close the books: anything still queued when the run ends is
             # shed, so every issued request holds exactly one decision.
-            self.service.quiesce(shed_remaining=True)
+            self.service.quiesce()
 
     # ----- harvesting -----
 

@@ -6,17 +6,13 @@ Multi-Ring Paxos adds that latency SLOs collapse once a ring saturates.
 The shedder therefore watches each ring's *gateway* SRP send queue — the
 facade's only injection point, so its depth is the facade's share of the
 ring backlog — against an inflight budget expressed in flow-control
-windows, and degrades/sheds **before** the queue reaches the point where
-a submit would fail (a flow-window stall).
+windows, and sheds **before** the queue reaches the point where a
+submit would fail (a flow-window stall).
 
-States, per ring group:
-
-* ``OK``        — depth below ``degrade_ratio`` of the budget;
-* ``DEGRADE``   — depth in the degrade band: reads may be served stale,
-  writes still admitted;
-* ``SHED``      — depth at/above ``shed_ratio``: new writes for this
-  ring are rejected with :class:`~repro.service.types.Overload` until
-  the ring drains.
+A ring group is *shedding* while its depth is at or above ``shed_ratio``
+of the budget: new writes for that ring are rejected with
+:class:`~repro.service.types.Overload` until the ring drains.  Below it,
+writes are admitted.
 
 The monitor is read-only and deterministic: it looks at queue depths at
 the moment it is asked, with no timers or smoothing of its own.
@@ -25,10 +21,6 @@ the moment it is asked, with no timers or smoothing of its own.
 from __future__ import annotations
 
 from typing import Dict, Mapping
-
-OK = "ok"
-DEGRADE = "degrade"
-SHED = "shed"
 
 
 class RingPressureMonitor:
@@ -41,7 +33,7 @@ class RingPressureMonitor:
     rotations, small enough that queued requests clear within a handful
     of rotations (bounded latency).
 
-    :meth:`state` and :meth:`has_headroom` are asked once per offered
+    :meth:`shedding` and :meth:`has_headroom` are asked once per offered
     request, so each takes the send queue's length itself;
     :meth:`depth`, :meth:`pressure` and :meth:`snapshot` are the same
     numbers for everything off that path (gauges, tests, reports).
@@ -49,16 +41,13 @@ class RingPressureMonitor:
 
     def __init__(self, engines: Mapping[int, object],
                  inflight_budget: int,
-                 degrade_ratio: float = 0.5,
                  shed_ratio: float = 0.9) -> None:
         if inflight_budget < 1:
             raise ValueError("inflight budget must be >= 1")
-        if not 0.0 < degrade_ratio <= shed_ratio <= 1.0:
-            raise ValueError(
-                "need 0 < degrade_ratio <= shed_ratio <= 1")
+        if not 0.0 < shed_ratio <= 1.0:
+            raise ValueError("need 0 < shed_ratio <= 1")
         self._engines = dict(engines)
         self.inflight_budget = inflight_budget
-        self.degrade_ratio = degrade_ratio
         self.shed_ratio = shed_ratio
 
     def rebind(self, group: int, engine: object) -> None:
@@ -73,13 +62,11 @@ class RingPressureMonitor:
         """Backlog occupancy in [0, ...]: depth / inflight budget."""
         return self.depth(group) / self.inflight_budget
 
-    def state(self, group: int) -> str:
-        pressure = len(self._engines[group].send_queue) / self.inflight_budget
-        if pressure >= self.shed_ratio:
-            return SHED
-        if pressure >= self.degrade_ratio:
-            return DEGRADE
-        return OK
+    def shedding(self, group: int) -> bool:
+        """Whether new writes for ``group`` are shed (backlog at or above
+        ``shed_ratio`` of the budget)."""
+        return (len(self._engines[group].send_queue) / self.inflight_budget
+                >= self.shed_ratio)
 
     def has_headroom(self, group: int) -> bool:
         """Whether one more submit stays inside the inflight budget.

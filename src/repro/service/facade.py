@@ -1,4 +1,4 @@
-"""The production service facade: a replicated KV / pub-sub front-end.
+"""The production service facade: a replicated KV write front-end.
 
 :class:`ServiceFacade` turns a :class:`~repro.api.cluster.SimCluster` or
 :class:`~repro.multiring.MultiRingCluster` into a client-facing service
@@ -34,11 +34,8 @@ from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
 from ..types import DeliveredMessage, NodeId, SweepConsumer
 from .admission import FairAdmissionQueue, TokenBucket
-from .backpressure import RingPressureMonitor, SHED
+from .backpressure import RingPressureMonitor
 from .types import (
-    OP_DEL,
-    OP_PUB,
-    OP_SET,
     Admitted,
     Overload,
     Request,
@@ -46,9 +43,7 @@ from .types import (
     Shed,
     ShedReason,
     decode_op,
-    encode_delete,
     encode_envelope,
-    encode_publish,
     encode_set,
 )
 
@@ -56,8 +51,6 @@ from .types import (
 DecisionFn = Callable[[Request, Response], None]
 #: Completion callback: ``fn(client, uid, virtual_latency)``.
 CompleteFn = Callable[[int, int, float], None]
-#: Pub-sub subscriber: ``fn(topic, data)``.
-SubscriberFn = Callable[[bytes, bytes], None]
 
 #: Latency buckets for the virtual request-latency SLO histogram:
 #: 0.5 ms to 2 s, log-spaced around typical token-rotation multiples.
@@ -96,8 +89,8 @@ class ServiceConfig:
     #: messages (clamped below the queue capacity so a guarded submit
     #: can never stall).
     inflight_windows: float = 4.0
-    #: Pressure band edges (fractions of the inflight budget).
-    degrade_ratio: float = 0.5
+    #: Gateway backlog, as a fraction of the inflight budget, at which
+    #: new writes for that ring are shed BACKPRESSURE.
     shed_ratio: float = 0.9
     #: When False, an empty token bucket sheds arrivals RATE_LIMITED
     #: instead of queueing them (fail-fast admission).
@@ -115,9 +108,10 @@ class ServiceConfig:
             raise ConfigError("service drain_interval must be positive")
         if self.inflight_windows <= 0:
             raise ConfigError("service inflight_windows must be positive")
-        if not 0.0 < self.degrade_ratio <= self.shed_ratio <= 1.0:
-            raise ConfigError(
-                "need 0 < degrade_ratio <= shed_ratio <= 1")
+        if not 0.0 < self.shed_ratio <= 1.0:
+            raise ConfigError("need 0 < shed_ratio <= 1")
+        if self.default_deadline is not None and self.default_deadline <= 0:
+            raise ConfigError("service default_deadline must be positive")
 
 
 class _Deliver(SweepConsumer):
@@ -215,7 +209,7 @@ class _MultiRingPort:
 
 
 class ServiceFacade:
-    """Admission-controlled replicated KV / pub-sub over a cluster."""
+    """Admission-controlled replicated KV writes over a cluster."""
 
     def __init__(self, cluster, config: Optional[ServiceConfig] = None,
                  registry: Optional[MetricRegistry] = None) -> None:
@@ -240,13 +234,11 @@ class ServiceFacade:
         self.monitor = RingPressureMonitor(
             {g: self.port.engine(g) for g in self.port.groups},
             inflight_budget=budget,
-            degrade_ratio=self.config.degrade_ratio,
             shed_ratio=self.config.shed_ratio)
 
         #: Per-member replicated KV state (converges across members).
         self.stores: Dict[NodeId, Dict[bytes, bytes]] = {
             m: {} for m in self.port.members}
-        self._subscribers: Dict[NodeId, Dict[bytes, List[SubscriberFn]]] = {}
         # The two per-operation histories hold fixed-width records, not
         # objects; the text is formatted only when a reader asks for it
         # (docs/SERVICE.md, "Decision and applied logs").
@@ -343,30 +335,6 @@ class ServiceFacade:
             client, key, encode_set(key, value), uid=uid,
             deadline=deadline, weight=weight))
 
-    def delete(self, client: int, key: bytes,
-               uid: Optional[int] = None, deadline: Optional[float] = None,
-               weight: int = 1) -> Optional[Response]:
-        return self.submit(self.make_request(
-            client, key, encode_delete(key), uid=uid,
-            deadline=deadline, weight=weight))
-
-    def publish(self, client: int, topic: bytes, data: bytes,
-                uid: Optional[int] = None, deadline: Optional[float] = None,
-                weight: int = 1) -> Optional[Response]:
-        """Publish ``data`` on ``topic`` (delivered to every subscriber
-        at every member, in the ring's total order)."""
-        return self.submit(self.make_request(
-            client, topic, encode_publish(topic, data), uid=uid,
-            deadline=deadline, weight=weight))
-
-    def subscribe(self, member: NodeId, topic: bytes,
-                  fn: SubscriberFn) -> None:
-        """Subscribe ``fn`` to ``topic`` publications applied at ``member``."""
-        if member not in self.stores:
-            raise ConfigError(f"unknown member {member}")
-        self._subscribers.setdefault(member, {}).setdefault(
-            topic, []).append(fn)
-
     def make_request(self, client: int, key: bytes, body: bytes,
                      uid: Optional[int] = None,
                      deadline: Optional[float] = None,
@@ -397,7 +365,7 @@ class ServiceFacade:
         if request.deadline is not None and now > request.deadline:
             return self._shed(request, ShedReason.DEADLINE_EXPIRED, now)
         group = self.port.ring_for(request.key)
-        if self.monitor.state(group) == SHED:
+        if self.monitor.shedding(group):
             # The flow-control-aware shedder: reject before the backlog
             # window fills rather than after the ring stalls.
             return self._shed(request, ShedReason.BACKPRESSURE, now,
@@ -518,14 +486,8 @@ class ServiceFacade:
             parsed = decode_op(payload)
             if parsed is None:
                 continue  # foreign (non-service) traffic on the same ring
-            client, uid, op, key, value = parsed
-            if op == OP_SET:
-                store[key] = value
-            elif op == OP_DEL:
-                store.pop(key, None)
-            elif op == OP_PUB:
-                for fn in self._subscribers.get(member, {}).get(key, ()):
-                    fn(key, value)
+            client, uid, _op, key, value = parsed
+            store[key] = value
             applied.extend((group, client, uid))
             if inflight is not None:
                 arrival = inflight.pop((client, uid), None)
@@ -559,15 +521,14 @@ class ServiceFacade:
         if node.node_id == self.port.gateway:
             self.monitor.rebind(0, node.srp)
 
-    def quiesce(self, shed_remaining: bool = True) -> None:
-        """Stop the pump; optionally shed everything still queued."""
+    def quiesce(self) -> None:
+        """Stop the pump and shed everything still queued UNAVAILABLE."""
         if self._pump_timer is not None:
             self._pump_timer.cancel()
             self._pump_timer = None
-        if shed_remaining:
-            now = self._now()
-            for request in self.queue.drain_all():
-                self._shed(request, ShedReason.UNAVAILABLE, now)
+        now = self._now()
+        for request in self.queue.drain_all():
+            self._shed(request, ShedReason.UNAVAILABLE, now)
         self._update_gauges()
 
     @property

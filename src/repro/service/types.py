@@ -11,10 +11,11 @@ Wire envelope
 -------------
 
 Replicated operations travel as ``SV1 client:u32 uid:u64 body`` where
-``body`` is one service operation: ``S``/``D`` key-value writes (the
-:mod:`repro.app.sharded_kv` op format) or ``P`` topic publications.  The
-envelope is what lets every replica — and the campaign oracles — map a
-delivered message back to the client request that produced it.
+``body`` is one ``S`` key-value write, in the :mod:`repro.app.sharded_kv`
+op format.  The op byte stays on the wire, and ``S`` is its only valid
+value.  The envelope is what lets every replica — and the campaign
+oracles — map a delivered message back to the client request that
+produced it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ ENVELOPE_MAGIC = b"SV1"
 _ENVELOPE = struct.Struct(">IQ")
 ENVELOPE_LEN = len(ENVELOPE_MAGIC) + _ENVELOPE.size
 
-#: Service operation kinds (first byte of the envelope body).
+#: The service operation (first byte of the envelope body).
 OP_SET = b"S"
-OP_DEL = b"D"
-OP_PUB = b"P"
 
 _KEY_LEN = struct.Struct(">H")
 #: Everything of an enveloped op before its key, after the magic:
@@ -186,23 +185,6 @@ def encode_set(key: bytes, value: bytes) -> bytes:
     return OP_SET + _KEY_LEN.pack(key_len) + key + value
 
 
-def encode_delete(key: bytes) -> bytes:
-    """Body of a replicated delete."""
-    return _encode_keyed(OP_DEL, key)
-
-
-def encode_publish(topic: bytes, data: bytes) -> bytes:
-    """Body of a pub-sub publication on ``topic``."""
-    return _encode_keyed(OP_PUB, topic, data)
-
-
-def _encode_keyed(op: bytes, key: bytes, value: bytes = b"") -> bytes:
-    key_len = len(key)
-    if key_len > 0xFFFF:
-        raise CodecError("key too long")
-    return op + _KEY_LEN.pack(key_len) + key + value
-
-
 def decode_op(
         payload: bytes) -> Optional[Tuple[int, int, bytes, bytes, bytes]]:
     """Parse one enveloped operation into ``(client, uid, op, key, value)``.
@@ -220,7 +202,7 @@ def decode_op(
         raise CodecError("service envelope truncated" if size < ENVELOPE_LEN
                          else "service op truncated")
     client, uid, op, key_len = _OP_HEADER.unpack_from(payload, _MAGIC_LEN)
-    if op not in (OP_SET, OP_DEL, OP_PUB):
+    if op != OP_SET:
         raise CodecError(f"unknown service op {op!r}")
     key_end = _KEY_START + key_len
     if size < key_end:

@@ -152,11 +152,11 @@ class TestShardedKv:
         cluster.start(markers=False)
         for i in range(25):
             assert kv.set(b"user:%d" % i, b"v%d" % i, sender=1 + i % 3)
-        kv.delete(b"user:0")
+        kv.set(b"user:0", b"v0-new")
         cluster.run_for(0.4)
         assert kv.converged()
         assert kv.get(2, b"user:1") == b"v1"
-        assert kv.get(3, b"user:0") is None
+        assert kv.get(3, b"user:0") == b"v0-new"
         assert kv.applied[1] == 26
 
     def test_audit_logs_byte_identical_under_shared_lan_loss(self):

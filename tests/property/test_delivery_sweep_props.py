@@ -9,11 +9,11 @@ per-message chain this replaced — log the message, feed every merger,
 unwrap it, apply it — is kept below as the reference.
 
 Both sides get the same sweeps: empty, of one message and of many, over one
-packet or two arriving out of order, mixing service set / delete / publish
-envelopes, foreign data, merge-clock markers and unprefixed raw payloads.
-The real side receives them as packets at the engines' SRPs.  Afterwards the
-stores, the applied logs, the merged logs, the completion-callback and
-subscriber sequences and every delivery log must be identical.
+packet or two arriving out of order, mixing service set envelopes, foreign
+data, merge-clock markers and unprefixed raw payloads.  The real side
+receives them as packets at the engines' SRPs.  Afterwards the stores, the
+applied logs, the merged logs, the completion-callback sequence and every
+delivery log must be identical.
 """
 
 from __future__ import annotations
@@ -38,16 +38,7 @@ from repro.multiring import (
 )
 from repro.obs.metrics import MetricRegistry
 from repro.service import ServiceConfig, ServiceFacade
-from repro.service.types import (
-    OP_DEL,
-    OP_PUB,
-    OP_SET,
-    decode_op,
-    encode_delete,
-    encode_envelope,
-    encode_publish,
-    encode_set,
-)
+from repro.service.types import decode_op, encode_envelope, encode_set
 from repro.types import DeliveredMessage, ReplicationStyle
 from repro.wire.packets import Chunk, DataPacket
 
@@ -55,7 +46,6 @@ RINGS = 2
 MEMBERS = 2
 GATEWAY = 1
 KEYS = (b"k0", b"k1", b"k2")
-TOPIC = b"news"
 TOTEM = TotemConfig(replication=ReplicationStyle.NONE, num_networks=1)
 #: The mergers of the multi-ring world: ``(member, groups)``.
 MERGERS = ((1, (0, 1)), (2, (0,)))
@@ -72,7 +62,6 @@ class Reference:
             m: [] for m in members}
         self.inflight: Dict[Tuple[int, int], float] = {}
         self.completions: List[Tuple[int, int, float]] = []
-        self.published: List[Tuple[int, bytes, bytes]] = []
         self.logs: Dict[int, List[DeliveredMessage]] = {}
         self.mergers = {member: CrossRingMerger(groups)
                         for member, groups in MERGERS}
@@ -83,13 +72,8 @@ class Reference:
         parsed = decode_op(payload)
         if parsed is None:
             return
-        client, uid, op, key, value = parsed
-        if op == OP_SET:
-            self.stores[member][key] = value
-        elif op == OP_DEL:
-            self.stores[member].pop(key, None)
-        elif op == OP_PUB and key == TOPIC:
-            self.published.append((member, key, value))
+        client, uid, _op, key, value = parsed
+        self.stores[member][key] = value
         self.applied[member].append((group, client, uid))
         if member == GATEWAY:
             arrival = self.inflight.pop((client, uid), None)
@@ -117,7 +101,7 @@ class Reference:
 
 # ----- sweeps -----
 
-KINDS = ("set", "del", "pub", "marker", "raw", "raw_env", "foreign")
+KINDS = ("set", "marker", "raw", "raw_env", "foreign")
 
 messages = st.lists(st.tuples(st.sampled_from(KINDS),
                               st.integers(0, len(KEYS) - 1),
@@ -151,12 +135,7 @@ class Payloads:
             return b"raw-%d" % uid
         if kind == "foreign":
             return encode_data(b"foreign-%d" % uid)
-        if kind == "del":
-            body = encode_delete(key)
-        elif kind == "pub":
-            body = encode_publish(TOPIC, b"d%d" % uid)
-        else:
-            body = encode_set(key, b"v%d" % uid)
+        body = encode_set(key, b"v%d" % uid)
         self.inflight[(client, uid)] = -0.001 * uid
         envelope = encode_envelope(client, uid, body)
         return envelope if kind == "raw_env" else encode_data(envelope)
@@ -182,22 +161,17 @@ def expected_messages(packets: List[DataPacket]) -> List[DeliveredMessage]:
             for chunk in packet.chunks]
 
 
-def watch(facade: ServiceFacade, members) -> Tuple[list, list]:
+def watch(facade: ServiceFacade) -> list:
     completions: list = []
-    published: list = []
     facade.on_complete(lambda c, u, lat: completions.append((c, u, lat)))
-    for member in members:
-        facade.subscribe(member, TOPIC, lambda topic, data, member=member:
-                         published.append((member, topic, data)))
-    return completions, published
+    return completions
 
 
-def assert_same(facade, completions, published, nodes, ref) -> None:
+def assert_same(facade, completions, nodes, ref) -> None:
     assert facade.stores == ref.stores
     for member in ref.applied:
         assert facade.applied_log(member) == ref.applied[member]
     assert completions == ref.completions
-    assert published == ref.published
     for addr, node in nodes.items():
         assert node.log.messages == ref.logs.get(addr, [])
 
@@ -209,7 +183,7 @@ def assert_same(facade, completions, published, nodes, ref) -> None:
 @example(steps=[])
 @example(steps=[(0, 1, [("set", 0, 1)], False)])
 @example(steps=[(1, 1, [("set", 0, 1), ("marker", 0, 1), ("raw", 0, 1),
-                        ("raw_env", 1, 2), ("pub", 0, 3), ("del", 0, 1),
+                        ("raw_env", 1, 2), ("set", 0, 3), ("set", 0, 1),
                         ("foreign", 0, 2)], True)])
 def test_multiring_sweep_equals_the_per_message_chain(steps):
     cluster = MultiRingCluster(MultiRingConfig(
@@ -219,7 +193,7 @@ def test_multiring_sweep_equals_the_per_message_chain(steps):
     cluster.start(markers=False)
     facade = ServiceFacade(cluster, ServiceConfig(),
                            registry=MetricRegistry())
-    completions, published = watch(facade, range(1, MEMBERS + 1))
+    completions = watch(facade)
     ref = Reference(range(1, MEMBERS + 1))
     made = Payloads()
     next_seq: Dict[int, int] = {}
@@ -241,7 +215,7 @@ def test_multiring_sweep_equals_the_per_message_chain(steps):
         for message in expected_messages(packets):
             ref.deliver_multiring(addr, group, member, message, now)
 
-    assert_same(facade, completions, published, cluster.nodes, ref)
+    assert_same(facade, completions, cluster.nodes, ref)
     for merger, (member, _groups) in zip(mergers, MERGERS):
         assert merger.log_bytes() == ref.mergers[member].log_bytes()
         assert merger.merged == ref.mergers[member].merged
@@ -254,7 +228,7 @@ def test_single_ring_sweep_equals_the_per_message_chain(steps):
     cluster.start()
     facade = ServiceFacade(cluster, ServiceConfig(),
                            registry=MetricRegistry())
-    completions, published = watch(facade, range(1, MEMBERS + 1))
+    completions = watch(facade)
     ref = Reference(range(1, MEMBERS + 1))
     made = Payloads()
     next_seq: Dict[int, int] = {}
@@ -274,7 +248,7 @@ def test_single_ring_sweep_equals_the_per_message_chain(steps):
         for message in expected_messages(packets):
             ref.deliver_single(member, message, now)
 
-    assert_same(facade, completions, published, cluster.nodes, ref)
+    assert_same(facade, completions, cluster.nodes, ref)
 
 
 def test_a_forked_world_applies_into_its_own_facade():

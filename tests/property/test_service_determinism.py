@@ -53,7 +53,7 @@ def service_trace(kind: str, seed: int, workload_seed: int,
     workload.start()
     cluster.run_for(0.35)
     workload.stop()
-    facade.quiesce(shed_remaining=True)
+    facade.quiesce()
     gateway = facade.port.gateway
     return (facade.decision_log_text(),
             facade.applied_log_bytes(gateway),

@@ -31,7 +31,7 @@ from repro.config import ClusterConfig
 from repro.obs.metrics import MetricRegistry
 from repro.service import ServiceConfig, ServiceFacade
 from repro.service.types import (
-    Request, ShedReason, encode_envelope, encode_publish, encode_set)
+    Request, ShedReason, encode_envelope, encode_set)
 
 MEMBERS = (1, 2, 3)
 
@@ -221,8 +221,8 @@ def test_a_stored_decision_costs_at_most_64_bytes():
 
 def test_an_applied_op_costs_at_most_32_bytes_per_member():
     facade = make_facade()
-    # One topic nobody subscribes to: the replica's state does not grow.
-    payloads = [encode_envelope(i, 2**40 + i, encode_publish(b"t", b"d"))
+    # One key, written over and over: the replica's state does not grow.
+    payloads = [encode_envelope(i, 2**40 + i, encode_set(b"t", b"d"))
                 for i in range(N)]
 
     def apply():

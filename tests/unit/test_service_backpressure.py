@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.backpressure import DEGRADE, OK, SHED, RingPressureMonitor
+from repro.service.backpressure import RingPressureMonitor
 
 
 class FakeEngine:
@@ -10,19 +10,19 @@ class FakeEngine:
         self.send_queue = [b"x"] * depth
 
 
-def monitor(depths, budget=10, degrade=0.5, shed=0.9):
+def monitor(depths, budget=10, shed=0.9):
     engines = {g: FakeEngine(d) for g, d in enumerate(depths)}
     return RingPressureMonitor(engines, inflight_budget=budget,
-                               degrade_ratio=degrade, shed_ratio=shed)
+                               shed_ratio=shed)
 
 
 class TestRingPressureMonitor:
     def test_state_bands(self):
-        mon = monitor([0, 5, 9, 10])
-        assert mon.state(0) == OK
-        assert mon.state(1) == DEGRADE     # 0.5 of budget
-        assert mon.state(2) == SHED        # 0.9 of budget
-        assert mon.state(3) == SHED
+        mon = monitor([0, 8, 9, 10])
+        assert not mon.shedding(0)
+        assert not mon.shedding(1)     # 0.8 of budget
+        assert mon.shedding(2)         # 0.9 of budget
+        assert mon.shedding(3)
 
     def test_pressure_and_depth(self):
         mon = monitor([4])
@@ -37,9 +37,9 @@ class TestRingPressureMonitor:
 
     def test_rebind_swaps_engine(self):
         mon = monitor([10])
-        assert mon.state(0) == SHED
+        assert mon.shedding(0)
         mon.rebind(0, FakeEngine(0))
-        assert mon.state(0) == OK
+        assert not mon.shedding(0)
 
     def test_snapshot_in_group_order(self):
         mon = monitor([2, 8])
@@ -49,16 +49,15 @@ class TestRingPressureMonitor:
     def test_state_tracks_live_queue(self):
         engine = FakeEngine(0)
         mon = RingPressureMonitor({0: engine}, inflight_budget=4)
-        assert mon.state(0) == OK
+        assert not mon.shedding(0)
         engine.send_queue.extend([b"x"] * 4)
-        assert mon.state(0) == SHED
+        assert mon.shedding(0)
         engine.send_queue.clear()
-        assert mon.state(0) == OK
+        assert not mon.shedding(0)
 
     @pytest.mark.parametrize("kwargs", [
         {"inflight_budget": 0},
-        {"inflight_budget": 4, "degrade_ratio": 0.0},
-        {"inflight_budget": 4, "degrade_ratio": 0.8, "shed_ratio": 0.5},
+        {"inflight_budget": 4, "shed_ratio": 0.0},
         {"inflight_budget": 4, "shed_ratio": 1.5},
     ])
     def test_bad_parameters_raise(self, kwargs):

@@ -84,12 +84,18 @@ class TestConfigValidation:
         {"queue_capacity": 0},
         {"drain_interval": 0.0},
         {"inflight_windows": 0.0},
-        {"degrade_ratio": 0.9, "shed_ratio": 0.5},
-        {"degrade_ratio": 0.0},
+        {"shed_ratio": 0.0},
+        {"shed_ratio": 1.5},
     ])
     def test_bad_config_raises(self, kwargs):
         with pytest.raises(ConfigError):
             ServiceConfig(**kwargs)
+
+    def test_non_positive_default_deadline_raises(self):
+        # Every request would be stamped already expired and shed at submit.
+        for deadline in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="default_deadline"):
+                ServiceConfig(default_deadline=deadline)
 
     def test_unknown_gateway_raises(self):
         with pytest.raises(ConfigError, match="gateway"):
@@ -124,23 +130,6 @@ class TestAdmission:
         r2 = facade.set(1, b"b", b"2")
         r3 = facade.set(2, b"c", b"3")
         assert (r1.uid, r2.uid, r3.uid) == (1, 2, 1)
-
-    def test_delete_and_publish_apply(self):
-        cluster, facade = build(ServiceConfig(rate=1000.0, burst=8))
-        seen = []
-        facade.subscribe(2, b"topic", lambda t, d: seen.append((t, d)))
-        facade.set(1, b"key", b"value")
-        facade.delete(1, b"key")
-        facade.publish(1, b"topic", b"news")
-        cluster.deliver_all()
-        assert facade.get(b"key") is None
-        assert seen == [(b"topic", b"news")]
-        assert facade.converged()
-
-    def test_subscribe_unknown_member_raises(self):
-        _, facade = build()
-        with pytest.raises(ConfigError, match="unknown member"):
-            facade.subscribe(9, b"t", lambda t, d: None)
 
     def test_expired_deadline_shed_at_submit(self):
         cluster, facade = build()
@@ -241,7 +230,7 @@ class TestAdmission:
         cluster, facade = build()
         facade.set(1, b"a", b"1")
         assert facade.set(1, b"b", b"2") is None
-        facade.quiesce(shed_remaining=True)
+        facade.quiesce()
         assert len(facade.queue) == 0
         assert int(facade.m_shed[ShedReason.UNAVAILABLE].value) == 1
         # Decision log has exactly one line per request, admits first.

@@ -5,11 +5,10 @@ import pickle
 
 import pytest
 
+from repro.app.sharded_kv import decode_op as decode_kv_op
 from repro.errors import CodecError
 from repro.service.types import (
     ENVELOPE_LEN,
-    OP_DEL,
-    OP_PUB,
     OP_SET,
     Admitted,
     Overload,
@@ -17,9 +16,7 @@ from repro.service.types import (
     Shed,
     ShedReason,
     decode_op,
-    encode_delete,
     encode_envelope,
-    encode_publish,
     encode_set,
 )
 
@@ -53,25 +50,18 @@ class TestEnvelope:
             encode_envelope(client, uid, b"")
 
     def test_limits_are_encodable(self):
-        payload = encode_envelope(2**32 - 1, 2**64 - 1, encode_delete(b""))
-        assert decode_op(payload) == (2**32 - 1, 2**64 - 1, OP_DEL, b"", b"")
+        payload = encode_envelope(2**32 - 1, 2**64 - 1, encode_set(b"", b""))
+        assert decode_op(payload) == (2**32 - 1, 2**64 - 1, OP_SET, b"", b"")
 
 
 class TestBody:
     def test_set_round_trip(self):
         assert decoded_body(encode_set(b"k", b"v")) == (OP_SET, b"k", b"v")
 
-    def test_delete_round_trip(self):
-        assert decoded_body(encode_delete(b"key")) == (OP_DEL, b"key", b"")
-
-    def test_publish_round_trip(self):
-        assert decoded_body(encode_publish(b"topic", b"data")) == (
-            OP_PUB, b"topic", b"data")
-
     def test_empty_key_and_value(self):
         assert decoded_body(encode_set(b"", b"")) == (OP_SET, b"", b"")
 
-    @pytest.mark.parametrize("encode", [encode_set, encode_publish])
+    @pytest.mark.parametrize("encode", [encode_set])
     def test_longest_key_round_trips(self, encode):
         key = b"x" * 0xFFFF
         assert decoded_body(encode(key, b"v"))[1:] == (key, b"v")
@@ -79,8 +69,6 @@ class TestBody:
     def test_key_too_long_raises(self):
         with pytest.raises(CodecError, match="key too long"):
             encode_set(b"x" * 0x10000, b"v")
-        with pytest.raises(CodecError, match="key too long"):
-            encode_delete(b"x" * 0x10000)
 
     def test_unknown_op_raises(self):
         with pytest.raises(CodecError, match="unknown service op b'Z'"):
@@ -94,6 +82,19 @@ class TestBody:
     def test_truncated_key_raises(self):
         with pytest.raises(CodecError, match="service op truncated"):
             decoded_body(b"S\x00\x09shortkey")
+
+
+@pytest.mark.parametrize("op", [b"D", b"P"], ids=["D", "P"])
+def test_retired_ops_are_refused(op):
+    # Delete and publish are gone; an envelope from the ring that still
+    # carries their op byte is refused, not applied.
+    with pytest.raises(CodecError, match=f"unknown service op {op!r}"):
+        decoded_body(op + b"\x00\x01k")
+
+
+def test_sharded_kv_refuses_the_retired_delete():
+    with pytest.raises(CodecError, match="unknown kv op b'D'"):
+        decode_kv_op(b"D\x00\x01k")
 
 
 class TestResponses:
