@@ -87,7 +87,7 @@ from ..errors import ConfigError
 from ..net.simlan import LanPort, SimLan
 from ..net.stack import NodeCpu
 from ..sim.scheduler import _ARGS, _CALLBACK, _COUNTER, _WHEN
-from ..srp.engine import SrpState
+from ..srp.membership import SrpState
 from .oracles import OracleViolation
 from .runner import _CompiledRun, judge, payload_uid, run_scenario
 from .scenario import Scenario, TimelineEvent, save_scenario

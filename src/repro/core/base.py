@@ -214,9 +214,9 @@ class ReplicationEngine:
                 self.probe.engine_recv_token(packet, network)
             self.recv_token(packet, network)
         elif cls is JoinMessage:
-            self.srp.on_join(packet, network)
+            self.srp.memb.on_join(packet, network)
         elif cls is CommitToken:
-            self.srp.on_commit_token(packet, network)
+            self.srp.memb.on_commit_token(packet, network)
         else:
             raise TypeError(f"not a wire packet: {cls.__name__}")
 

@@ -16,8 +16,9 @@ token-passing ring on the nodes of a broadcast LAN:
 :class:`RingTransport` (normally the RRP layer) for the wire.
 """
 
-from .engine import RingTransport, SrpStats, SrpState, TotemSrp
+from .engine import RingTransport, SrpStats, TotemSrp
 from .flow import FlowController
+from .membership import SrpState
 from .ordering import ReceiveBuffer
 from .packing import Packer, Reassembler
 from .send_queue import SendQueue

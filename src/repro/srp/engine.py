@@ -22,22 +22,17 @@ summarised in §2 of the RRP paper):
   ring's measured rotation (see
   :meth:`TotemSrp._restart_token_retrans_timer`).
 * **Fault detection** — no token for ``token_loss_timeout`` starts the
-  membership protocol.
-* **Membership** — gather (join-message consensus) → commit (two-pass
-  commit token) → recovery (old-ring messages exchanged, encapsulated, on
-  the new ring), delivering transitional and regular configuration changes
-  with extended-virtual-synchrony semantics.
+  membership protocol, gather → commit → recovery, which is the other half
+  of the SRP (:mod:`repro.srp.membership`).
 * **Flow control** — fcc/backlog window (:mod:`repro.srp.flow`).
 * **Packing/fragmentation** — (:mod:`repro.srp.packing`).
 """
 
 from __future__ import annotations
 
-import enum
 import functools
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from ..config import TotemConfig
 from ..errors import NotMemberError
@@ -52,23 +47,21 @@ from ..types import (
     RingId,
     SeqNum,
 )
-from ..wire.codec import decode_packet, encode_packet
+from ..wire.codec import encode_packet
 from ..wire.packets import (
     BATCH_MAX_PACKETS,
     BatchPacket,
-    CHUNK_HEADER_BYTES,
-    Chunk,
-    ChunkFlags,
     ChunkKind,
     CommitToken,
     DataPacket,
     FLAG_WHOLE,
     JoinMessage,
-    MemberInfo,
     Token,
     TOKEN_MAX_RTR,
 )
 from .flow import FlowController
+from .membership import (MembershipProtocol, SrpState, members_digest,
+                         ring_digest, timer_digest)
 from .ordering import ReceiveBuffer
 from .packing import Packer, Reassembler
 from .send_queue import SendQueue
@@ -88,15 +81,6 @@ class RingTransport(Protocol):
     def broadcast_join(self, join: JoinMessage) -> None: ...
 
     def send_commit_token(self, token: CommitToken, dest: NodeId) -> None: ...
-
-
-class SrpState(enum.Enum):
-    """Protocol states (operational + the three membership states)."""
-
-    OPERATIONAL = "operational"
-    GATHER = "gather"
-    COMMIT = "commit"
-    RECOVERY = "recovery"
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,28 +158,39 @@ class TotemSrp:
         self.obs = None
 
         self.state = SrpState.GATHER
-        self.ring_id = RingId(seq=0, representative=node_id)
-        self.membership = Membership(self.ring_id, (node_id,))
         self.stats = SrpStats()
 
-        # ----- operational (current ring) state -----
+        # ----- operational state (the per-ring part is in _reset_ring) -----
         #: RingId instances known value-equal to :attr:`ring_id` (other
         #: members' copies), memoized by :meth:`_buffer_for_ring`.
         self._ring_aliases: dict = {}
-        self.recv_buffer = ReceiveBuffer()
-        self._delivered_seq: SeqNum = 0
-        self._reassembler = Reassembler()
         self.send_queue = SendQueue(config.send_queue_capacity)
         self._packer = Packer(self.send_queue, config.max_packet_payload,
                               config.enable_packing)
         self._batching = config.enable_batching
         self._flow = FlowController(config.window_size,
                                     config.max_messages_per_token)
-        self._last_token: Optional[Token] = None
-        self._last_accepted_stamp: Tuple[int, int] = (-1, -1)
+        self._reset_ring(RingId(seq=0, representative=node_id))
+        self.membership = Membership(self.ring_id, (node_id,))
         self._last_token_accept_time: Optional[float] = None
         #: Copies the RRP put on the wire for :attr:`_last_token`.
         self._token_copies = 1
+        self._token_retrans_timer = None
+        self._token_loss_timer = None
+        #: Gather, commit and recovery (:mod:`repro.srp.membership`).
+        self.memb = MembershipProtocol(self)
+        self._started = False
+
+    def _reset_ring(self, ring_id: RingId) -> None:
+        """A fresh per-ring context (at construction; a recovery's ring)."""
+        self.ring_id = ring_id
+        self._ring_aliases.clear()
+        self.recv_buffer = ReceiveBuffer()
+        self._delivered_seq: SeqNum = 0
+        self._reassembler = Reassembler()
+        self._flow.reset()
+        self._last_token: Optional[Token] = None
+        self._last_accepted_stamp: Tuple[int, int] = (-1, -1)
         #: RFC 6298-form rotation estimate over this ring's token accepts
         #: (smoothed mean, mean deviation; None until the first sample) and
         #: the time of the last accept on the current ring.
@@ -204,41 +199,6 @@ class TotemSrp:
         self._ring_accept_time: Optional[float] = None
         self._prev_token_aru: SeqNum = 0
         self._stable_seq: SeqNum = 0
-
-        # ----- timers -----
-        self._token_retrans_timer = None
-        self._token_loss_timer = None
-        self._join_resend_timer = None
-        self._consensus_timer = None
-        self._presence_timer = None
-
-        # ----- gather state -----
-        self._proc_set: Set[NodeId] = {node_id}
-        self._fail_set: Set[NodeId] = set()
-        self._heard: Set[NodeId] = {node_id}
-        self._last_join_sets: Dict[NodeId, Tuple[FrozenSet[NodeId], FrozenSet[NodeId]]] = {}
-        self._highest_ring_seq: int = 0
-
-        # ----- commit / recovery state -----
-        self._commit_token: Optional[CommitToken] = None
-        self._commit_stamp_seen: Tuple[int, int] = (-1, -1)
-        self._pending_membership: Optional[Membership] = None
-        self._old_ring: Optional[RingId] = None
-        self._old_membership: Optional[Membership] = None
-        self._old_buffer: Optional[ReceiveBuffer] = None
-        self._old_delivered: SeqNum = 0
-        self._old_reassembler: Optional[Reassembler] = None
-        self._recovery_pending: List[DataPacket] = []
-        self._recovery_reassembler = Reassembler()
-        #: True once this node voted "done" on the recovery token.  From
-        #: that moment other members may complete the installation, so the
-        #: new ring may no longer be silently abandoned (EVS safety).
-        self._voted_done = False
-        #: Highest new-ring sequence whose ENCAPSULATED chunks were absorbed.
-        self._recovery_absorbed: SeqNum = 0
-        #: Nodes whose joins accused us of failure, with ignore-until times.
-        self._quarantine: Dict[NodeId, float] = {}
-        self._started = False
 
     # ------------------------------------------------------------------
     # public API
@@ -256,7 +216,7 @@ class TotemSrp:
             return
         self._started = True
         if initial_members is None:
-            self._enter_gather("boot")
+            self.memb.enter_gather("boot")
             return
         members = tuple(sorted(initial_members))
         if self.node_id not in members:
@@ -271,6 +231,25 @@ class TotemSrp:
             self.runtime.set_timer(0.0, self.on_token, token, 0)
         self._restart_token_loss_timer()
 
+    def _install_ring(self, ring_id: RingId, members: Tuple[NodeId, ...]) -> None:
+        """Install a regular configuration: at boot, or to end a recovery
+        (dropping the ring that was pending and the old-ring record)."""
+        self.ring_id = ring_id
+        self._ring_aliases.clear()
+        self.membership = Membership(ring_id, members)
+        memb = self.memb
+        memb.pending = memb.old = None
+        memb.highest_ring_seq = max(memb.highest_ring_seq, ring_id.seq)
+        self.state = SrpState.OPERATIONAL
+        self.stats.membership_changes += 1
+        self.trace("ring-installed",
+                   f"ring {ring_id.seq} members {list(members)}")
+        self.on_config_change(ConfigurationChange(
+            membership=self.membership, transitional=False))
+        self._restart_token_loss_timer()
+        if self.node_id == ring_id.representative:
+            memb.schedule_presence_beacon()
+
     def stop(self) -> None:
         """Tear the engine down: cancel every timer.
 
@@ -280,10 +259,7 @@ class TotemSrp:
         """
         self._cancel_token_retrans_timer()
         self._cancel_token_loss_timer()
-        self._cancel_membership_timers()
-        if self._presence_timer is not None:
-            self._presence_timer.cancel()
-            self._presence_timer = None
+        self.memb.stop()
 
     def ring_seq_watermark(self) -> int:
         """Ring-sequence high-water mark this incarnation has witnessed.
@@ -293,91 +269,48 @@ class TotemSrp:
         ring whose id collides with one its previous incarnation was part
         of.  :meth:`SimCluster.restart_node` carries it across incarnations.
         """
-        return max(self._highest_ring_seq, self.ring_id.seq)
+        return max(self.memb.highest_ring_seq, self.ring_id.seq)
 
     def resume_ring_seq(self, watermark: int) -> None:
         """Restore the stable-storage ring-seq watermark after a restart."""
-        self._highest_ring_seq = max(self._highest_ring_seq, int(watermark))
-
-    # ------------------------------------------------------------------
-    # explorer digests (repro.campaign explore)
-    # ------------------------------------------------------------------
-
-    def _timer_digest(self, timer) -> Optional[float]:
-        """A pending timer as a relative deadline (None when unset)."""
-        if timer is None or not timer.active:
-            return None
-        return round(timer.when - self.runtime.now(), 9)
+        memb = self.memb
+        memb.highest_ring_seq = max(memb.highest_ring_seq, int(watermark))
 
     def digest_state(self) -> Tuple:
-        """Canonical tuple of all protocol-visible state.
+        """Canonical tuple of all protocol-visible state, both halves.
 
         Two engines with equal digests behave identically on every future
         input; ``repro.campaign explore`` keys its visited-state set on this
-        (see docs/MODELCHECK.md).  Statistics counters (the rotation
-        statistics among them) and trace/probe hooks are excluded — they
-        never feed back into a protocol decision.  The rotation estimate is
-        included, because it sets the multi-copy token-retransmit timer.
-        Absolute times appear only as deadlines or ages relative to "now",
-        so states reached at different virtual times can still coincide.
-        Packets are rendered through the wire codec, which sorts every set
-        it encodes.
+        (docs/MODELCHECK.md).  Statistics counters and trace/probe hooks
+        never feed back into a protocol decision and are excluded; the
+        rotation estimate sets the multi-copy token-retransmit timer and is
+        included.  Times appear only relative to "now", and packets through
+        the wire codec, which sorts every set it encodes.
         """
         now = self.runtime.now()
-
-        def ring(r: Optional[RingId]) -> Optional[Tuple[int, NodeId]]:
-            return None if r is None else (r.seq, r.representative)
-
-        def members(m: Optional[Membership]) -> Optional[Tuple]:
-            return None if m is None else (ring(m.ring_id), tuple(m.members))
-
-        def packet(p) -> Optional[bytes]:
-            return None if p is None else encode_packet(p)
-
-        def buffer(b: Optional[ReceiveBuffer]) -> Optional[Tuple]:
-            return None if b is None else b.digest_state()
-
+        last_token = self._last_token
         return (
             "srp", self.node_id, self.state.value, self._started,
-            ring(self.ring_id), members(self.membership),
+            ring_digest(self.ring_id), members_digest(self.membership),
             # operational (current ring)
-            buffer(self.recv_buffer), self._delivered_seq,
+            self.recv_buffer.digest_state(), self._delivered_seq,
             self._reassembler.digest_state(),
             self.send_queue.digest_state(), self._packer.digest_state(),
             self._flow.digest_state(),
-            packet(self._last_token), self._last_accepted_stamp,
+            None if last_token is None else encode_packet(last_token),
+            self._last_accepted_stamp,
             self._prev_token_aru, self._stable_seq,
-            # timers (relative deadlines)
-            self._timer_digest(self._token_retrans_timer),
-            self._timer_digest(self._token_loss_timer),
-            self._timer_digest(self._join_resend_timer),
-            self._timer_digest(self._consensus_timer),
-            self._timer_digest(self._presence_timer),
+            # token timers (relative deadlines)
+            timer_digest(self._token_retrans_timer, now),
+            timer_digest(self._token_loss_timer, now),
             # token-retransmit interval inputs
             self._token_copies,
             None if self._srtt is None else round(self._srtt, 9),
             round(self._rttvar, 9),
             None if self._ring_accept_time is None
             else round(now - self._ring_accept_time, 9),
-            # gather
-            tuple(sorted(self._proc_set)), tuple(sorted(self._fail_set)),
-            tuple(sorted(self._heard)),
-            tuple((n, tuple(sorted(ps)), tuple(sorted(fs)))
-                  for n, (ps, fs) in sorted(self._last_join_sets.items())),
-            self._highest_ring_seq,
-            # commit / recovery
-            packet(self._commit_token), self._commit_stamp_seen,
-            members(self._pending_membership),
-            ring(self._old_ring), members(self._old_membership),
-            buffer(self._old_buffer), self._old_delivered,
-            None if self._old_reassembler is None
-            else self._old_reassembler.digest_state(),
-            tuple(encode_packet(p) for p in self._recovery_pending),
-            self._recovery_reassembler.digest_state(),
-            self._voted_done, self._recovery_absorbed,
-            # expired quarantine entries are behaviourally inert
-            tuple((n, round(t - now, 9))
-                  for n, t in sorted(self._quarantine.items()) if t > now),
+            # gather, commit and recovery, with their timers
+            self.memb.digest_state(),
         )
 
     def submit(self, payload: bytes) -> None:
@@ -404,11 +337,6 @@ class TotemSrp:
     def send_queue_depth(self) -> int:
         """Messages waiting for the token (the obs layer samples this)."""
         return len(self.send_queue)
-
-    @property
-    def my_aru(self) -> SeqNum:
-        """All-received-up-to on the current ring (used by passive RRP)."""
-        return self.recv_buffer.my_aru
 
     @property
     def stable_seq(self) -> SeqNum:
@@ -485,7 +413,7 @@ class TotemSrp:
                 # broadcasts, so merge detection rides on data traffic.
                 if (self.state is SrpState.OPERATIONAL
                         and packet.sender not in self.membership):
-                    self._enter_gather(
+                    self.memb.enter_gather(
                         f"foreign message from {packet.sender}")
                 return True
         if not buffer.insert(packet):
@@ -498,7 +426,7 @@ class TotemSrp:
                 # Evidence the successor received our token (paper §2).
                 self._cancel_token_retrans_timer()
             if self.state is SrpState.RECOVERY:
-                self._absorb_recovery_progress()
+                self.memb.absorb_recovery_progress()
             elif deliver:
                 self._try_deliver()
         else:
@@ -529,14 +457,15 @@ class TotemSrp:
                 and packets[0].sender not in self.membership):
             # on_data's foreign-message rule, once: the first packet would
             # leave OPERATIONAL and the rest then do nothing.
-            self._enter_gather(f"foreign message from {packets[0].sender}")
+            self.memb.enter_gather(
+                f"foreign message from {packets[0].sender}")
         if inserted and buffer is self.recv_buffer:
             if (self._token_retrans_timer is not None
                     and self._last_token is not None
                     and top > self._last_token.seq):
                 self._cancel_token_retrans_timer()
             if self.state is SrpState.RECOVERY:
-                self._absorb_recovery_progress()
+                self.memb.absorb_recovery_progress()
         if self.state is not SrpState.RECOVERY:
             self._try_deliver()
         return inserted > 0 or buffer is None
@@ -557,7 +486,7 @@ class TotemSrp:
         2. :meth:`stage_retransmit_serve` — rebroadcast requested packets;
         3. :meth:`stage_aru_update` — fold my aru into the token;
         4. :meth:`stage_retransmit_request` — append my gaps to ``rtr``;
-        5. :meth:`_recovery_token_step` — (RECOVERY only) old-ring exchange;
+        5. ``memb.recovery_token_step`` — (RECOVERY only) old-ring exchange;
         6. :meth:`stage_dequeue_pack` — drain the send queue under flow
            control, broadcasting new packets (batched when enabled) and
            delivering what they unblock;
@@ -571,7 +500,7 @@ class TotemSrp:
         self.stage_aru_update(token)
         self.stage_retransmit_request(token)
         if self.state is SrpState.RECOVERY:
-            self._recovery_token_step(token)
+            self.memb.recovery_token_step(token)
         if self.state is not SrpState.RECOVERY:
             # OPERATIONAL — possibly just transitioned by the recovery step.
             self.stage_dequeue_pack(token)
@@ -636,127 +565,6 @@ class TotemSrp:
         self._cancel_token_loss_timer()
         return token.copy()
 
-    def on_join(self, join: JoinMessage, network: int = 0) -> None:
-        """A membership join message arrived."""
-        self._highest_ring_seq = max(self._highest_ring_seq, join.ring_seq)
-        accuses_me = self.node_id in join.fail_set
-        now = self.runtime.now()
-        if accuses_me:
-            # A node that cannot hear us cannot be on a ring with us until
-            # it heals; quarantine it so its gather restarts (whose fresh,
-            # briefly accusation-free joins look innocent) neither thrash
-            # an operational ring nor vote in a gather.
-            self._quarantine[join.sender] = (
-                now + self.config.rejoin_quarantine)
-        if self.state is SrpState.OPERATIONAL:
-            stale = (join.sender in self.membership
-                     and join.proc_set == frozenset(self.membership.members)
-                     and join.ring_seq < self.ring_id.seq)
-            if stale:
-                return
-            if join.sender not in self.membership:
-                if accuses_me:
-                    return
-                if self._quarantine.get(join.sender, 0.0) > now:
-                    return
-            self._enter_gather(f"join from {join.sender}")
-        elif self.state in (SrpState.COMMIT, SrpState.RECOVERY):
-            commit = self._commit_token
-            pending_seq = commit.ring_id.seq if commit else self.ring_id.seq
-            pending_members = commit.members if commit else ()
-            if accuses_me:
-                if join.sender not in pending_members:
-                    return
-                # A member of the ring being formed cannot hear us: that
-                # ring can never complete — abandon it and re-gather with
-                # the accusation applied below.
-                self._enter_gather(
-                    f"accusation from {join.sender} during {self.state.value}")
-            elif join.ring_seq >= pending_seq:
-                self._enter_gather(f"join from {join.sender} during {self.state.value}")
-            else:
-                return
-        # GATHER (possibly just entered).
-        if accuses_me:
-            # Mutual accusation (as in Totem/corosync): the sender claims it
-            # cannot hear us, so from our side *it* is the faulty one.  Do
-            # not adopt its other accusations — a deaf node fails everyone.
-            self._proc_set |= join.proc_set
-            if join.sender not in self._fail_set:
-                self._fail_set.add(join.sender)
-                self._heard.discard(join.sender)
-                self._last_join_sets.pop(join.sender, None)
-                self._broadcast_join()
-                self._check_consensus()
-            return
-        if self._quarantine.get(join.sender, 0.0) > now:
-            # Recently accused us of failure; until the quarantine expires
-            # its votes are not trustworthy (it may still be deaf).
-            return
-        # Normal merge: the sender is heard, so it cannot be failed, and
-        # accusations against nodes we ourselves hear are not adopted.
-        self._heard.add(join.sender)
-        self._fail_set.discard(join.sender)
-        adopted_fail = join.fail_set - {self.node_id} - self._heard
-        grew = not (join.proc_set <= self._proc_set
-                    and adopted_fail <= self._fail_set)
-        self._proc_set |= join.proc_set
-        self._fail_set |= adopted_fail
-        self._last_join_sets[join.sender] = (join.proc_set, join.fail_set)
-        if grew:
-            self._broadcast_join()
-        self._check_consensus()
-
-    def on_commit_token(self, commit: CommitToken, network: int = 0) -> None:
-        """A membership commit token arrived."""
-        if self.node_id not in commit.members:
-            return
-        if commit.ring_id.seq < self.ring_id.seq:
-            return
-        if commit.ring_id.seq == self.ring_id.seq and self.state is SrpState.OPERATIONAL:
-            return
-        stamp = (commit.ring_id.seq, commit.rotation)
-        if stamp <= self._commit_stamp_seen:
-            return  # retransmission
-        self._commit_stamp_seen = stamp
-        self._highest_ring_seq = max(self._highest_ring_seq, commit.ring_id.seq)
-        commit = commit.copy()
-        self._cancel_membership_timers()
-        self._cancel_token_loss_timer()
-
-        is_representative = commit.ring_id.representative == self.node_id
-        if commit.rotation == 0:
-            if is_representative:
-                # First pass complete: every member's info collected.
-                commit.rotation = 1
-                self._prepare_recovery(commit)
-                self._forward_commit_token(commit)
-            else:
-                commit.info[self.node_id] = self._my_member_info()
-                self.state = SrpState.COMMIT
-                self._commit_token = commit
-                self._forward_commit_token(commit)
-        elif commit.rotation == 1:
-            if is_representative:
-                if (self._pending_membership is None
-                        or self.ring_id != commit.ring_id):
-                    # We never saw the first pass return (possible after a
-                    # local re-gather raced a retransmission); the token
-                    # carries the full picture, so prepare from it.
-                    self._prepare_recovery(commit)
-                # Second pass complete: start the new ring's regular token.
-                token = Token(ring_id=commit.ring_id,
-                              aru_id=commit.ring_id.representative)
-                self._last_token = token
-                self.stats.tokens_sent += 1
-                self._token_copies = self.transport.send_token(
-                    token, self._pending_successor())
-                self._restart_token_retrans_timer()
-                self._restart_token_loss_timer()
-            else:
-                self._prepare_recovery(commit)
-                self._forward_commit_token(commit)
-
     # ------------------------------------------------------------------
     # operational internals
     # ------------------------------------------------------------------
@@ -774,9 +582,9 @@ class TotemSrp:
         if ring_id == my_ring:
             self._ring_aliases[id(ring_id)] = ring_id
             return self.recv_buffer
-        old_ring = self._old_ring
-        if old_ring is not None and (ring_id is old_ring or ring_id == old_ring):
-            return self._old_buffer
+        old = self.memb.old
+        if old is not None and (ring_id is old.ring_id or ring_id == old.ring_id):
+            return old.buffer
         return None
 
     def stage_retransmit_serve(self, token: Token) -> None:
@@ -901,15 +709,6 @@ class TotemSrp:
         self._restart_token_retrans_timer()
         self._restart_token_loss_timer()
 
-    def stage_deliver(self) -> None:
-        """Deliver stage: hand contiguous packets up to the application.
-
-        Thin named wrapper over :meth:`_try_deliver` (which stays the
-        internal entry point so existing instrumentation — e.g. the
-        explorer's eager-delivery mutation — keeps patching one place).
-        """
-        self._try_deliver()
-
     def _try_deliver(self) -> None:
         """Deliver contiguous packets (agreed order; safe order if configured).
 
@@ -969,18 +768,16 @@ class TotemSrp:
 
     def _deliver_packet_chunks(self, packet: DataPacket,
                                reassembler: Reassembler, safe: bool,
-                               config_id: Optional[RingId] = None) -> None:
-        """Deliver one packet's messages through ``reassembler``.
+                               config_id: RingId) -> None:
+        """Deliver one packet's messages, in configuration ``config_id``.
 
-        The old-ring recovery deliveries (and the explorer's eager-delivery
-        mutation) go through here; the operational sweep in
-        :meth:`_try_deliver` runs the same statements inline.  A caller
-        closes its sweep with :meth:`_end_sweep`.
+        The old-ring recovery sweeps (and the explorer's eager-delivery
+        mutation) go through here; :meth:`_try_deliver` runs the same
+        statements inline.  A caller closes its sweep with :meth:`_end_sweep`.
         """
         sender = packet.sender
         seq = packet.seq
         ring_id = packet.ring_id
-        delivered_in = config_id or ring_id
         app_kind = ChunkKind.APP
         feed = reassembler.feed
         stats = self.stats
@@ -994,7 +791,7 @@ class TotemSrp:
             stats.msgs_delivered += 1
             stats.bytes_delivered += len(payload)
             on_deliver(DeliveredMessage(
-                sender, seq, payload, ring_id, safe, delivered_in))
+                sender, seq, payload, ring_id, safe, config_id))
 
     # ------------------------------------------------------------------
     # timers
@@ -1057,408 +854,11 @@ class TotemSrp:
         self.trace("token-loss",
                    f"no token for {self.config.token_loss_timeout}s "
                    f"in state {self.state.value}")
-        self._enter_gather("token loss")
-
-    def _cancel_membership_timers(self) -> None:
-        if self._join_resend_timer is not None:
-            self._join_resend_timer.cancel()
-            self._join_resend_timer = None
-        if self._consensus_timer is not None:
-            self._consensus_timer.cancel()
-            self._consensus_timer = None
-
-    # ------------------------------------------------------------------
-    # presence beacons (merge liveness for idle rings)
-    # ------------------------------------------------------------------
-
-    def _schedule_presence_beacon(self) -> None:
-        if self._presence_timer is not None:
-            self._presence_timer.cancel()
-            self._presence_timer = None
-        if self.config.presence_interval <= 0:
-            return
-        self._presence_timer = self.runtime.set_timer(
-            self.config.presence_interval, self._on_presence_beacon)
-
-    def _on_presence_beacon(self) -> None:
-        self._presence_timer = None
-        if (self.state is not SrpState.OPERATIONAL
-                or self.node_id != self.ring_id.representative):
-            return
-        # A join one sequence below the current ring: our own members filter
-        # it as stale; nodes of any *other* ring see a foreign join and
-        # start the membership protocol, which is exactly the point.
-        beacon = JoinMessage(
-            sender=self.node_id,
-            proc_set=frozenset(self.membership.members),
-            fail_set=frozenset(),
-            ring_seq=max(0, self.ring_id.seq - 1))
-        self.transport.broadcast_join(beacon)
-        self._schedule_presence_beacon()
+        self.memb.enter_gather("token loss")
 
     def _current_successor(self) -> NodeId:
-        if self.state is SrpState.RECOVERY and self._pending_membership:
-            return self._pending_membership.successor_of(self.node_id)
+        """The token's next hop (on the ring being formed, in RECOVERY)."""
+        pending = self.memb.pending
+        if pending is not None:
+            return pending.successor_of(self.node_id)
         return self.membership.successor_of(self.node_id)
-
-    def _pending_successor(self) -> NodeId:
-        assert self._pending_membership is not None
-        return self._pending_membership.successor_of(self.node_id)
-
-    # ------------------------------------------------------------------
-    # membership: gather
-    # ------------------------------------------------------------------
-
-    def _enter_gather(self, reason: str) -> None:
-        if (self.state is SrpState.RECOVERY and self._voted_done
-                and self._pending_membership is not None):
-            # We voted "done" on the recovery token, so other members may
-            # already have installed the new ring and delivered in it.
-            # Abandoning it now would silently drop messages they delivered
-            # (an extended-virtual-synchrony violation); we hold the same
-            # data, so complete the installation first, then re-gather.
-            # (Conversely, if we never voted done, the done-count can never
-            # have completed a full rotation and nobody installed.)
-            self.trace("recovery", "completing voted-done recovery before gather")
-            self._complete_recovery()
-        self.stats.gathers_entered += 1
-        self.trace("gather", reason)
-        self._cancel_token_retrans_timer()
-        self._cancel_token_loss_timer()
-        self._cancel_membership_timers()
-        # Let the replication layer re-probe networks it marked faulty:
-        # membership traffic needs every path that might still work.
-        trouble_hook = getattr(self.transport, "on_membership_trouble", None)
-        if trouble_hook is not None:
-            trouble_hook()
-        base: Set[NodeId] = {self.node_id} | set(self.membership.members)
-        if self._pending_membership is not None:
-            base |= set(self._pending_membership.members)
-        if self.state is SrpState.GATHER:
-            base |= self._proc_set
-        self.state = SrpState.GATHER
-        self._proc_set = base
-        self._fail_set = set()
-        self._heard = {self.node_id}
-        self._last_join_sets = {}
-        self._broadcast_join()
-        self._join_resend_timer = self.runtime.set_timer(
-            self.config.join_timeout, self._on_join_resend)
-        self._consensus_timer = self.runtime.set_timer(
-            self.config.consensus_timeout, self._on_consensus_timeout)
-
-    def _broadcast_join(self) -> None:
-        join = JoinMessage(
-            sender=self.node_id,
-            proc_set=frozenset(self._proc_set),
-            fail_set=frozenset(self._fail_set),
-            ring_seq=max(self.ring_id.seq, self._highest_ring_seq))
-        self.transport.broadcast_join(join)
-
-    def _on_join_resend(self) -> None:
-        self._join_resend_timer = None
-        if self.state is not SrpState.GATHER:
-            return
-        self._broadcast_join()
-        self._join_resend_timer = self.runtime.set_timer(
-            self.config.join_timeout, self._on_join_resend)
-
-    def _on_consensus_timeout(self) -> None:
-        self._consensus_timer = None
-        if self.state is not SrpState.GATHER:
-            return
-        silent = self._proc_set - self._heard - {self.node_id}
-        if silent:
-            self._fail_set |= silent
-            self._broadcast_join()
-        # Heard-set is a sliding window: members must re-join every period
-        # (joins are resent every join_timeout) or be declared failed next
-        # time round.  This is also what detects a representative that died
-        # after consensus but before sending the commit token.
-        self._heard = {self.node_id}
-        self._check_consensus()
-        self._consensus_timer = self.runtime.set_timer(
-            self.config.consensus_timeout, self._on_consensus_timeout)
-
-    def _check_consensus(self) -> None:
-        if self.state is not SrpState.GATHER:
-            return
-        candidates = self._proc_set - self._fail_set
-        if self.node_id not in candidates:
-            candidates = candidates | {self.node_id}
-        my_view = (frozenset(self._proc_set), frozenset(self._fail_set))
-        for node in candidates:
-            if node == self.node_id:
-                continue
-            if self._last_join_sets.get(node) != my_view:
-                return
-        if self.node_id == min(candidates):
-            self._form_ring(candidates)
-
-    def _form_ring(self, members: Set[NodeId]) -> None:
-        """We are the representative: issue the commit token (first pass)."""
-        self.trace("form-ring", f"consensus on {sorted(members)}")
-        self._cancel_membership_timers()
-        new_seq = max(self._highest_ring_seq, self.ring_id.seq) + 4
-        ring = RingId(seq=new_seq, representative=self.node_id)
-        commit = CommitToken(ring_id=ring, members=tuple(sorted(members)),
-                             info={self.node_id: self._my_member_info()},
-                             rotation=0)
-        self.state = SrpState.COMMIT
-        self._commit_token = commit
-        # The commit token will come back to us at rotation 0; accept it.
-        self._commit_stamp_seen = (ring.seq, -1)
-        self._forward_commit_token(commit)
-
-    def _my_member_info(self) -> MemberInfo:
-        if self._old_buffer is not None and self._old_ring is not None:
-            # A previous recovery attempt failed; report the original ring.
-            return MemberInfo(old_ring_id=self._old_ring,
-                              my_aru=self._old_buffer.my_aru,
-                              high_seq=self._old_buffer.high_seq)
-        return MemberInfo(old_ring_id=self.ring_id,
-                          my_aru=self.recv_buffer.my_aru,
-                          high_seq=self.recv_buffer.high_seq)
-
-    def _forward_commit_token(self, commit: CommitToken) -> None:
-        dest = commit.successor_of(self.node_id)
-        self.transport.send_commit_token(commit, dest)
-        self._restart_token_loss_timer()
-
-    # ------------------------------------------------------------------
-    # membership: recovery
-    # ------------------------------------------------------------------
-
-    def _prepare_recovery(self, commit: CommitToken) -> None:
-        """Rotation-1 commit token: install new-ring context, plan recovery."""
-        self._commit_token = commit
-        new_members = Membership(commit.ring_id, commit.members)
-
-        if self._old_buffer is None:
-            # First attempt since we were last operational: the current
-            # ring becomes the "old ring" whose messages need recovering.
-            self._old_ring = self.ring_id
-            self._old_membership = self.membership
-            self._old_buffer = self.recv_buffer
-            self._old_delivered = self._delivered_seq
-            self._old_reassembler = self._reassembler
-
-        self._recovery_pending = self._plan_recovery(commit)
-        self._recovery_reassembler = Reassembler()
-        self._voted_done = False
-        self._recovery_absorbed = 0
-        self.trace("recovery",
-                   f"ring {commit.ring_id.seq} members {list(commit.members)}; "
-                   f"{len(self._recovery_pending)} old packet(s) to rebroadcast")
-
-        # Fresh context for the new ring.
-        self.ring_id = commit.ring_id
-        self._ring_aliases.clear()
-        self._pending_membership = new_members
-        self.recv_buffer = ReceiveBuffer()
-        self._delivered_seq = 0
-        self._reassembler = Reassembler()
-        self._flow.reset()
-        self._last_token = None
-        self._last_accepted_stamp = (-1, -1)
-        self._srtt = None
-        self._rttvar = 0.0
-        self._ring_accept_time = None
-        self._prev_token_aru = 0
-        self._stable_seq = 0
-        self.state = SrpState.RECOVERY
-        self._restart_token_loss_timer()
-
-    def _plan_recovery(self, commit: CommitToken) -> List[DataPacket]:
-        """Which old-ring packets must *this node* rebroadcast (encapsulated).
-
-        For each sequence in the old ring's recovery range, the member with
-        the smallest id whose reported aru covers it is the designated
-        retransmitter (it provably holds the packet).  Sequences beyond every
-        member's aru fall back to "every holder rebroadcasts" — duplicates
-        are filtered by sequence number as usual.
-        """
-        assert self._old_buffer is not None and self._old_ring is not None
-        same_old = [n for n in commit.members
-                    if n in commit.info
-                    and commit.info[n].old_ring_id == self._old_ring]
-        if not same_old or same_old == [self.node_id]:
-            return []  # nobody else continues from our old ring
-        low = min(commit.info[n].my_aru for n in same_old)
-        high = max(commit.info[n].high_seq for n in same_old)
-        pending: List[DataPacket] = []
-        for seq in range(low + 1, high + 1):
-            packet = self._old_buffer.get(seq)
-            if packet is None:
-                continue
-            holders = [n for n in same_old if commit.info[n].my_aru >= seq]
-            designated = min(holders) if holders else None
-            if designated == self.node_id or designated is None:
-                pending.append(packet)
-        return pending
-
-    def _recovery_token_step(self, token: Token) -> None:
-        """Our part of a recovery-state token visit (Totem SRP recovery)."""
-        allowance = self._flow.allowance(token)
-        sent = 0
-        while sent < allowance and self._recovery_pending:
-            old_packet = self._recovery_pending.pop(0)
-            for chunks in self._encapsulate(old_packet):
-                token.seq += 1
-                packet = DataPacket(sender=self.node_id, ring_id=self.ring_id,
-                                    seq=token.seq, chunks=chunks)
-                self.recv_buffer.insert(packet)
-                self.transport.broadcast_data(packet)
-                self.stats.recovery_packets += 1
-                sent += 1
-        self._flow.update(token, sent, backlog=len(self._recovery_pending))
-        self._absorb_recovery_progress()
-
-        done = (not self._recovery_pending
-                and self.recv_buffer.my_aru == token.seq)
-        if done:
-            token.done_count += 1
-            self._voted_done = True
-        else:
-            token.done_count = 0
-        assert self._pending_membership is not None
-        if done and token.done_count >= len(self._pending_membership):
-            self._complete_recovery()
-
-    def _encapsulate(self, old_packet: DataPacket) -> List[Tuple[Chunk, ...]]:
-        """Encode an old-ring packet into ENCAPSULATED chunks (fragmenting)."""
-        blob = encode_packet(old_packet)
-        room = self.config.max_packet_payload - CHUNK_HEADER_BYTES
-        pieces: List[Tuple[Chunk, ...]] = []
-        offset = 0
-        first = True
-        while offset < len(blob):
-            piece = blob[offset:offset + room]
-            offset += len(piece)
-            flags = 0
-            if first:
-                flags |= int(ChunkFlags.FIRST)
-                first = False
-            if offset >= len(blob):
-                flags |= int(ChunkFlags.LAST)
-            pieces.append((Chunk(kind=ChunkKind.ENCAPSULATED,
-                                 msg_id=old_packet.seq & 0xFFFFFFFF,
-                                 flags=flags, data=piece),))
-        return pieces
-
-    def _absorb_recovery_progress(self) -> None:
-        """Decode ENCAPSULATED chunks into the old ring's receive buffer.
-
-        Absorption walks the new ring's *sequence* order (not arrival
-        order): an encapsulated old packet may be fragmented across several
-        new-ring packets, and feeding a retransmitted first fragment after
-        its second would orphan the message in the reassembler while the
-        aru — and hence the done vote — still completed.
-        """
-        while True:
-            packet = self.recv_buffer.get(self._recovery_absorbed + 1)
-            if packet is None:
-                return
-            self._recovery_absorbed += 1
-            for chunk in packet.chunks:
-                if chunk.kind is not ChunkKind.ENCAPSULATED:
-                    continue
-                blob = self._recovery_reassembler.feed(packet.sender, chunk)
-                if blob is None:
-                    continue
-                old_packet = decode_packet(blob)
-                # Every member rebroadcasts its own old ring's packets; only
-                # ours may fill our old buffer (recovery never crosses rings).
-                if (isinstance(old_packet, DataPacket)
-                        and self._old_buffer is not None
-                        and old_packet.ring_id == self._old_ring):
-                    self._old_buffer.insert(old_packet)
-
-    def _complete_recovery(self) -> None:
-        """All members have everything: deliver EVS events and go operational."""
-        assert self._pending_membership is not None
-        new_members = self._pending_membership
-
-        if (self._old_buffer is not None and self._old_ring is not None
-                and self._old_membership is not None
-                and self._old_reassembler is not None):
-            # 1. Messages contiguous in the old ring: agreed order, old config.
-            self._deliver_old_prefix()
-            # 2. Transitional configuration: the old-ring members who survive.
-            #    Survival means *continuing from our old ring*, not merely
-            #    sharing a node id with one of its members — a crashed peer
-            #    that restarted joins this ring as a fresh incarnation (its
-            #    commit info names a different old ring) and must appear to
-            #    the application as a newcomer, never as a survivor.
-            commit_info = (self._commit_token.info
-                           if self._commit_token is not None else {})
-            survivors = tuple(
-                n for n in new_members.members
-                if n in self._old_membership
-                and (n == self.node_id
-                     or (n in commit_info
-                         and commit_info[n].old_ring_id == self._old_ring)))
-            self.on_config_change(ConfigurationChange(
-                membership=Membership(new_members.ring_id, survivors),
-                transitional=True))
-            # 3. Remaining recovered old-ring messages, gaps skipped
-            #    identically everywhere (all survivors hold the same set).
-            self._deliver_old_remainder()
-        self._old_ring = None
-        self._old_membership = None
-        self._old_buffer = None
-        self._old_reassembler = None
-        self._old_delivered = 0
-        self._recovery_pending = []
-
-        # 4. The new regular configuration.
-        self._install_ring(new_members.ring_id, new_members.members)
-        # Deliver any new-ring packets that piled up during recovery.
-        self._try_deliver()
-
-    def _deliver_old_prefix(self) -> None:
-        """One sweep, closed before the transitional configuration."""
-        assert self._old_buffer is not None and self._old_reassembler is not None
-        before = self.stats.msgs_delivered
-        while True:
-            seq = self._old_delivered + 1
-            packet = self._old_buffer.get(seq)
-            if packet is None:
-                break
-            self._old_delivered = seq
-            # Contiguous old-ring messages are agreed in the old config.
-            self._deliver_packet_chunks(packet, self._old_reassembler,
-                                        safe=False, config_id=self._old_ring)
-        self._end_sweep(before)
-
-    def _deliver_old_remainder(self) -> None:
-        """One sweep, closed before the new regular configuration."""
-        assert self._old_buffer is not None and self._old_reassembler is not None
-        before = self.stats.msgs_delivered
-        for seq in range(self._old_delivered + 1,
-                         self._old_buffer.high_seq + 1):
-            packet = self._old_buffer.get(seq)
-            if packet is None:
-                continue  # nobody on the new ring holds it; skip consistently
-            # Recovered messages are delivered in the *transitional*
-            # configuration, which carries the new ring's identity.
-            self._deliver_packet_chunks(packet, self._old_reassembler,
-                                        safe=False, config_id=self.ring_id)
-        self._old_delivered = self._old_buffer.high_seq
-        self._end_sweep(before)
-
-    def _install_ring(self, ring_id: RingId, members: Tuple[NodeId, ...]) -> None:
-        self.ring_id = ring_id
-        self._ring_aliases.clear()
-        self.membership = Membership(ring_id, members)
-        self._pending_membership = None
-        self._highest_ring_seq = max(self._highest_ring_seq, ring_id.seq)
-        self.state = SrpState.OPERATIONAL
-        self.stats.membership_changes += 1
-        self.trace("ring-installed",
-                   f"ring {ring_id.seq} members {list(members)}")
-        self.on_config_change(ConfigurationChange(
-            membership=self.membership, transitional=False))
-        self._restart_token_loss_timer()
-        if self.node_id == ring_id.representative:
-            self._schedule_presence_beacon()

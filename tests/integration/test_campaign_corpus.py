@@ -34,7 +34,7 @@ from repro.campaign import (
 from repro.campaign.explore import apply_mutation
 from repro.campaign.minimize import _rebuild, same_failure
 from repro.campaign.runner import _CompiledRun
-from repro.srp.engine import TotemSrp
+from repro.srp.membership import MembershipProtocol
 from repro.wire.codec import decode_packet
 from repro.wire.packets import ChunkKind, DataPacket
 
@@ -204,7 +204,7 @@ def cross_ring_recovery(monkeypatch):
 
     def absorb_unfiltered(self):
         while True:
-            packet = self.recv_buffer.get(self._recovery_absorbed + 1)
+            packet = self.srp.recv_buffer.get(self._recovery_absorbed + 1)
             if packet is None:
                 return
             self._recovery_absorbed += 1
@@ -215,11 +215,10 @@ def cross_ring_recovery(monkeypatch):
                 if blob is None:
                     continue
                 old_packet = decode_packet(blob)
-                if (isinstance(old_packet, DataPacket)
-                        and self._old_buffer is not None):
-                    self._old_buffer.insert(old_packet)
+                if isinstance(old_packet, DataPacket):
+                    self.old.buffer.insert(old_packet)
 
-    monkeypatch.setattr(TotemSrp, "_absorb_recovery_progress",
+    monkeypatch.setattr(MembershipProtocol, "absorb_recovery_progress",
                         absorb_unfiltered)
 
 

@@ -182,9 +182,9 @@ def build(scenario):
         srp.on_data(app_packet(seq, RingId(4, 1)))
     srp.recv_buffer.gc_below(min(scenario["collect"], srp._delivered_seq))
     if kind in ("straggler", "recovery"):
-        srp._enter_gather("test")
+        srp.memb.enter_gather("test")
         aru, high = srp.recv_buffer.my_aru, srp.recv_buffer.high_seq
-        srp.on_commit_token(CommitToken(
+        srp.memb.on_commit_token(CommitToken(
             ring_id=NEW_RING, members=(1, 2, 3), rotation=1,
             info={n: MemberInfo(OLD_RING, my_aru=aru, high_seq=high)
                   for n in (1, 2, 3)}))
@@ -192,9 +192,9 @@ def build(scenario):
         for seq in scenario["held_new"]:
             srp.on_data(recovery_packet(seq))
         if scenario["abandon"]:
-            srp._enter_gather("token loss in recovery")
+            srp.memb.enter_gather("token loss in recovery")
     elif scenario["abandon"]:
-        srp._enter_gather("test")
+        srp.memb.enter_gather("test")
     if scenario["token_seq"] is not None and srp.state in (
             SrpState.OPERATIONAL, SrpState.RECOVERY):
         # As after forwarding the token: retransmit timer armed.

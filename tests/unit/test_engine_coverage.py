@@ -63,6 +63,9 @@ class FakeSrp:
         self.tokens: List[Token] = []
         self.joins: List[JoinMessage] = []
         self.commits: List[CommitToken] = []
+        #: Joins and commit tokens go to the SRP's membership half; this
+        #: fake plays both halves.
+        self.memb = self
         self.my_aru = 0
         self.duplicate = False
         #: When set, ``on_batch`` advances ``my_aru`` to the train's last

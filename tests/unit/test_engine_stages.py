@@ -324,7 +324,7 @@ class TestStageStabilityUpdate:
         _, srp, _, log = make_srp(node_id=2)
         for seq in (1, 2):
             srp.recv_buffer.insert(data_packet(seq, srp.ring_id))
-        srp.stage_deliver()
+        srp._try_deliver()
         assert len(log.messages) == 2
         srp._prev_token_aru = 2
         srp.stage_stability_update(fresh_token(srp, seq=2, aru=2))
@@ -354,10 +354,10 @@ class TestStageDeliver:
         _, srp, _, log = make_srp(node_id=2)
         srp.recv_buffer.insert(data_packet(1, srp.ring_id, payload=b"one"))
         srp.recv_buffer.insert(data_packet(3, srp.ring_id, payload=b"three"))
-        srp.stage_deliver()
+        srp._try_deliver()
         assert [m.payload for m in log.messages] == [b"one"]
         srp.recv_buffer.insert(data_packet(2, srp.ring_id, payload=b"two"))
-        srp.stage_deliver()
+        srp._try_deliver()
         assert [m.payload for m in log.messages] == [b"one", b"two", b"three"]
 
 

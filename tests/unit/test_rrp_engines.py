@@ -60,6 +60,9 @@ class FakeSrp:
         self.tokens: List[Token] = []
         self.joins: List[JoinMessage] = []
         self.commits: List[CommitToken] = []
+        #: Joins and commit tokens go to the SRP's membership half; this
+        #: fake plays both halves.
+        self.memb = self
         self.my_aru = 0
 
     def on_data(self, packet, network=0):
