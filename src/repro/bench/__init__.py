@@ -1,48 +1,17 @@
 """Benchmark harness reproducing the paper's evaluation (§8).
 
-Every table and figure in the paper maps to a function here (see the
-experiment index in DESIGN.md):
-
-* Figures 6/7 — total send rate (msgs/s) vs message size, 4 and 6 nodes,
-* Figures 8/9 — bandwidth (Kbytes/s) vs message size, 4 and 6 nodes,
-* the §2/§8 textual claims (SRP saturation ~9,000 1-Kbyte msgs/s at ~90 %
-  Ethernet utilisation; active costs 1000-1500 msgs/s; passive gains
-  2000-4000 Kbytes/s),
-* extension experiments the authors could not run (active-passive needs
-  three networks; they had two).
-
-Run ``totem-bench --help`` or ``python -m repro.bench``.
+:mod:`repro.bench.paper` holds the §8 experiments as one list:
+Figures 6-9, the §2/§8 in-text claims T1 and T2, and the extensions X1-X8
+(X1 is the run the authors could not make: active-passive needs three
+networks; they had two).  ``python -m repro.bench`` prints them as EXPERIMENTS.md's tables,
+and ``tests/integration/test_paper_claims.py`` asserts their shape.
 """
 
 from .runner import ThroughputResult, run_throughput
 from .workload import SaturatingWorkload
-from .figures import (
-    FigurePoint,
-    FigureResult,
-    run_figure,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    table_srp_saturation,
-    table_claims,
-    extension_active_passive,
-    extension_failover_timeline,
-)
 
 __all__ = [
     "ThroughputResult",
     "run_throughput",
     "SaturatingWorkload",
-    "FigurePoint",
-    "FigureResult",
-    "run_figure",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "table_srp_saturation",
-    "table_claims",
-    "extension_active_passive",
-    "extension_failover_timeline",
 ]

@@ -1,8 +1,8 @@
-"""``python -m repro.bench`` — see :mod:`repro.bench.cli`."""
+"""``python -m repro.bench`` — see :mod:`repro.bench.paper`."""
 
 import sys
 
-from .cli import main
+from .paper import main
 
 if __name__ == "__main__":
     sys.exit(main())

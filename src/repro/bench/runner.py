@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..api.cluster import SimCluster
-from ..config import ClusterConfig, LanConfig, TotemConfig
+from ..config import ClusterConfig, TotemConfig
+from ..net.faults import FaultPlan
 from ..types import ReplicationStyle
 from .workload import SaturatingWorkload
 
@@ -42,47 +43,46 @@ class ThroughputResult:
     def kbytes_per_sec(self) -> float:
         return self.payload_bytes / self.duration / 1024.0 if self.duration else 0.0
 
-    def row(self) -> str:
-        nets = "/".join(f"{u:.0%}" for u in self.network_utilization)
-        return (f"{self.message_size:>7d}B  {self.msgs_per_sec:>10.0f} msg/s  "
-                f"{self.kbytes_per_sec:>10.0f} KB/s  net[{nets}]  "
-                f"cpu {self.cpu_utilization:.0%}")
-
 
 def build_config(style: ReplicationStyle, num_nodes: int,
-                 lan: Optional[LanConfig] = None,
                  seed: int = 1,
                  num_networks: Optional[int] = None,
-                 active_passive_k: int = 2,
-                 enable_batching: bool = False) -> ClusterConfig:
+                 **totem) -> ClusterConfig:
     """The standard benchmark cluster for a replication style.
 
-    ``enable_batching`` stays off for the figure sweeps (they reproduce the
-    paper's per-frame testbed); the hot-path cost tests turn it on to
-    measure the batched path.
+    ``totem`` overrides :class:`TotemConfig` fields.  ``enable_batching``
+    stays at its default, off, for the paper's experiments (they reproduce
+    its per-frame testbed); the hot-path cost tests turn it on to measure
+    the batched path.
     """
     if num_networks is None:
         num_networks = {ReplicationStyle.NONE: 1,
                         ReplicationStyle.ACTIVE: 2,
                         ReplicationStyle.PASSIVE: 2,
                         ReplicationStyle.ACTIVE_PASSIVE: 3}[style]
-    totem = TotemConfig(replication=style, num_networks=num_networks,
-                        active_passive_k=active_passive_k,
-                        enable_batching=enable_batching)
-    return ClusterConfig(num_nodes=num_nodes, totem=totem,
-                         lan=lan or LanConfig(), seed=seed)
+    return ClusterConfig(
+        num_nodes=num_nodes, seed=seed,
+        totem=TotemConfig(replication=style, num_networks=num_networks,
+                          **totem))
 
 
 def run_throughput(style: ReplicationStyle, num_nodes: int, message_size: int,
-                   duration: float = 0.5, warmup: float = 0.2,
-                   lan: Optional[LanConfig] = None, seed: int = 1,
+                   duration: float = 0.2, warmup: float = 0.1,
                    num_networks: Optional[int] = None,
-                   active_passive_k: int = 2) -> ThroughputResult:
-    """Measure steady-state throughput for one configuration point."""
-    config = build_config(style, num_nodes, lan=lan, seed=seed,
-                          num_networks=num_networks,
-                          active_passive_k=active_passive_k)
+                   faults: Optional[FaultPlan] = None,
+                   **totem) -> ThroughputResult:
+    """Measure steady-state throughput for one configuration point.
+
+    The default window, 0.2 s measured after 0.1 s of warm-up, is the one
+    every §8 experiment uses (:mod:`repro.bench.paper`).  ``faults`` is
+    applied before the cluster starts; ``totem`` overrides
+    :class:`TotemConfig` fields, as in :func:`build_config`.
+    """
+    config = build_config(style, num_nodes, num_networks=num_networks,
+                          **totem)
     cluster = SimCluster(config)
+    if faults is not None:
+        cluster.apply_fault_plan(faults)
     cluster.start()
     workload = SaturatingWorkload(cluster, message_size)
     workload.start()

@@ -1,9 +1,7 @@
-"""Dependency-free SVG rendering of reproduced figures.
+"""Dependency-free SVG rendering of virtual-time series.
 
-The paper's figures are log-log line plots.  ``figure_to_svg`` renders a
-:class:`~repro.bench.figures.FigureResult` as a standalone SVG file so the
-reproduction can be compared to the paper's plots side by side — without
-pulling in a plotting stack.
+``timeseries_to_svg`` draws the charts of ``repro.obs``'s run reports as
+standalone SVG, without pulling in a plotting stack.
 """
 
 from __future__ import annotations
@@ -11,133 +9,15 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from .figures import FigureResult
-
 #: Distinguishable, print-safe series colours (matched to line dashes too).
 _PALETTE = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#d35400")
 _DASHES = ("", "6,3", "2,3", "8,3,2,3", "4,2")
-
-_WIDTH, _HEIGHT = 640, 440
-_MARGIN_LEFT, _MARGIN_RIGHT = 84, 24
-_MARGIN_TOP, _MARGIN_BOTTOM = 48, 64
-
-
-def _log_ticks(low: float, high: float) -> List[float]:
-    """Decade ticks covering [low, high]."""
-    ticks = []
-    exponent = math.floor(math.log10(low))
-    while 10 ** exponent <= high * 1.0001:
-        tick = 10.0 ** exponent
-        if tick >= low * 0.9999:
-            ticks.append(tick)
-        exponent += 1
-    return ticks or [low, high]
 
 
 def _fmt(value: float) -> str:
     if value >= 1000:
         return f"{value / 1000:g}k"
     return f"{value:g}"
-
-
-def figure_to_svg(figure: FigureResult) -> str:
-    """Render a figure as a standalone SVG document (log-log axes)."""
-    series = figure.series()
-    points = [(x, y) for pts in series.values() for x, y in pts
-              if x > 0 and y > 0]
-    if not points:
-        return ("<svg xmlns='http://www.w3.org/2000/svg' width='200' "
-                "height='40'><text x='8' y='24'>no data</text></svg>")
-    x_min = min(p[0] for p in points)
-    x_max = max(p[0] for p in points)
-    y_min = min(p[1] for p in points)
-    y_max = max(p[1] for p in points)
-    if x_min == x_max:
-        x_max *= 10
-    if y_min == y_max:
-        y_max *= 10
-
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def sx(x: float) -> float:
-        frac = (math.log10(x) - math.log10(x_min)) / (
-            math.log10(x_max) - math.log10(x_min))
-        return _MARGIN_LEFT + frac * plot_w
-
-    def sy(y: float) -> float:
-        frac = (math.log10(y) - math.log10(y_min)) / (
-            math.log10(y_max) - math.log10(y_min))
-        return _MARGIN_TOP + (1.0 - frac) * plot_h
-
-    parts: List[str] = []
-    parts.append(
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{_WIDTH}' "
-        f"height='{_HEIGHT}' font-family='sans-serif' font-size='12'>")
-    parts.append(
-        f"<rect x='0' y='0' width='{_WIDTH}' height='{_HEIGHT}' "
-        f"fill='white'/>")
-    parts.append(
-        f"<text x='{_WIDTH / 2:.0f}' y='22' text-anchor='middle' "
-        f"font-size='15'>{figure.title}</text>")
-
-    # Grid + ticks.
-    for tick in _log_ticks(x_min, x_max):
-        x = sx(tick)
-        parts.append(
-            f"<line x1='{x:.1f}' y1='{_MARGIN_TOP}' x2='{x:.1f}' "
-            f"y2='{_MARGIN_TOP + plot_h}' stroke='#dddddd'/>")
-        parts.append(
-            f"<text x='{x:.1f}' y='{_MARGIN_TOP + plot_h + 18}' "
-            f"text-anchor='middle'>{_fmt(tick)}</text>")
-    for tick in _log_ticks(y_min, y_max):
-        y = sy(tick)
-        parts.append(
-            f"<line x1='{_MARGIN_LEFT}' y1='{y:.1f}' "
-            f"x2='{_MARGIN_LEFT + plot_w}' y2='{y:.1f}' stroke='#dddddd'/>")
-        parts.append(
-            f"<text x='{_MARGIN_LEFT - 8}' y='{y + 4:.1f}' "
-            f"text-anchor='end'>{_fmt(tick)}</text>")
-
-    # Axes frame.
-    parts.append(
-        f"<rect x='{_MARGIN_LEFT}' y='{_MARGIN_TOP}' width='{plot_w}' "
-        f"height='{plot_h}' fill='none' stroke='#333333'/>")
-    parts.append(
-        f"<text x='{_MARGIN_LEFT + plot_w / 2:.0f}' y='{_HEIGHT - 18}' "
-        f"text-anchor='middle'>message length (bytes)</text>")
-    parts.append(
-        f"<text x='20' y='{_MARGIN_TOP + plot_h / 2:.0f}' "
-        f"text-anchor='middle' "
-        f"transform='rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.0f})'>"
-        f"{figure.unit}</text>")
-
-    # Series.
-    for idx, (name, pts) in enumerate(sorted(series.items())):
-        color = _PALETTE[idx % len(_PALETTE)]
-        dash = _DASHES[idx % len(_DASHES)]
-        dash_attr = f" stroke-dasharray='{dash}'" if dash else ""
-        path = " ".join(
-            f"{'M' if i == 0 else 'L'}{sx(x):.1f},{sy(y):.1f}"
-            for i, (x, y) in enumerate(pts))
-        parts.append(
-            f"<path d='{path}' fill='none' stroke='{color}' "
-            f"stroke-width='2'{dash_attr}/>")
-        for x, y in pts:
-            parts.append(
-                f"<circle cx='{sx(x):.1f}' cy='{sy(y):.1f}' r='3' "
-                f"fill='{color}'/>")
-        legend_y = _MARGIN_TOP + 16 + 18 * idx
-        legend_x = _MARGIN_LEFT + plot_w - 150
-        parts.append(
-            f"<line x1='{legend_x}' y1='{legend_y - 4}' "
-            f"x2='{legend_x + 26}' y2='{legend_y - 4}' stroke='{color}' "
-            f"stroke-width='2'{dash_attr}/>")
-        parts.append(
-            f"<text x='{legend_x + 32}' y='{legend_y}'>{name}</text>")
-
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 def _linear_ticks(low: float, high: float, count: int = 6) -> List[float]:
@@ -172,8 +52,7 @@ def timeseries_to_svg(series: Dict[str, Sequence[Tuple[float, float]]], *,
     ``series`` maps a legend name to ``(t, value)`` points; ``events`` is a
     sequence of ``(time, color, label)`` vertical markers (fault injections,
     detections, membership changes) drawn over the plot.  Used by the
-    ``repro.obs`` run reports; kept here beside :func:`figure_to_svg` so all
-    SVG plumbing lives in one dependency-free module.
+    ``repro.obs`` run reports.
     """
     points = [(x, y) for pts in series.values() for x, y in pts]
     if not points:
@@ -262,11 +141,3 @@ def timeseries_to_svg(series: Dict[str, Sequence[Tuple[float, float]]], *,
 
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_figure_svg(figure: FigureResult, path: str) -> str:
-    """Write the SVG for ``figure`` to ``path`` and return the path."""
-    document = figure_to_svg(figure)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    return path

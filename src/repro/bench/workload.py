@@ -52,10 +52,6 @@ class SaturatingWorkload:
     def stop(self) -> None:
         self._running = False
 
-    def _payload(self, node: NodeId) -> bytes:
-        index = self.sent[node]
-        return index.to_bytes(8, "big") + self._pad
-
     def _refill(self) -> None:
         if not self._running:
             return

@@ -1,21 +1,11 @@
-"""Unit tests for the benchmark harness itself (workload, runner, report,
-figures, latency, CLI) and the hot paths' cost regressions."""
+"""Unit tests for the benchmark harness itself (workload, runner) and the
+hot paths' cost regressions.  The §8 experiments built on them are asserted
+in ``tests/integration/test_paper_claims.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.figures import (
-    FigurePoint,
-    FigureResult,
-    as_bandwidth_view,
-    extension_failover_timeline,
-    run_figure,
-    table_claims,
-    table_srp_saturation,
-)
-from repro.bench.latency import LatencyResult, measure_delivery_latency
-from repro.bench.report import ascii_loglog_chart, format_table
 from repro.bench.runner import ThroughputResult, build_config, run_throughput
 from repro.bench.workload import SaturatingWorkload
 from repro.api.cluster import SimCluster
@@ -99,26 +89,12 @@ class TestRunner:
         assert result.kbytes_per_sec > 0
         assert len(result.network_utilization) == 1
         assert 0.0 <= result.cpu_utilization <= 1.0
-        assert "msg/s" in result.row()
 
     def test_build_config_defaults_per_style(self):
         assert build_config(ReplicationStyle.NONE, 4).totem.num_networks == 1
         assert build_config(ReplicationStyle.ACTIVE, 4).totem.num_networks == 2
         assert build_config(
             ReplicationStyle.ACTIVE_PASSIVE, 4).totem.num_networks == 3
-
-    @pytest.mark.parametrize("peak,beyond", [(700, 1024), (1400, 2048)])
-    def test_packing_peaks(self, peak, beyond):
-        """Paper §8: KB/s peaks at 700 B (two messages per Ethernet frame)
-        and at 1400 B (one full frame per message) — the shape the packer's
-        whole-message drain produces.  Two of the paper's five T2 claims,
-        at the window of ``tests/integration/test_paper_claims.py``, which
-        asserts the other three."""
-        at_peak, past_it = (
-            run_throughput(ReplicationStyle.NONE, 4, size,
-                           duration=0.2, warmup=0.1).kbytes_per_sec
-            for size in (peak, beyond))
-        assert at_peak > past_it
 
     def test_zero_duration_rates(self):
         result = ThroughputResult(
@@ -128,100 +104,6 @@ class TestRunner:
             retransmission_requests=0, token_timer_expiries=0)
         assert result.msgs_per_sec == 0.0
         assert result.kbytes_per_sec == 0.0
-
-
-class TestReport:
-    def test_format_table_alignment(self):
-        text = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert len(set(len(line) for line in lines)) == 1  # aligned
-
-    def test_chart_renders_all_series(self):
-        chart = ascii_loglog_chart({
-            "one": [(100, 1000), (1000, 500)],
-            "two": [(100, 2000), (1000, 800)]})
-        assert "o = one" in chart
-        assert "x = two" in chart
-        assert "log-log" in chart
-
-    def test_chart_empty(self):
-        assert ascii_loglog_chart({}) == "(no data)"
-
-    def test_chart_single_point(self):
-        chart = ascii_loglog_chart({"s": [(700, 9000)]})
-        assert "o = s" in chart
-
-
-class TestFigures:
-    @pytest.fixture(scope="class")
-    def tiny_figure(self):
-        return run_figure("t", "tiny", num_nodes=2, unit="msgs/s",
-                          sizes=(512,),
-                          styles=(ReplicationStyle.NONE,
-                                  ReplicationStyle.ACTIVE),
-                          duration=0.05, warmup=0.02)
-
-    def test_run_figure_collects_all_points(self, tiny_figure):
-        assert len(tiny_figure.points) == 2
-        assert tiny_figure.get(ReplicationStyle.NONE, 512) is not None
-        assert tiny_figure.get(ReplicationStyle.NONE, 999) is None
-
-    def test_series_and_table(self, tiny_figure):
-        series = tiny_figure.series()
-        assert set(series) == {"none", "active"}
-        table = tiny_figure.to_table()
-        assert "512" in table
-        rendered = tiny_figure.render()
-        assert "tiny" in rendered
-
-    def test_bandwidth_view_reuses_points(self, tiny_figure):
-        view = as_bandwidth_view(tiny_figure, "v", "view")
-        assert view.unit == "KB/s"
-        assert len(view.points) == len(tiny_figure.points)
-        point = view.points[0]
-        assert view.value_of(point) == point.kbytes_per_sec
-
-    def test_srp_saturation_table(self):
-        text = table_srp_saturation(duration=0.1, warmup=0.05)
-        assert "msgs/s" in text
-
-    def test_claims_table_from_prebuilt_figure(self):
-        figure = run_figure("c", "claims", num_nodes=4, unit="msgs/s",
-                            sizes=(700, 1024),
-                            duration=0.1, warmup=0.05)
-        text = table_claims(figure=figure)
-        assert "packing peak" in text
-        assert "active deficit" in text
-
-    def test_failover_timeline_runs(self):
-        text = extension_failover_timeline(
-            style=ReplicationStyle.ACTIVE, fail_at=0.1, total=0.3,
-            bin_width=0.1)
-        assert "network failed" in text
-
-
-class TestLatency:
-    def test_latency_result_ordering(self):
-        result = measure_delivery_latency(ReplicationStyle.NONE,
-                                          num_nodes=2, samples=10)
-        assert result.samples == 10
-        assert result.p50 <= result.p99 <= result.worst
-        assert result.mean > 0
-        assert "ms" in result.row()
-
-
-class TestCli:
-    def test_cli_runs_quick_target(self, capsys):
-        from repro.bench.cli import main
-        assert main(["srp"]) == 0
-        out = capsys.readouterr().out
-        assert "saturation" in out
-
-    def test_cli_rejects_unknown_target(self):
-        from repro.bench.cli import main
-        with pytest.raises(SystemExit):
-            main(["nope"])
 
 
 @pytest.mark.perf
