@@ -320,7 +320,7 @@ class Explorer:
         compiled.attach()
         compiled.schedule()
         self._stimulus = max((entry[_COUNTER] for entry
-                              in compiled.cluster.scheduler._heap),
+                              in compiled.cluster.scheduler.queued()),
                              default=-1)
         compiled.cluster.start(preformed=True)
         return _World(run=compiled, budget=self.o.fault_budget)

@@ -110,7 +110,7 @@ def value_digest(value):
 def scheduler_digest(scheduler) -> Tuple:
     """Pending (live) events in firing order, times relative to now."""
     now = scheduler.clock._now
-    entries = [e for e in scheduler._heap if e[2] is not None]
+    entries = [e for e in scheduler.queued() if e[2] is not None]
     entries.sort(key=lambda e: (e[0], e[1]))
     return tuple((round(e[0] - now, 9), callback_digest(e[2]),
                   value_digest(e[3])) for e in entries)

@@ -25,7 +25,7 @@ class VirtualClock:
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to ``t`` (scheduler use only)."""
-        if t < self._now:
+        if not t >= self._now:  # also refuses NaN
             raise SimulationError(
                 f"clock cannot move backwards: {t} < {self._now}"
             )

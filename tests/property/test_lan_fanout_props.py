@@ -114,7 +114,7 @@ class World:
         return sorted(
             (when, counter, callback.__name__, args[0], args[1].size,
              [(deliver.tag, node) for deliver, node in args[2]], args[3])
-            for when, counter, callback, args in self.scheduler._heap
+            for when, counter, callback, args in self.scheduler.queued()
             if callback is not None)
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import BUCKETS_PER_S, EventScheduler
+
+BUCKET_WIDTH = 1.0 / BUCKETS_PER_S
 
 
 class TestVirtualClock:
@@ -32,6 +36,13 @@ class TestVirtualClock:
         clock.advance_to(2.0)
         with pytest.raises(SimulationError):
             clock.advance_to(1.0)
+
+    def test_refuses_nan(self):
+        clock = VirtualClock()
+        clock.advance_to(2.0)
+        with pytest.raises(SimulationError):
+            clock.advance_to(math.nan)
+        assert clock.now() == 2.0
 
 
 class TestEventScheduler:
@@ -131,6 +142,43 @@ class TestEventScheduler:
         scheduler.run_until(3.0)
         assert scheduler.now() == 3.0
 
+    @pytest.mark.parametrize("method", ["schedule", "call_at"])
+    def test_nan_time_rejected(self, method):
+        # A NaN compares false with everything: it used to be accepted and
+        # to fire before earlier events.
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.call_at(0.5, fired.append, "earlier")
+        with pytest.raises(SimulationError):
+            getattr(scheduler, method)(math.nan, fired.append, "nan")
+        scheduler.run()
+        assert fired == ["earlier"]
+        assert scheduler.pending() == 0
+
+    def test_nan_delay_rejected(self):
+        scheduler = EventScheduler()
+        with pytest.raises(SimulationError):
+            scheduler.call_after(math.nan, lambda: None)
+        assert scheduler.pending() == 0
+
+    def test_run_until_nan_rejected_and_clock_kept(self):
+        # run_until(nan) used to set the clock to NaN, after which events
+        # in the past were accepted.
+        scheduler = EventScheduler()
+        scheduler.run_until(1.0)
+        with pytest.raises(SimulationError):
+            scheduler.run_until(math.nan)
+        assert scheduler.now() == 1.0
+        with pytest.raises(SimulationError):
+            scheduler.call_at(0.5, lambda: None)
+
+    @pytest.mark.parametrize("method", ["schedule", "call_at", "call_after"])
+    def test_infinite_time_rejected(self, method):
+        scheduler = EventScheduler()
+        with pytest.raises(SimulationError):
+            getattr(scheduler, method)(math.inf, lambda: None)
+        assert scheduler.pending() == 0
+
     def test_run_max_events(self):
         scheduler = EventScheduler()
         for _ in range(10):
@@ -159,6 +207,62 @@ class TestEventScheduler:
 
     def test_step_returns_false_when_drained(self):
         assert EventScheduler().step() is False
+
+
+class TestTwoTiers:
+    """Entries at or after the horizon wait in far buckets; each case below
+    once needed the tier invariant to fire in (time, insertion) order.
+    ``tests/property/test_scheduler_tiers_props.py`` compares the whole
+    surface against one heap."""
+
+    @pytest.mark.parametrize("drain", ["step", "run_until"])
+    def test_a_bucket_fires_in_time_order(self, drain):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.call_at(0.0009, fired.append, "late")
+        scheduler.call_at(0.0001, fired.append, "early")
+        if drain == "step":
+            scheduler.run()
+        else:
+            scheduler.run_until(1.0)
+        assert fired == ["early", "late"]
+
+    def test_push_after_a_migration_orders_with_the_next_bucket(self):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.call_at(2.5 * BUCKET_WIDTH, fired.append, "far")
+        scheduler.call_at(0.0, fired.append, "now")
+        assert scheduler.peek_time() == 0.0  # migrates bucket 0 only
+        scheduler.call_at(2.6 * BUCKET_WIDTH, fired.append, "later")
+        scheduler.call_at(0.5 * BUCKET_WIDTH, fired.append, "near")
+        scheduler.run()
+        assert fired == ["now", "near", "far", "later"]
+
+    def test_equal_times_on_a_bucket_edge_keep_insertion_order(self):
+        scheduler = EventScheduler()
+        fired = []
+        edge = 3 * BUCKET_WIDTH
+        scheduler.call_at(edge, fired.append, "a")
+        scheduler.call_at(math.nextafter(edge, 0.0), fired.append, "before")
+        scheduler.run_until(2 * BUCKET_WIDTH)
+        scheduler.call_at(edge, fired.append, "b")
+        scheduler.run()
+        assert fired == ["before", "a", "b"]
+
+    def test_queued_pending_and_compaction_see_both_tiers(self):
+        scheduler = EventScheduler()
+        scheduler.compact_min_dead = 1
+        scheduler.call_at(0.0, lambda: None)
+        scheduler.peek_time()
+        far = [scheduler.call_at(100.0 + i, lambda: None) for i in range(3)]
+        assert scheduler.pending() == 4
+        assert sorted(entry[0] for entry in scheduler.queued()) == [
+            0.0, 100.0, 101.0, 102.0]
+        for timer in far:
+            timer.cancel()
+        assert scheduler.compactions == 1
+        assert scheduler.pending() == 1 + scheduler.dead_entries
+        assert scheduler.peek_time() == 0.0
 
 
 class TestScheduleNow:
@@ -413,7 +517,7 @@ class TestTombstoneCompaction:
 
 
 def _tombstones(scheduler):
-    return sum(1 for e in scheduler._heap if e[2] is None)
+    return sum(1 for e in scheduler.queued() if e[2] is None)
 
 
 class TestCancelAfterCompaction:

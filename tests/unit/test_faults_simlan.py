@@ -262,7 +262,7 @@ class TestFanoutCache:
         lan.transmit(1, packet(1))
         lan.transmit(1, packet(2))
         lan.transmit(2, packet(3))
-        lists = [entry[3][2] for entry in sorted(scheduler._heap)]
+        lists = [entry[3][2] for entry in sorted(scheduler.queued())]
         assert lists[0] is lists[1] and lists[0] is not lists[2]
         assert [node for _deliver, node in lists[0]] == [2, 3]
         assert [node for _deliver, node in lists[2]] == [1, 3]

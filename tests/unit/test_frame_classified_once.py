@@ -110,7 +110,7 @@ def test_copy_queued_behind_its_twin_is_billed_when_its_job_starts(
     size = fresh.wire_size()
     lans[0].transmit(1, fresh)
     lans[1].transmit(1, fresh)          # same arrival time on both networks
-    arrival = min(entry[0] for entry in scheduler._heap
+    arrival = min(entry[0] for entry in scheduler.queued()
                   if entry[2] is not None and entry[2].__name__ == "_fanout")
     scheduler.run_until(arrival)
     assert counts == {"has": 1, "insert": 0}    # first copy billed on arrival
@@ -201,7 +201,7 @@ def test_worlds_differing_only_in_the_queued_frame_digest_differently():
         scheduler, lans, node = build(ReplicationStyle.ACTIVE_PASSIVE, 3)
         lans[0].transmit(1, packet(1))
         lans[1].transmit(1, packet(seq))    # arrives with it, must queue
-        scheduler.run_until(min(entry[0] for entry in scheduler._heap))
+        scheduler.run_until(min(entry[0] for entry in scheduler.queued()))
         ((cost, _fn, _args),) = node.cpu._queue
         assert type(cost) is partial
         return _cpu_digest(node.cpu)
