@@ -172,8 +172,9 @@ class ReplicationEngine:
             duplicate = srp.is_duplicate_data(packet)
         else:
             duplicate = srp.is_duplicate_batch(packet)
-        # Both figures are cached on the (immutable, shared) packet object;
-        # read the cache slots directly and only call to fill them.
+        # Both figures live on the (immutable, shared) packet object: a
+        # data packet takes them at construction, a train on first use.
+        # Read the slots directly and only call to fill a train's.
         size = packet._wire_size
         if size is None:
             size = packet.wire_size()

@@ -84,7 +84,7 @@ class Packer:
                 self._partial = (msg_id, payload, end, fragments)
                 return [Chunk(ChunkKind.APP, msg_id, 0, piece)]  # packet is full
             tail = Chunk(ChunkKind.APP, msg_id, FLAG_LAST, piece)
-            object.__setattr__(tail, "_source", (fragments, payload))
+            tail._source = (fragments, payload)
             chunks.append(tail)
             self._partial = None
             if not self._enable_packing:

@@ -1,4 +1,15 @@
-"""Packet dataclasses for the Totem SRP/RRP wire protocol.
+"""Packet records for the Totem SRP/RRP wire protocol.
+
+The three records every message passes through — :class:`Chunk`,
+:class:`DataPacket` and :class:`BatchPacket` — are ``__slots__`` classes
+built by plain attribute stores, because a frozen dataclass pays one
+slot-wrapper ``__setattr__`` call per field, once per packed message.
+They are immutable by convention: the only stores after ``__init__`` fill
+a batch's cache that is still None (``_wire_size``, ``_completed``) or
+the packer's ``Chunk._source`` link, and the test suite's write guard
+(``tests/conftest.py``) holds them to exactly that.  Equality and hashing
+cover the declared fields only and never match another class.  The token
+and membership packets are rare and stay dataclasses.
 
 Sizing convention: the paper's 94-byte per-frame overhead (§8) covers the
 Ethernet, IPv4, UDP *and fixed Totem* headers, leaving 1424 bytes of payload
@@ -10,8 +21,8 @@ data packets, and the variable body for tokens/membership packets.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..types import NodeId, RingId, SeqNum
 
@@ -70,7 +81,6 @@ FLAG_LAST = int(ChunkFlags.LAST)
 FLAG_WHOLE = FLAG_FIRST | FLAG_LAST
 
 
-@dataclass(frozen=True)
 class Chunk:
     """One packed unit inside a :class:`DataPacket`.
 
@@ -79,36 +89,43 @@ class Chunk:
     An unfragmented message carries ``FIRST | LAST`` in a single chunk.
     """
 
-    kind: ChunkKind
-    msg_id: int
-    flags: int
-    data: bytes
+    __slots__ = ("kind", "msg_id", "flags", "data", "_source")
 
-    #: ``(fragment list, submitted payload)`` on the LAST chunk of a message
-    #: the local :class:`~repro.srp.packing.Packer` fragmented, so a
-    #: reassembler holding exactly those fragments can hand back the
-    #: payload object instead of joining a copy.  Not a field: set with
-    #: ``object.__setattr__``, outside ==, hash, repr and the codec.
-    _source = None
+    def __init__(self, kind: ChunkKind, msg_id: int, flags: int,
+                 data: bytes) -> None:
+        self.kind = kind
+        self.msg_id = msg_id
+        self.flags = flags
+        self.data = data
+        #: ``(fragment list, submitted payload)`` on the LAST chunk of a
+        #: message the local :class:`~repro.srp.packing.Packer` fragmented,
+        #: so a reassembler holding exactly those fragments can hand back
+        #: the payload object instead of joining a copy.  Not a field:
+        #: outside ==, hash, repr and the codec.
+        self._source: Optional[Tuple[List[bytes], bytes]] = None
 
-    @property
-    def is_first(self) -> bool:
-        return bool(self.flags & FLAG_FIRST)
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind == other.kind
+                and self.msg_id == other.msg_id
+                and self.flags == other.flags
+                and self.data == other.data)
 
-    @property
-    def is_last(self) -> bool:
-        return bool(self.flags & FLAG_LAST)
+    def __hash__(self) -> int:
+        return hash((self.kind, self.msg_id, self.flags, self.data))
 
-    def wire_size(self) -> int:
-        return CHUNK_HEADER_BYTES + len(self.data)
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, "
+                f"msg_id={self.msg_id!r}, flags={self.flags!r}, "
+                f"data={self.data!r})")
 
     @staticmethod
     def whole(msg_id: int, data: bytes, kind: ChunkKind = ChunkKind.APP) -> "Chunk":
         """A chunk holding an entire (unfragmented) message."""
-        return Chunk(kind=kind, msg_id=msg_id, flags=FLAG_WHOLE, data=data)
+        return Chunk(kind, msg_id, FLAG_WHOLE, data)
 
 
-@dataclass(frozen=True)
 class DataPacket:
     """A sequenced broadcast packet (paper §2).
 
@@ -116,48 +133,53 @@ class DataPacket:
     in ``seq`` order, which yields the global total order.
     """
 
-    sender: NodeId
-    ring_id: RingId
-    seq: SeqNum
-    chunks: Tuple[Chunk, ...]
-    #: Lazily cached wire size.  A packet is sized several times on its way
-    #: through send-cost, medium-occupancy and receive-cost accounting (×N
-    #: networks); excluded from ==/hash so codec round-trips stay exact.
-    _wire_size: Optional[int] = field(default=None, compare=False, repr=False,
-                                      init=False)
-    #: Lazily cached :meth:`completed_messages`: every receiver (N-1 nodes ×
-    #: K networks) classifies the same immutable packet object.
-    _completed: Optional[int] = field(default=None, compare=False, repr=False,
-                                      init=False)
+    __slots__ = ("sender", "ring_id", "seq", "chunks",
+                 "_wire_size", "_completed")
+
+    def __init__(self, sender: NodeId, ring_id: RingId, seq: SeqNum,
+                 chunks: Tuple[Chunk, ...]) -> None:
+        self.sender = sender
+        self.ring_id = ring_id
+        self.seq = seq
+        self.chunks = chunks
+        # Every packet built is sized (send cost, medium occupancy, receive
+        # cost, ×N networks), and each receiver bills it for the messages it
+        # completes (chunks carrying LAST): both figures are taken here, in
+        # one pass without a method call.  They are outside ==, hash and
+        # repr, so codec round-trips stay exact.
+        size = CHUNK_HEADER_BYTES * len(chunks)
+        completed = 0
+        for chunk in chunks:
+            size += len(chunk.data)
+            if chunk.flags & FLAG_LAST:
+                completed += 1
+        self._wire_size = size
+        self._completed = completed
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sender == other.sender
+                and self.ring_id == other.ring_id
+                and self.seq == other.seq
+                and self.chunks == other.chunks)
+
+    def __hash__(self) -> int:
+        return hash((self.sender, self.ring_id, self.seq, self.chunks))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(sender={self.sender!r}, "
+                f"ring_id={self.ring_id!r}, seq={self.seq!r}, "
+                f"chunks={self.chunks!r})")
 
     def wire_size(self) -> int:
-        size = self._wire_size
-        if size is None:
-            chunks = self.chunks
-            size = CHUNK_HEADER_BYTES * len(chunks)
-            for chunk in chunks:
-                size += len(chunk.data)
-            object.__setattr__(self, "_wire_size", size)
-        return size
-
-    def completed_messages(self) -> int:
-        """How many messages this packet completes (chunks carrying LAST):
-        what the receive CPU model bills per-message protocol work for."""
-        completed = self._completed
-        if completed is None:
-            completed = 0
-            for chunk in self.chunks:
-                if chunk.flags & FLAG_LAST:
-                    completed += 1
-            object.__setattr__(self, "_completed", completed)
-        return completed
+        return self._wire_size
 
     @property
     def packet_type(self) -> PacketType:
         return PacketType.DATA
 
 
-@dataclass(frozen=True)
 class BatchPacket:
     """A train of consecutively sequenced data packets from one sender.
 
@@ -179,13 +201,26 @@ class BatchPacket:
     membership-recovery traffic never ride in batches.
     """
 
-    packets: Tuple[DataPacket, ...]
-    #: Lazily cached wire size and completed-message count (see
-    #: :class:`DataPacket`).
-    _wire_size: Optional[int] = field(default=None, compare=False, repr=False,
-                                      init=False)
-    _completed: Optional[int] = field(default=None, compare=False, repr=False,
-                                      init=False)
+    __slots__ = ("packets", "_wire_size", "_completed")
+
+    def __init__(self, packets: Tuple[DataPacket, ...]) -> None:
+        self.packets = packets
+        #: Lazily cached wire size and completed-message count: every
+        #: receiver (N-1 nodes × K networks) sizes and classifies the same
+        #: train object.
+        self._wire_size: Optional[int] = None
+        self._completed: Optional[int] = None
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.packets == other.packets
+
+    def __hash__(self) -> int:
+        return hash((self.packets,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(packets={self.packets!r})"
 
     @property
     def sender(self) -> NodeId:
@@ -208,18 +243,19 @@ class BatchPacket:
         if size is None:
             size = BATCH_BASE_BYTES + BATCH_SUB_HEADER_BYTES * len(self.packets)
             for packet in self.packets:
-                size += packet.wire_size()
-            object.__setattr__(self, "_wire_size", size)
+                size += packet._wire_size
+            self._wire_size = size
         return size
 
     def completed_messages(self) -> int:
-        """Messages completed by the whole train (see :class:`DataPacket`)."""
+        """Messages completed by the whole train (chunks carrying LAST):
+        what the receive CPU model bills per-message protocol work for."""
         completed = self._completed
         if completed is None:
             completed = 0
             for packet in self.packets:
-                completed += packet.completed_messages()
-            object.__setattr__(self, "_completed", completed)
+                completed += packet._completed
+            self._completed = completed
         return completed
 
     @property
@@ -283,7 +319,9 @@ class Token:
         return (self.seq, self.rotation)
 
     def copy(self) -> "Token":
-        return replace(self, rtr=list(self.rtr))
+        return Token(self.ring_id, self.seq, self.aru, self.aru_id, self.fcc,
+                     self.backlog, self.rotation, list(self.rtr),
+                     self.done_count)
 
     def wire_size(self) -> int:
         return TOKEN_BASE_BYTES + TOKEN_RTR_ENTRY_BYTES * len(self.rtr)
@@ -340,7 +378,8 @@ class CommitToken:
     rotation: int = 0
 
     def copy(self) -> "CommitToken":
-        return replace(self, info=dict(self.info))
+        return CommitToken(self.ring_id, self.members, dict(self.info),
+                           self.rotation)
 
     def successor_of(self, node: NodeId) -> NodeId:
         idx = self.members.index(node)

@@ -14,11 +14,39 @@ from repro.multiring import MultiRingCluster, MultiRingConfig
 from repro.obs.metrics import MetricRegistry
 from repro.service import ServiceConfig, ServiceFacade
 from repro.types import ReplicationStyle
+from repro.wire.packets import BatchPacket, Chunk, DataPacket
 
 
 #: Default for make_cluster's ``invariants``; pytest_configure sets this
 #: to "strict" unless the suite runs with --no-strict-invariants.
 _DEFAULT_INVARIANTS = "off"
+
+
+#: The wire records the packer and every receiver share: immutable by
+#: convention, built by plain stores (``repro.wire.packets``).  For the
+#: whole session each gets :func:`_write_once` as its ``__setattr__``, the
+#: check a frozen dataclass made at run time.
+GUARDED_RECORDS = (Chunk, DataPacket, BatchPacket)
+#: Slots that may be filled once after ``__init__`` left them None.
+_LATE_SLOTS = frozenset({"_wire_size", "_completed", "_source"})
+_UNSET = object()
+
+
+def _write_once(record, name, value, _store=object.__setattr__):
+    """Store ``name`` only if it is still unset — the stores of
+    ``__init__`` and of ``copy`` / ``pickle``'s slot restore onto a fresh
+    object — or if it is a cache slot still holding None."""
+    current = getattr(record, name, _UNSET)
+    if current is _UNSET or (current is None and name in _LATE_SLOTS):
+        _store(record, name, value)
+        return
+    raise dataclasses.FrozenInstanceError(
+        f"cannot assign to field {name!r} of {type(record).__name__}")
+
+
+#: Code object of the write guard, for the tests that count Python calls
+#: with ``sys.setprofile``: its frames are the suite's, not the program's.
+WRITE_GUARD_CODE = _write_once.__code__
 
 
 def pytest_addoption(parser):
@@ -38,6 +66,14 @@ def pytest_configure(config):
     global _DEFAULT_INVARIANTS
     _DEFAULT_INVARIANTS = (
         "strict" if config.getoption("strict_invariants") else "off")
+    for cls in GUARDED_RECORDS:
+        cls.__setattr__ = _write_once
+
+
+def pytest_unconfigure(config):
+    for cls in GUARDED_RECORDS:
+        if cls.__dict__.get("__setattr__") is _write_once:
+            del cls.__setattr__
 
 
 def make_cluster(style: ReplicationStyle = ReplicationStyle.ACTIVE,

@@ -9,7 +9,13 @@ from repro.srp.packing import Packer, Reassembler
 from repro.srp.send_queue import SendQueue
 from repro.types import RingId
 from repro.wire.codec import decode_packet, encode_packet
-from repro.wire.packets import CHUNK_HEADER_BYTES, DataPacket
+from repro.wire.packets import (
+    CHUNK_HEADER_BYTES,
+    FLAG_FIRST,
+    FLAG_LAST,
+    FLAG_WHOLE,
+    DataPacket,
+)
 
 messages = st.lists(st.binary(max_size=4000), min_size=0, max_size=20)
 payload_budgets = st.integers(min_value=32, max_value=1500)
@@ -99,7 +105,7 @@ def test_tail_of_another_message_is_joined_not_swapped(head, tail,
 @settings(max_examples=150)
 def test_packets_respect_budget(payloads, max_payload):
     for chunks in pack_everything(payloads, max_payload):
-        size = sum(c.wire_size() for c in chunks)
+        size = sum(CHUNK_HEADER_BYTES + len(c.data) for c in chunks)
         assert size <= max_payload
 
 
@@ -112,9 +118,9 @@ def test_fragments_are_consecutive_per_message(payloads, max_payload):
             if open_msg is not None:
                 assert chunk.msg_id == open_msg, \
                     "another message interleaved into an open fragmentation"
-            if chunk.is_first and not chunk.is_last:
+            if chunk.flags & FLAG_WHOLE == FLAG_FIRST:
                 open_msg = chunk.msg_id
-            elif chunk.is_last:
+            elif chunk.flags & FLAG_LAST:
                 open_msg = None
 
 

@@ -7,7 +7,13 @@ import pytest
 from repro.errors import SendQueueFullError
 from repro.srp.packing import Packer, Reassembler
 from repro.srp.send_queue import SendQueue
-from repro.wire.packets import CHUNK_HEADER_BYTES, ChunkKind
+from repro.wire.packets import (
+    CHUNK_HEADER_BYTES,
+    FLAG_FIRST,
+    FLAG_LAST,
+    FLAG_WHOLE,
+    ChunkKind,
+)
 
 
 class TestSendQueue:
@@ -72,7 +78,7 @@ class TestPacker:
         queue.enqueue(b"z" * 20)
         chunks = packer.next_packet_chunks()
         assert len(chunks) == 3
-        assert sum(c.wire_size() for c in chunks) <= 100
+        assert sum(CHUNK_HEADER_BYTES + len(c.data) for c in chunks) <= 100
 
     def test_respects_payload_budget(self):
         queue, packer = self._packer(max_payload=100)
@@ -97,9 +103,7 @@ class TestPacker:
         while packer.has_pending():
             pieces.extend(packer.next_packet_chunks())
         assert len(pieces) == 3  # 92 + 92 + 66 bytes of data
-        assert pieces[0].is_first and not pieces[0].is_last
-        assert not pieces[1].is_first and not pieces[1].is_last
-        assert pieces[2].is_last and not pieces[2].is_first
+        assert [p.flags for p in pieces] == [FLAG_FIRST, 0, FLAG_LAST]
         assert b"".join(p.data for p in pieces) == b"m" * 250
         assert all(p.msg_id == pieces[0].msg_id for p in pieces)
 
@@ -108,14 +112,14 @@ class TestPacker:
         queue.enqueue(b"m" * (100 - CHUNK_HEADER_BYTES))
         chunks = packer.next_packet_chunks()
         assert len(chunks) == 1
-        assert chunks[0].is_first and chunks[0].is_last
+        assert chunks[0].flags == FLAG_WHOLE
 
     def test_fragment_resumes_before_new_messages(self):
         queue, packer = self._packer(max_payload=100)
         queue.enqueue(b"big" * 80)   # 240 bytes -> fragments
         queue.enqueue(b"small")
         first = packer.next_packet_chunks()
-        assert len(first) == 1 and first[0].is_first
+        assert len(first) == 1 and first[0].flags == FLAG_FIRST
         second = packer.next_packet_chunks()
         # Continuation of the big message first; small may ride along after
         # the big message ends.
