@@ -74,9 +74,6 @@ class SimCluster:
         if self.obs is not None:
             self.obs.start()
 
-    def node(self, node_id: NodeId) -> TotemNode:
-        return self.nodes[node_id]
-
     @property
     def now(self) -> float:
         return self.scheduler.now()
@@ -192,9 +189,6 @@ class SimCluster:
     def total_delivered(self) -> int:
         return sum(len(node.delivered) for node in self.nodes.values())
 
-    def delivered_payloads(self, node_id: NodeId) -> List[bytes]:
-        return [m.payload for m in self.nodes[node_id].delivered]
-
     def assert_total_order(self, nodes: Optional[Sequence[NodeId]] = None) -> None:
         """Check every pair of nodes delivered a consistent total order.
 
@@ -255,16 +249,6 @@ class SimCluster:
                                     f"EVS violated in config {config_id} "
                                     f"between nodes {a} and {b} at position "
                                     f"{k}: {seq_a[k][:2]}... != {seq_b[k][:2]}...")
-
-    def check_invariants(self) -> None:
-        """Run the checker's final ledger validation (no-op when off).
-
-        In strict mode this raises on the first ledger imbalance; tests
-        call it after a run so end-of-run accounting is validated even if
-        no further token arrives to trigger the online check.
-        """
-        if self.checker is not None:
-            self.checker.check_all()
 
     def all_fault_reports(self):
         reports = []

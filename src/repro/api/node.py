@@ -168,7 +168,3 @@ class TotemNode:
     def faulty_networks(self):
         """Networks this node has stopped sending on."""
         return self.rrp.faults.faulty_networks
-
-    def clear_network_fault(self, network: int) -> bool:
-        """Administratively return a repaired network to service."""
-        return self.rrp.faults.clear_fault(network, detail="administrative restore")

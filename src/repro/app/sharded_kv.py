@@ -16,7 +16,7 @@ any other value.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import CodecError
 from ..types import DeliveredMessage, NodeId
@@ -102,10 +102,6 @@ class ShardedKv:
             _op, key, value = decode_op(body)
             store[key] = value
             self.applied[member] += 1
-
-    def get(self, member: NodeId, key: bytes) -> Optional[bytes]:
-        """Read ``key`` from ``member``'s replica."""
-        return self.stores[member].get(key)
 
     def converged(self) -> bool:
         """True when every member's replica holds identical state."""

@@ -20,6 +20,7 @@ import sys
 import time
 from typing import List, Optional
 
+from ..argtypes import positive
 from ..check.invariants import INVARIANTS
 from ..errors import ConfigError
 from .explore import (
@@ -31,15 +32,6 @@ from .runner import CampaignResult, run_scenario
 from .scenario import Scenario, load_scenario, save_scenario
 
 _STYLE_BY_NAME = {style.value: style for style in BATCH_STYLES}
-
-
-def _positive(kind, name):
-    def parse(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive")
-        return value
-    return parse
 
 
 def _status_line(result: CampaignResult) -> str:
@@ -181,15 +173,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = sub.add_parser(
         "run", help="run scenario case files and/or a randomized batch")
     run.add_argument("files", nargs="*", help="scenario case files (JSON)")
-    run.add_argument("--batch", type=_positive(int, "--batch"), default=0,
+    run.add_argument("--batch", type=positive(int, "--batch"), default=0,
                      help="also run N generated scenarios")
     run.add_argument("--seed", type=int, default=1,
                      help="base seed for --batch (member i uses seed+i)")
     run.add_argument("--style", choices=sorted(_STYLE_BY_NAME),
                      help="restrict generated scenarios to one style")
-    run.add_argument("--nodes", type=_positive(int, "--nodes"), default=4,
+    run.add_argument("--nodes", type=positive(int, "--nodes"), default=4,
                      help="cluster size for generated scenarios")
-    run.add_argument("--duration", type=_positive(float, "--duration"),
+    run.add_argument("--duration", type=positive(float, "--duration"),
                      default=1.0,
                      help="scripted window for generated scenarios")
     run.add_argument("--minimize-on-failure", action="store_true",
@@ -226,10 +218,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "root", help="root scenario case file (JSON): cluster, workload, "
                      "horizon (duration) and settle")
     explore_cmd.add_argument("--max-depth",
-                             type=_positive(int, "--max-depth"), default=4,
+                             type=positive(int, "--max-depth"), default=4,
                              help="iterative-deepening ceiling on "
                                   "deviations per path (default 4)")
-    explore_cmd.add_argument("--budget", type=_positive(int, "--budget"),
+    explore_cmd.add_argument("--budget", type=positive(int, "--budget"),
                              default=1,
                              help="drop/crash/partition budget (default 1)")
     explore_cmd.add_argument("--faults", nargs="*",
@@ -243,9 +235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              help="disable partial-order reduction "
                                   "(cross-check; much slower)")
     explore_cmd.add_argument("--max-states",
-                             type=_positive(int, "--max-states"),
+                             type=positive(int, "--max-states"),
                              default=500_000)
-    explore_cmd.add_argument("--time-limit", type=float, default=0.0,
+    explore_cmd.add_argument("--time-limit",
+                             type=positive(float, "--time-limit", zero=True),
+                             default=0.0,
                              help="wall-clock cap in seconds (0 = none)")
     explore_cmd.add_argument("--export-dir", default=None,
                              help="write violating paths here as campaign "

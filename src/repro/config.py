@@ -14,8 +14,7 @@ Two dataclasses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .types import ReplicationStyle
@@ -151,20 +150,6 @@ class TotemConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
-    def with_style(self, style: ReplicationStyle, num_networks: Optional[int] = None) -> "TotemConfig":
-        """A copy of this config with a different replication style.
-
-        ``num_networks`` defaults to whatever the style minimally needs.
-        """
-        if num_networks is None:
-            if style is ReplicationStyle.NONE:
-                num_networks = 1
-            elif style is ReplicationStyle.ACTIVE_PASSIVE:
-                num_networks = max(self.num_networks, 3)
-            else:
-                num_networks = max(self.num_networks, 2)
-        return replace(self, replication=style, num_networks=num_networks)
-
 
 @dataclass(frozen=True)
 class LanConfig:
@@ -223,11 +208,6 @@ class LanConfig:
             raise ConfigError("max_frame must exceed frame_overhead")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigError("loss_rate must be in [0, 1)")
-
-    @property
-    def max_payload(self) -> int:
-        """Maximum Totem payload bytes per frame (1424 with defaults)."""
-        return self.max_frame - self.frame_overhead
 
     def wire_time(self, payload_bytes: int) -> float:
         """Seconds the medium is occupied transmitting ``payload_bytes``."""

@@ -131,12 +131,6 @@ class ActivePassiveReplication(ReplicationEngine):
         self._effective_k = k
         self._windows_version = faults.version
 
-    def effective_k(self) -> int:
-        """K, capped by how many networks are still operational."""
-        if self._windows_version != self.faults.version:
-            self._build_windows()
-        return self._effective_k
-
     def broadcast_data(self, packet: DataPacket) -> None:
         self.stats.data_sends += 1
         if self._windows_version != self.faults.version:

@@ -60,10 +60,6 @@ class ProblemCounterMonitor:
             if value > 0:
                 self.counters[i] = value - 1
 
-    def max_counter(self) -> int:
-        """The worst problem counter across networks (observability)."""
-        return max(self.counters) if self.counters else 0
-
     def pressure(self, network: NetworkIndex) -> float:
         """This network's counter as a fraction of the condemnation
         threshold (1.0 = one more silent expiry condemns it)."""
@@ -127,6 +123,3 @@ class RecvCountMonitor:
         """How far this network's count lags the best one (observability)."""
         return max(self.recv_count) - self.recv_count[network]
 
-    def max_skew(self) -> int:
-        """The worst lag across networks (max - min reception count)."""
-        return max(self.recv_count) - min(self.recv_count)

@@ -14,7 +14,6 @@ from .config import (
     MultiRingConfig,
     group_addr,
     group_of,
-    member_of,
 )
 from .partition import HashPartitioner
 from .merge import (
@@ -33,7 +32,6 @@ __all__ = [
     "MultiRingConfig",
     "group_addr",
     "group_of",
-    "member_of",
     "HashPartitioner",
     "DATA_PREFIX",
     "MARKER_PREFIX",

@@ -29,11 +29,6 @@ def group_of(addr: NodeId) -> int:
     return addr // GROUP_STRIDE
 
 
-def member_of(addr: NodeId) -> NodeId:
-    """The 1-based member index within the ring group."""
-    return addr % GROUP_STRIDE
-
-
 @dataclass(frozen=True)
 class MultiRingConfig:
     """Everything needed to build a :class:`MultiRingCluster` deterministically.

@@ -60,15 +60,6 @@ class GilbertElliottLoss:
                 self.bursts += 1
         return self.in_bad_state and rng.random() < self.bad_loss
 
-    @property
-    def average_loss(self) -> float:
-        """Stationary loss rate of the chain."""
-        denominator = self.p_good_to_bad + self.p_bad_to_good
-        if denominator == 0:
-            return 0.0
-        bad_fraction = self.p_good_to_bad / denominator
-        return bad_fraction * self.bad_loss
-
 
 class NetworkFaultModel:
     """Live fault state of one simulated LAN."""
@@ -173,9 +164,6 @@ class _FaultEvent:
     network: NetworkIndex
     apply: Callable[[NetworkFaultModel], None]
     label: str
-
-    def __str__(self) -> str:
-        return f"t={self.time}: net{self.network} {self.label}"
 
 
 @dataclass

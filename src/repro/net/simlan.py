@@ -134,14 +134,6 @@ class SimLan:
             self._channel_receivers.get(channel, {}).pop(node, None)
         self._fanout_cache.clear()
 
-    @property
-    def nodes(self) -> tuple:
-        return tuple(self._receivers)
-
-    def channel_of(self, node: NodeId) -> int:
-        """The channel ``node`` is attached on (0 when unattached)."""
-        return self._channels.get(node, 0)
-
     # ----- transmission -----
 
     def transmit(self, src: NodeId, packet: object,

@@ -26,6 +26,7 @@ from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 from ..api.cluster import SimCluster
+from ..argtypes import positive
 from ..bench.runner import build_config
 from ..bench.workload import SaturatingWorkload
 from ..net.faults import FaultPlan
@@ -98,7 +99,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cluster size (default: 4)")
     parser.add_argument("--size", type=int, default=700,
                         help="message payload bytes (default: 700)")
-    parser.add_argument("--duration", type=float, default=2.0,
+    parser.add_argument("--duration", type=positive(float, "--duration"),
+                        default=2.0,
                         help="virtual seconds to run (default: 2.0)")
     parser.add_argument("--seed", type=int, default=1,
                         help="simulation seed (default: 1)")

@@ -51,11 +51,6 @@ class TokenBucket:
         self._tokens = tokens if tokens < self.burst else self.burst
         self._last = now
 
-    @property
-    def tokens(self) -> float:
-        """Tokens as of the last refill (diagnostic)."""
-        return self._tokens
-
     def peek(self, now: float) -> bool:
         """Whether one token is available at ``now`` (no consumption)."""
         if now > self._last:
@@ -127,14 +122,6 @@ class FairAdmissionQueue:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def full(self) -> bool:
-        return self._size >= self.capacity
-
-    def depth_of(self, client: int) -> int:
-        lane = self._lanes.get(client)
-        return len(lane.queue) if lane is not None else 0
 
     def offer(self, request: Request) -> bool:
         """Queue ``request``; False when the queue (or lane) is full."""

@@ -31,5 +31,3 @@ class VirtualClock:
             )
         self._now = t
 
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now!r})"

@@ -26,10 +26,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """The stream for ``name``, created on first use."""
         rng = self._streams.get(name)
@@ -39,7 +35,3 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        derived = (self._seed * 0x85EBCA77 + zlib.crc32(name.encode())) % (2**63)
-        return RngRegistry(derived)

@@ -92,10 +92,6 @@ class Timer:
             self._scheduler._note_cancelled()
 
     @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
     def active(self) -> bool:
         """True if the timer is still pending (not fired, not cancelled)."""
         return self._entry[_CALLBACK] is not None

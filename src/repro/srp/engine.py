@@ -117,12 +117,6 @@ class SrpStats:
     rotation_time_max: float = 0.0
     rotation_count: int = 0
 
-    @property
-    def rotation_time_mean(self) -> float:
-        if not self.rotation_count:
-            return 0.0
-        return self.rotation_time_total / self.rotation_count
-
 
 class TotemSrp:
     """One node's Totem Single Ring Protocol instance."""
@@ -337,11 +331,6 @@ class TotemSrp:
     def send_queue_depth(self) -> int:
         """Messages waiting for the token (the obs layer samples this)."""
         return len(self.send_queue)
-
-    @property
-    def stable_seq(self) -> SeqNum:
-        """Highest sequence known received by every member (safe watermark)."""
-        return self._stable_seq
 
     def has_gaps_up_to(self, seq: SeqNum) -> bool:
         """``anyMessagesMissing()`` of the paper's Figure 4."""

@@ -49,9 +49,6 @@ class ReceiveBuffer:
     def gc_floor(self) -> SeqNum:
         return self._gc_floor
 
-    def __len__(self) -> int:
-        return len(self._packets)
-
     def digest_state(self) -> Tuple:
         """Canonical state tuple for explorer digests (see docs/MODELCHECK.md).
 

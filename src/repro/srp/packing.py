@@ -57,16 +57,9 @@ class Packer:
         #: fragments sent).
         self._partial: Optional[Tuple[int, bytes, int, List[bytes]]] = None
 
-    @property
-    def max_payload(self) -> int:
-        return self._max_payload
-
     def backlog(self) -> int:
         """Messages still waiting (including a partially sent one)."""
         return len(self._queue) + (1 if self._partial is not None else 0)
-
-    def has_pending(self) -> bool:
-        return self._partial is not None or len(self._queue) > 0
 
     def next_packet_chunks(self) -> List[Chunk]:
         """Chunks for one packet, or an empty list when nothing is pending."""
@@ -172,10 +165,3 @@ class Reassembler:
         return ("reasm", tuple(
             (key, tuple(fragments))
             for key, fragments in sorted(self._partial.items())))
-
-    def pending_count(self) -> int:
-        return len(self._partial)
-
-    def clear(self) -> None:
-        """Discard partial messages (on a configuration change)."""
-        self._partial.clear()

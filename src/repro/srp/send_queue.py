@@ -18,18 +18,9 @@ class SendQueue:
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
         self._queue: Deque[bytes] = deque()
-        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._bytes
 
     @property
     def full(self) -> bool:
@@ -45,7 +36,6 @@ class SendQueue:
             raise SendQueueFullError(
                 f"send queue at capacity ({self._capacity} messages)")
         self._queue.append(payload)
-        self._bytes += len(payload)
 
     def try_enqueue(self, payload: bytes) -> bool:
         """Best-effort enqueue; returns False instead of raising when full."""
@@ -58,24 +48,21 @@ class SendQueue:
         """Append messages until the queue fills; returns how many fit.
 
         The bulk path for workload generators topping up a queue: one
-        capacity check and one byte-count update for the whole run instead
-        of a method call per message.
+        capacity check for the whole run instead of a method call per
+        message.
         """
         room = self._capacity - len(self._queue)
         if room <= 0:
             return 0
         accepted = payloads[:room] if len(payloads) > room else payloads
         self._queue.extend(accepted)
-        self._bytes += sum(map(len, accepted))
         return len(accepted)
 
     def dequeue(self) -> Optional[bytes]:
         """Pop the oldest message, or None when empty."""
         if not self._queue:
             return None
-        payload = self._queue.popleft()
-        self._bytes -= len(payload)
-        return payload
+        return self._queue.popleft()
 
     def dequeue_fitting(self, budget: int, overhead: int,
                         limit: Optional[int] = None) -> List[bytes]:
@@ -84,14 +71,12 @@ class SendQueue:
         packet's worth for the packer; none when the head alone does not."""
         queue = self._queue
         taken: List[bytes] = []
-        count = taken_bytes = 0
+        count = 0
         while queue and count != limit:
             size = len(queue[0])
             budget -= overhead + size
             if budget < 0:
                 break
-            taken_bytes += size
             count += 1
             taken.append(queue.popleft())
-        self._bytes -= taken_bytes
         return taken

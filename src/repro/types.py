@@ -54,14 +54,6 @@ class RingId:
     seq: int = 0
     representative: NodeId = 0
 
-    def successor(self, representative: NodeId) -> "RingId":
-        """Ring id for the next ring formed by ``representative``.
-
-        The sequence is advanced by a large stride (as in the Totem
-        implementation) so concurrently formed rings never collide.
-        """
-        return RingId(seq=self.seq + 4, representative=representative)
-
 
 @dataclass(frozen=True)
 class Membership:
@@ -78,11 +70,6 @@ class Membership:
         """The next node on the logical token-passing ring after ``node``."""
         idx = self.members.index(node)
         return self.members[(idx + 1) % len(self.members)]
-
-    @property
-    def representative(self) -> NodeId:
-        """The ring leader: the smallest node identifier on the ring."""
-        return min(self.members)
 
     def __contains__(self, node: object) -> bool:
         return node in self.members
@@ -212,10 +199,6 @@ class DeliveryLog:
 
     def on_fault_report(self, report: FaultReport) -> None:
         self.fault_reports.append(report)
-
-    @property
-    def payloads(self) -> List[bytes]:
-        return [m.payload for m in self.messages]
 
     def last_regular_membership(self) -> Optional[Membership]:
         for change in reversed(self.config_changes):

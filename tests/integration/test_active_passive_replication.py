@@ -7,7 +7,7 @@ import pytest
 from repro.net.faults import FaultPlan
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 class TestBasics:
@@ -18,7 +18,7 @@ class TestBasics:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 40 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 40 for n in cluster.nodes.values())
 
     def test_k_fold_bandwidth_cost(self):
         """§4: bandwidth consumption increases K-fold."""
@@ -49,7 +49,7 @@ class TestBasics:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 30 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 30 for n in cluster.nodes.values())
 
 
 class TestLossMasking:
@@ -66,7 +66,7 @@ class TestLossMasking:
             cluster.nodes[1 + i % 4].submit(f"m{i:03d}".encode())
         drain(cluster, timeout=20.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 80 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 80 for n in cluster.nodes.values())
 
     def test_total_failure_of_one_network_transparent(self):
         cluster = make_cluster(ReplicationStyle.ACTIVE_PASSIVE)
@@ -78,7 +78,7 @@ class TestLossMasking:
             cluster.run_for(0.01)
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 80 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 80 for n in cluster.nodes.values())
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
 
@@ -122,4 +122,4 @@ class TestLossMasking:
             cluster.run_for(0.015)
         drain(cluster, timeout=15.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 160 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 160 for n in cluster.nodes.values())

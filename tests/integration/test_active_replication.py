@@ -7,7 +7,7 @@ import pytest
 from repro.net.faults import FaultPlan
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 class TestRedundantDelivery:
@@ -31,8 +31,8 @@ class TestRedundantDelivery:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster)
         for node in cluster.nodes.values():
-            assert len(node.log.payloads) == 25
-            assert len(set(node.log.payloads)) == 25
+            assert len(payloads(node.log)) == 25
+            assert len(set(payloads(node.log))) == 25
         cluster.assert_total_order()
 
 
@@ -48,7 +48,7 @@ class TestLossMasking:
             cluster.nodes[1 + i % 4].submit(f"m{i:03d}".encode())
         drain(cluster, timeout=20.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 100 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 100 for n in cluster.nodes.values())
         rtr = sum(n.srp.stats.retransmission_requests
                   for n in cluster.nodes.values())
         assert rtr == 0
@@ -67,7 +67,7 @@ class TestLossMasking:
             cluster.nodes[1 + i % 4].submit(f"m{i:03d}".encode())
         drain(cluster, timeout=30.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 60 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 60 for n in cluster.nodes.values())
 
 
 class TestNetworkFailure:
@@ -81,7 +81,7 @@ class TestNetworkFailure:
             cluster.run_for(0.01)
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 80 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 80 for n in cluster.nodes.values())
         # Transparent: no membership change beyond the initial install.
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
@@ -121,7 +121,7 @@ class TestNetworkFailure:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 40 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 40 for n in cluster.nodes.values())
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
 
@@ -135,7 +135,7 @@ class TestNetworkFailure:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 40 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 40 for n in cluster.nodes.values())
 
     def test_partition_of_one_network_is_masked(self):
         """§3 fault type 3: network 0 partitions; network 1 still connects
@@ -149,7 +149,7 @@ class TestNetworkFailure:
             cluster.run_for(0.005)
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 40 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 40 for n in cluster.nodes.values())
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
 
@@ -165,7 +165,8 @@ class TestNetworkFailure:
             timeout=5.0)
         cluster.run_until(0.7)
         for node in cluster.nodes.values():
-            assert node.clear_network_fault(1)
+            assert node.rrp.faults.clear_fault(
+                1, detail="administrative restore")
             assert node.faulty_networks == []
         for i in range(20):
             cluster.nodes[1 + i % 4].submit(f"post-{i}".encode())

@@ -34,6 +34,7 @@ from repro.campaign import (
 from repro.campaign.explore import apply_mutation
 from repro.campaign.minimize import _rebuild, same_failure
 from repro.campaign.runner import _CompiledRun
+from repro.campaign.scenario import FAULT_KINDS
 from repro.srp.membership import MembershipProtocol
 from repro.wire.codec import decode_packet
 from repro.wire.packets import ChunkKind, DataPacket
@@ -136,6 +137,38 @@ def test_end_of_run_ledger_check_is_reported(monkeypatch):
     result = run_scenario(scenario, check_twin=False)
     assert any(v.oracle == "invariants" and "planted" in v.detail
                for v in result.violations), result.violations
+
+
+#: One event of each network-fault kind the runner hands to FaultPlan.
+NETWORK_FAULTS = {
+    "loss": {"network": 1, "rate": 0.1},
+    "burst_loss": {"network": 1, "p_good_to_bad": 0.01,
+                   "p_bad_to_good": 0.3},
+    "sever_send": {"network": 1, "node": 3},
+    "sever_recv": {"network": 1, "node": 4},
+    "sever_pair": {"network": 1, "src": 1, "dst": 2},
+    "drop_frame": {"network": 1, "src": 1, "serial": 2},
+    "partition": {"network": 1, "groups": [[1, 2], [3, 4]]},
+    "fail_network": {"network": 1},
+    "restore_network": {"network": 1},
+}
+
+
+def test_every_network_fault_kind_runs():
+    """A case file may name any kind of the DSL, pinned in the corpus or
+    not: each network fault the runner passes on reaches a FaultPlan
+    method, and one run of them all, net 0 clean, passes."""
+    assert set(NETWORK_FAULTS) == set(FAULT_KINDS) - {
+        "partition_all", "heal_all", "crash", "restart"}
+    events = [TimelineEvent(0.0, "burst",
+                            {"node": 1, "count": 20, "size": 64})]
+    events += [TimelineEvent(0.01 * (i + 1), kind, params)
+               for i, (kind, params) in enumerate(NETWORK_FAULTS.items())]
+    scenario = Scenario(name="network-faults", num_nodes=4, duration=0.3,
+                        settle=0.3, events=tuple(events))
+    result = run_scenario(scenario)
+    assert result.ok, "\n".join(str(v) for v in result.violations)
+    assert result.delivered_total > 0
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -9,7 +9,7 @@ from repro.net.faults import FaultPlan
 from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 class TestRecoveryConsistency:
@@ -32,7 +32,7 @@ class TestRecoveryConsistency:
             lambda: all(len(n.srp.send_queue) == 0 for n in drain_nodes),
             timeout=10.0)
         cluster.run_for(0.2)
-        sequences = [n.log.payloads for n in drain_nodes]
+        sequences = [payloads(n.log) for n in drain_nodes]
         assert sequences[0] == sequences[1] == sequences[2]
         # Messages from every sender that made it to one made it to all.
         assert len(sequences[0]) >= 150
@@ -56,12 +56,12 @@ class TestRecoveryConsistency:
         survivors = [cluster.nodes[n] for n in (1, 2, 3)]
         cluster.run_until_condition(
             lambda: all(len(n.srp.send_queue) == 0
-                        and not n.srp._packer.has_pending()
+                        and not n.srp._packer.backlog()
                         for n in survivors),
             timeout=20.0)
         cluster.run_for(0.3)
-        assert (survivors[0].log.payloads == survivors[1].log.payloads
-                == survivors[2].log.payloads)
+        assert (payloads(survivors[0].log) == payloads(survivors[1].log)
+                == payloads(survivors[2].log))
 
 
 class TestSafeDelivery:
@@ -74,7 +74,7 @@ class TestSafeDelivery:
         cluster.run_for(0.1)
         cluster.assert_total_order()
         for node in cluster.nodes.values():
-            assert len(node.log.payloads) == 20
+            assert len(payloads(node.log)) == 20
             assert all(m.safe for m in node.log.messages)
 
     def test_safe_delivery_lags_agreed(self):
@@ -87,9 +87,9 @@ class TestSafeDelivery:
         cluster.run_for(0.0008)
         receiver = cluster.nodes[3]
         if receiver.srp.recv_buffer.high_seq >= 1:
-            assert receiver.log.payloads == []
+            assert payloads(receiver.log) == []
         drain(cluster)
-        assert receiver.log.payloads == [b"probe"]
+        assert payloads(receiver.log) == [b"probe"]
 
 
 class TestDeterminism:

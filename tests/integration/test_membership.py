@@ -13,7 +13,7 @@ from repro.net.faults import FaultPlan
 from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
-from conftest import REDUNDANT_STYLES, drain, make_cluster
+from conftest import REDUNDANT_STYLES, drain, make_cluster, payloads
 
 
 def crash(cluster, node_id) -> None:
@@ -38,7 +38,7 @@ class TestFormation:
             lambda: all_operational(cluster, [1, 2, 3, 4]), timeout=5.0)
         cluster.nodes[2].submit(b"after formation")
         drain(cluster)
-        assert all(n.log.payloads == [b"after formation"]
+        assert all(payloads(n.log) == [b"after formation"]
                    for n in cluster.nodes.values())
 
     def test_formation_delivers_regular_config(self):
@@ -58,7 +58,7 @@ class TestFormation:
             lambda: all_operational(cluster, [1]), timeout=5.0)
         cluster.nodes[1].submit(b"solo")
         drain(cluster)
-        assert cluster.nodes[1].log.payloads == [b"solo"]
+        assert payloads(cluster.nodes[1].log) == [b"solo"]
 
 
 class TestCrash:
@@ -102,9 +102,9 @@ class TestCrash:
         cluster.assert_total_order()
         # Survivors agree exactly (extended virtual synchrony among the
         # transitional configuration).
-        reference = cluster.nodes[1].log.payloads
+        reference = payloads(cluster.nodes[1].log)
         for node_id in (3, 4):
-            assert cluster.nodes[node_id].log.payloads == reference
+            assert payloads(cluster.nodes[node_id].log) == reference
         assert sum(1 for p in reference if p.startswith(b"post-")) == 10
 
     def test_sequential_crashes_down_to_singleton(self):
@@ -119,7 +119,7 @@ class TestCrash:
                 timeout=5.0)
         cluster.nodes[1].submit(b"last one standing")
         drain(cluster)
-        assert b"last one standing" in cluster.nodes[1].log.payloads
+        assert b"last one standing" in payloads(cluster.nodes[1].log)
 
 
 class TestJoin:
@@ -138,9 +138,9 @@ class TestJoin:
         cluster.nodes[4].submit(b"hello from 4")
         drain(cluster)
         for node_id in (1, 2, 3):
-            assert b"hello from 4" in cluster.nodes[node_id].log.payloads
+            assert b"hello from 4" in payloads(cluster.nodes[node_id].log)
         # The joiner does not retroactively receive pre-join messages.
-        assert b"before join" not in cluster.nodes[4].log.payloads
+        assert b"before join" not in payloads(cluster.nodes[4].log)
 
     def test_idle_rings_merge_via_presence_beacons(self):
         """Idle rings exchange no broadcasts (tokens are unicast); the
@@ -180,7 +180,7 @@ class TestJoin:
             lambda: all_operational(cluster, [1, 2, 3, 4]), timeout=5.0)
         cluster.nodes[1].submit(b"merged")
         drain(cluster)
-        assert all(b"merged" in n.log.payloads for n in cluster.nodes.values())
+        assert all(b"merged" in payloads(n.log) for n in cluster.nodes.values())
 
 
 class TestPartitionAndMerge:
@@ -201,9 +201,9 @@ class TestPartitionAndMerge:
         cluster.nodes[1].submit(b"side A")
         cluster.nodes[3].submit(b"side B")
         drain(cluster, timeout=5.0)
-        assert cluster.nodes[2].log.payloads[-1] == b"side A"
-        assert cluster.nodes[4].log.payloads[-1] == b"side B"
-        assert b"side B" not in cluster.nodes[1].log.payloads
+        assert payloads(cluster.nodes[2].log)[-1] == b"side A"
+        assert payloads(cluster.nodes[4].log)[-1] == b"side B"
+        assert b"side B" not in payloads(cluster.nodes[1].log)
 
     def test_partition_heals_and_rings_merge(self):
         cluster = make_cluster(ReplicationStyle.ACTIVE)
@@ -226,5 +226,5 @@ class TestPartitionAndMerge:
             lambda: all_operational(cluster, [1, 2, 3, 4]), timeout=5.0)
         cluster.nodes[2].submit(b"together again")
         drain(cluster)
-        assert all(b"together again" in n.log.payloads
+        assert all(b"together again" in payloads(n.log)
                    for n in cluster.nodes.values())

@@ -155,8 +155,8 @@ class TestShardedKv:
         kv.set(b"user:0", b"v0-new")
         cluster.run_for(0.4)
         assert kv.converged()
-        assert kv.get(2, b"user:1") == b"v1"
-        assert kv.get(3, b"user:0") == b"v0-new"
+        assert kv.stores[2].get(b"user:1") == b"v1"
+        assert kv.stores[3].get(b"user:0") == b"v0-new"
         assert kv.applied[1] == 26
 
     def test_audit_logs_byte_identical_under_shared_lan_loss(self):

@@ -9,7 +9,7 @@ import pytest
 from repro.net.faults import FaultPlan
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 class TestRoundRobin:
@@ -79,7 +79,7 @@ class TestFragmentedPayloads:
         cluster = make_cluster(ReplicationStyle.PASSIVE)
         cluster.start()
         submitted = self.submit(cluster)
-        while not any(node.srp._reassembler.pending_count()
+        while not any(node.srp._reassembler._partial
                       for node in cluster.nodes.values()):
             assert cluster.scheduler.step()
         fork = copy.deepcopy(cluster)
@@ -102,7 +102,7 @@ class TestRequirementP1:
             cluster.nodes[1 + i % 4].submit(f"m{i:02d}".encode())
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 60 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 60 for n in cluster.nodes.values())
         rtr = sum(n.srp.stats.retransmission_requests
                   for n in cluster.nodes.values())
         assert rtr == 0
@@ -138,7 +138,7 @@ class TestRequirementP3:
             cluster.nodes[1 + i % 4].submit(f"m{i:03d}".encode())
         drain(cluster, timeout=30.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 80 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 80 for n in cluster.nodes.values())
         # Real loss must have exercised retransmission (unlike active).
         assert sum(n.srp.stats.retransmissions_served
                    for n in cluster.nodes.values()) > 0
@@ -155,7 +155,7 @@ class TestNetworkFailure:
             cluster.run_for(0.01)
         drain(cluster, timeout=10.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 100 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 100 for n in cluster.nodes.values())
         assert all(n.srp.stats.membership_changes == 1
                    for n in cluster.nodes.values())
         cluster.run_until_condition(
@@ -204,7 +204,7 @@ class TestNetworkFailure:
         assert all(n.srp.stats.membership_changes <= 2
                    for n in cluster.nodes.values())
         cluster.run_until_condition(
-            lambda: all(len(n.log.payloads) == 400
+            lambda: all(len(payloads(n.log)) == 400
                         for n in cluster.nodes.values()),
             timeout=10.0)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 def ring_is(cluster, members) -> bool:
@@ -30,14 +30,14 @@ class TestRestart:
         assert fresh is cluster.nodes[2]
         fresh.submit(b"reincarnated")
         cluster.run_for(0.2)
-        assert b"reincarnated" in cluster.nodes[4].log.payloads
+        assert b"reincarnated" in payloads(cluster.nodes[4].log)
 
     def test_restarted_node_has_fresh_state(self):
         cluster = make_cluster(ReplicationStyle.ACTIVE)
         cluster.start()
         cluster.nodes[1].submit(b"before crash")
         cluster.run_for(0.1)
-        assert b"before crash" in cluster.nodes[2].log.payloads
+        assert b"before crash" in payloads(cluster.nodes[2].log)
         cluster.crash_node(2)
         cluster.run_until_condition(lambda: ring_is(cluster, (1, 3, 4)),
                                     timeout=5.0)
@@ -45,7 +45,7 @@ class TestRestart:
         cluster.run_until_condition(lambda: ring_is(cluster, (1, 2, 3, 4)),
                                     timeout=5.0)
         # A fresh incarnation has no memory of the previous life.
-        assert b"before crash" not in cluster.nodes[2].log.payloads
+        assert b"before crash" not in payloads(cluster.nodes[2].log)
 
     def test_no_ghost_traffic_from_old_incarnation(self):
         cluster = make_cluster(ReplicationStyle.ACTIVE)
@@ -82,7 +82,7 @@ class TestRestart:
                 lambda: ring_is(cluster, (1, 2, 3, 4)), timeout=5.0)
         cluster.nodes[4].submit(b"still here")
         cluster.run_for(0.2)
-        assert b"still here" in cluster.nodes[1].log.payloads
+        assert b"still here" in payloads(cluster.nodes[1].log)
         cluster.assert_total_order()
 
     def test_ring_seq_watermark_survives_restart(self):
@@ -154,10 +154,10 @@ class TestRestart:
         # The continuously-alive nodes agree over the whole history; the
         # restarted node's history starts mid-stream.
         cluster.assert_total_order(nodes=(1, 3, 4))
-        assert (cluster.nodes[1].log.payloads[-10:]
-                == cluster.nodes[3].log.payloads[-10:])
-        assert (cluster.nodes[2].log.payloads
-                == cluster.nodes[1].log.payloads[-len(cluster.nodes[2].log.payloads):])
+        assert (payloads(cluster.nodes[1].log)[-10:]
+                == payloads(cluster.nodes[3].log)[-10:])
+        assert (payloads(cluster.nodes[2].log)
+                == payloads(cluster.nodes[1].log)[-len(payloads(cluster.nodes[2].log)):])
 
 
 def _dummy_packet():

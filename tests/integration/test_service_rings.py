@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.workload import ClosedLoopWorkload
 from repro.config import TotemConfig
 from repro.errors import ConfigError
 from repro.multiring import MultiRingCluster, MultiRingConfig
@@ -21,7 +20,7 @@ from repro.service import Admitted, ServiceConfig, ServiceFacade, ShedReason
 from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
-from conftest import make_cluster, overloaded_service
+from conftest import ClosedLoopWorkload, make_cluster, overloaded_service
 
 #: Under 2x overload: completed ops/s at least this fraction of capacity,
 #: p99 virtual latency of completed requests at most P99_BOUND seconds.

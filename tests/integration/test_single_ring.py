@@ -7,7 +7,7 @@ import pytest
 from repro.net.faults import FaultPlan
 from repro.types import ReplicationStyle
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 class TestBasicDelivery:
@@ -17,7 +17,7 @@ class TestBasicDelivery:
         cluster.nodes[1].submit(b"hello")
         drain(cluster)
         for node in cluster.nodes.values():
-            assert node.log.payloads == [b"hello"]
+            assert payloads(node.log) == [b"hello"]
 
     def test_interleaved_senders_totally_ordered(self):
         cluster = make_cluster(ReplicationStyle.NONE)
@@ -26,7 +26,7 @@ class TestBasicDelivery:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster)
         cluster.assert_total_order()
-        reference = cluster.nodes[1].log.payloads
+        reference = payloads(cluster.nodes[1].log)
         assert len(reference) == 40
         assert sorted(reference) == sorted(f"m{i}".encode() for i in range(40))
 
@@ -36,7 +36,7 @@ class TestBasicDelivery:
         for i in range(20):
             cluster.nodes[2].submit(f"s2-{i:03d}".encode())
         drain(cluster)
-        at_node_4 = [p for p in cluster.nodes[4].log.payloads
+        at_node_4 = [p for p in payloads(cluster.nodes[4].log)
                      if p.startswith(b"s2-")]
         assert at_node_4 == sorted(at_node_4)
 
@@ -47,23 +47,23 @@ class TestBasicDelivery:
         cluster.nodes[3].submit(big)
         drain(cluster)
         for node in cluster.nodes.values():
-            assert node.log.payloads == [big]
+            assert payloads(node.log) == [big]
 
     def test_mixed_sizes(self):
         cluster = make_cluster(ReplicationStyle.NONE)
         cluster.start()
-        payloads = [b"a", b"b" * 5000, b"c" * 100, b"d" * 1424, b"e" * 20000]
-        for payload in payloads:
+        sent = [b"a", b"b" * 5000, b"c" * 100, b"d" * 1424, b"e" * 20000]
+        for payload in sent:
             cluster.nodes[1].submit(payload)
         drain(cluster)
-        assert cluster.nodes[2].log.payloads == payloads
+        assert payloads(cluster.nodes[2].log) == sent
 
     def test_empty_message(self):
         cluster = make_cluster(ReplicationStyle.NONE)
         cluster.start()
         cluster.nodes[1].submit(b"")
         drain(cluster)
-        assert cluster.nodes[3].log.payloads == [b""]
+        assert payloads(cluster.nodes[3].log) == [b""]
 
     def test_two_node_ring(self):
         cluster = make_cluster(ReplicationStyle.NONE, num_nodes=2)
@@ -72,14 +72,14 @@ class TestBasicDelivery:
         cluster.nodes[2].submit(b"pong")
         drain(cluster)
         cluster.assert_total_order()
-        assert len(cluster.nodes[1].log.payloads) == 2
+        assert len(payloads(cluster.nodes[1].log)) == 2
 
     def test_single_node_ring(self):
         cluster = make_cluster(ReplicationStyle.NONE, num_nodes=1)
         cluster.start()
         cluster.nodes[1].submit(b"solo")
         drain(cluster)
-        assert cluster.nodes[1].log.payloads == [b"solo"]
+        assert payloads(cluster.nodes[1].log) == [b"solo"]
 
 
 class TestLossRecovery:
@@ -93,7 +93,7 @@ class TestLossRecovery:
         drain(cluster, timeout=20.0)
         cluster.assert_total_order()
         for node in cluster.nodes.values():
-            assert len(node.log.payloads) == 100
+            assert len(payloads(node.log)) == 100
         retransmissions = sum(n.srp.stats.retransmissions_served
                               for n in cluster.nodes.values())
         assert retransmissions > 0
@@ -107,7 +107,7 @@ class TestLossRecovery:
             cluster.nodes[1 + i % 4].submit(f"m{i}".encode())
         drain(cluster, timeout=30.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 30 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 30 for n in cluster.nodes.values())
 
 
 class TestStats:
@@ -133,4 +133,4 @@ class TestStats:
         drain(cluster, timeout=10.0)
         cluster.run_for(0.1)  # a few more rotations for stability to settle
         for node in cluster.nodes.values():
-            assert len(node.srp.recv_buffer) < 150
+            assert len(node.srp.recv_buffer._packets) < 150

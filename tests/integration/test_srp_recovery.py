@@ -28,7 +28,7 @@ from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 from repro.wire.packets import Token
 
-from conftest import drain, make_cluster
+from conftest import drain, make_cluster, payloads
 
 
 def _is_token_flight(entry) -> bool:
@@ -92,7 +92,7 @@ def test_token_retransmission_recovers_lost_handoff():
         assert node.srp.state is SrpState.OPERATIONAL
         assert node.srp.stats.token_loss_events == 0
         assert node.srp.stats.gathers_entered == 0
-        assert node.log.payloads == [b"after the loss"]
+        assert payloads(node.log) == [b"after the loss"]
 
     # Again with a warm estimator: node 1's bulk traffic stretches the
     # rotation past the 5 ms floor, so a two-copy token waits for the
@@ -110,7 +110,7 @@ def test_token_retransmission_recovers_lost_handoff():
         assert node.srp.state is SrpState.OPERATIONAL
         assert node.srp.stats.token_loss_events == 0
         assert node.srp.stats.gathers_entered == 0
-        assert len(node.log.payloads) == 61
+        assert len(payloads(node.log)) == 61
 
 
 def test_sustained_token_loss_reforms_full_ring():
@@ -133,7 +133,7 @@ def test_sustained_token_loss_reforms_full_ring():
         assert node.srp.stats.gathers_entered >= 1
         assert node.srp.stats.membership_changes >= 1
         # EVS: the pre-reform submission survives onto the new ring.
-        assert b"survives the reform" in node.log.payloads
+        assert b"survives the reform" in payloads(node.log)
 
 
 def test_crashed_peer_reforms_singleton_via_consensus_timeout():
@@ -160,7 +160,7 @@ def test_crashed_peer_reforms_singleton_via_consensus_timeout():
     assert survivor.srp.ring_id.seq > seq_before
     survivor.submit(b"alone but alive")
     drain(cluster)
-    assert survivor.log.payloads[-1] == b"alone but alive"
+    assert payloads(survivor.log)[-1] == b"alone but alive"
 
 
 def test_recovery_chain_is_digest_deterministic():

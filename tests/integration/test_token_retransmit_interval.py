@@ -77,7 +77,7 @@ def test_multi_copy_token_is_not_resent_within_a_rotation():
     # and no longer than a quarter of the token-loss timeout.
     for log in delays.values():
         assert log and all(FLOOR < delay <= 0.025 for delay in log)
-    cluster.check_invariants()
+    cluster.checker.check_all()
 
 
 @pytest.mark.parametrize("case", ["passive", "active-one-network"])

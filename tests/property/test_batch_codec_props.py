@@ -121,16 +121,16 @@ def _run_cluster(enable_batching: bool, seed: int, num_messages: int,
     cluster.start()
     node_ids = sorted(cluster.nodes)
     for i in range(num_messages):
-        sender = cluster.node(node_ids[i % len(node_ids)])
+        sender = cluster.nodes[node_ids[i % len(node_ids)]]
         sender.submit(b"%08d" % i + b"x" * message_size)
     expected = num_messages
     for _ in range(200):
         cluster.run_for(0.05)
-        if all(len(cluster.delivered_payloads(n)) >= expected
+        if all(len(cluster.nodes[n].delivered) >= expected
                for n in node_ids):
             break
     return {n: [(m.sender, m.seq, m.payload)
-                for m in cluster.node(n).delivered]
+                for m in cluster.nodes[n].delivered]
             for n in node_ids}
 
 

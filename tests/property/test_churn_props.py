@@ -18,7 +18,7 @@ from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from conftest import make_cluster  # noqa: E402
+from conftest import make_cluster, payloads  # noqa: E402
 
 # A churn schedule: (victim offset, crash duration in ms, gap in ms).
 churn_schedules = st.lists(
@@ -69,12 +69,12 @@ def test_churn_preserves_survivor_consistency(schedule, seed):
     cluster.run_for(0.3)
 
     # Node 1 delivered every one of its own messages, exactly once, in order.
-    own = [p for p in cluster.nodes[1].log.payloads if p.startswith(b"ref-")]
+    own = [p for p in payloads(cluster.nodes[1].log) if p.startswith(b"ref-")]
     assert own == [f"ref-{i}".encode() for i in range(feeding[0])]
     # Any other node's history is consistent: its ref- messages form a
     # suffix-aligned subsequence (it may have missed a prefix while down,
     # and never sees a gap in the middle of a ring it was on).
     for node_id in (2, 3, 4):
-        others = [p for p in cluster.nodes[node_id].log.payloads
+        others = [p for p in payloads(cluster.nodes[node_id].log)
                   if p.startswith(b"ref-")]
         assert others == [p for p in own if p in set(others)]

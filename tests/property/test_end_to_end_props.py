@@ -22,7 +22,7 @@ from repro.types import ReplicationStyle
 import sys
 import os
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from conftest import drain, make_cluster  # noqa: E402
+from conftest import drain, make_cluster, payloads  # noqa: E402
 
 styles = st.sampled_from([ReplicationStyle.NONE, ReplicationStyle.ACTIVE,
                           ReplicationStyle.PASSIVE,
@@ -63,7 +63,7 @@ def test_group_communication_contract(style, num_nodes, loss_permille,
     cluster.run_for(0.05)
 
     total = sum(len(v) for v in submitted.values())
-    reference = cluster.nodes[1].log.payloads
+    reference = payloads(cluster.nodes[1].log)
     # validity + integrity
     assert len(reference) == total
     assert sorted(reference) == sorted(
@@ -71,7 +71,7 @@ def test_group_communication_contract(style, num_nodes, loss_permille,
     # total order
     cluster.assert_total_order()
     for node in cluster.nodes.values():
-        assert node.log.payloads == reference
+        assert payloads(node.log) == reference
     # FIFO per sender
     for sender, msgs in submitted.items():
         delivered_from_sender = [p for p in reference
@@ -95,5 +95,5 @@ def test_determinism_is_total(seed):
             cluster.nodes[1 + i % 4].submit(f"d{i}".encode())
         cluster.run_until(0.3)
         return (cluster.scheduler.events_processed,
-                tuple(tuple(n.log.payloads) for n in cluster.nodes.values()))
+                tuple(tuple(payloads(n.log)) for n in cluster.nodes.values()))
     assert run() == run()

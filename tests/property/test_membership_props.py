@@ -18,7 +18,7 @@ from repro.srp.engine import SrpState
 from repro.types import ReplicationStyle
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from conftest import make_cluster  # noqa: E402
+from conftest import make_cluster, payloads  # noqa: E402
 
 
 @given(crash_delay_ms=st.integers(min_value=0, max_value=400),
@@ -46,7 +46,7 @@ def test_crash_at_random_moment_during_reconfiguration(
         timeout=15.0)
     cluster.nodes[1].submit(b"post")
     cluster.run_until_condition(
-        lambda: b"post" in cluster.nodes[2].log.payloads, timeout=5.0)
+        lambda: b"post" in payloads(cluster.nodes[2].log), timeout=5.0)
     cluster.assert_total_order(nodes=(1, 2))
 
 
@@ -84,6 +84,6 @@ def test_partition_and_heal_always_reconverges(split, partition_after_ms,
         timeout=10.0)
     cluster.nodes[2].submit(b"after heal")
     cluster.run_until_condition(
-        lambda: all(b"after heal" in n.log.payloads
+        lambda: all(b"after heal" in payloads(n.log)
                     for n in cluster.nodes.values()),
         timeout=5.0)

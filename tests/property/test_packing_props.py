@@ -27,7 +27,7 @@ def pack_everything(payloads, max_payload, enable_packing=True):
     for payload in payloads:
         queue.enqueue(payload)
     packets = []
-    while packer.has_pending():
+    while packer.backlog():
         chunks = packer.next_packet_chunks()
         assert chunks, "pending work must always produce chunks"
         packets.append(chunks)
@@ -44,7 +44,7 @@ def reassemble(packets):
             done = reassembler.feed(1, chunk)
             if done is not None:
                 out.append(done)
-    assert reassembler.pending_count() == 0
+    assert len(reassembler._partial) == 0
     return out
 
 
@@ -148,6 +148,6 @@ def test_backlog_reaches_zero(payloads, max_payload):
     for payload in payloads:
         queue.enqueue(payload)
     assert packer.backlog() == len(payloads)
-    while packer.has_pending():
+    while packer.backlog():
         packer.next_packet_chunks()
     assert packer.backlog() == 0

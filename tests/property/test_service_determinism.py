@@ -12,7 +12,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workload import ClosedLoopWorkload
+from conftest import ClosedLoopWorkload
 from repro.config import ClusterConfig, TotemConfig
 from repro.api.cluster import SimCluster
 from repro.multiring import MultiRingCluster, MultiRingConfig

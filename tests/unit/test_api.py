@@ -11,6 +11,8 @@ from repro.errors import ConfigError, SimulationError
 from repro.net.faults import FaultPlan
 from repro.types import ReplicationStyle
 
+from conftest import payloads
+
 
 def small_cluster(**kwargs) -> SimCluster:
     totem = TotemConfig(replication=ReplicationStyle.ACTIVE, num_networks=2)
@@ -23,10 +25,6 @@ class TestSimClusterConstruction:
         assert sorted(cluster.nodes) == [1, 2, 3]
         assert len(cluster.lans) == 2
         assert cluster.now == 0.0
-
-    def test_node_accessor(self):
-        cluster = small_cluster()
-        assert cluster.node(2) is cluster.nodes[2]
 
     def test_node_network_count_must_match(self):
         from repro.api.node import TotemNode
@@ -97,7 +95,7 @@ class TestNodeApi:
         cluster.nodes[1].submit(b"x")
         cluster.run_for(0.05)
         assert [m.payload for m in delivered] == [b"x"]
-        assert cluster.nodes[2].log.payloads == [b"x"]
+        assert payloads(cluster.nodes[2].log) == [b"x"]
 
     def test_deepcopy_of_a_started_node_delivers_into_its_own_log(self):
         """World-forking (the explorer) deep-copies started clusters.  The
@@ -114,8 +112,8 @@ class TestNodeApi:
         fork.nodes[1].submit(b"in the fork")
         fork.run_for(0.05)
         for node_id, node in cluster.nodes.items():
-            assert node.log.payloads == [b"before the fork"]
-            assert fork.nodes[node_id].log.payloads == [
+            assert payloads(node.log) == [b"before the fork"]
+            assert payloads(fork.nodes[node_id].log) == [
                 b"before the fork", b"in the fork"]
 
     def test_membership_property(self):
@@ -136,7 +134,8 @@ class TestNodeApi:
     def test_clear_network_fault_noop_when_healthy(self):
         cluster = small_cluster()
         cluster.start()
-        assert not cluster.nodes[1].clear_network_fault(0)
+        assert not cluster.nodes[1].rrp.faults.clear_fault(
+            0, detail="administrative restore")
 
 
 class TestCrashNode:

@@ -44,10 +44,10 @@ class TestWorkload:
         cluster.run_for(0.05)
         # Far more traffic than a non-saturating workload would produce,
         # and the queues are continuously refilled.
-        assert workload.total_sent > 500
+        assert sum(workload.sent.values()) > 500
         for node in cluster.nodes.values():
             assert (len(node.srp.send_queue) > 0
-                    or node.srp._packer.has_pending())
+                    or node.srp._packer.backlog())
 
     def test_stop_halts_refills(self):
         cluster = SimCluster(build_config(ReplicationStyle.NONE, 3))
@@ -56,9 +56,9 @@ class TestWorkload:
         workload.start()
         cluster.run_for(0.02)
         workload.stop()
-        sent = workload.total_sent
+        sent = sum(workload.sent.values())
         cluster.run_for(0.05)
-        assert workload.total_sent == sent
+        assert sum(workload.sent.values()) == sent
 
     def test_payload_carries_index(self):
         cluster = SimCluster(build_config(ReplicationStyle.NONE, 2))
@@ -81,7 +81,7 @@ class TestWorkload:
         workload.start()
         workload.start()
         cluster.run_for(0.01)
-        assert workload.total_sent > 0
+        assert sum(workload.sent.values()) > 0
 
 
 class TestRunner:

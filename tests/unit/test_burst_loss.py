@@ -9,6 +9,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan, GilbertElliottLoss, NetworkFaultModel
 
+from conftest import payloads
+
 
 class TestGilbertElliottLoss:
     def test_parameter_validation(self):
@@ -23,20 +25,19 @@ class TestGilbertElliottLoss:
         model = GilbertElliottLoss(0.0, 0.5)
         rng = random.Random(1)
         assert not any(model.frame_lost(rng) for _ in range(1000))
-        assert model.average_loss == 0.0
 
     def test_always_bad_loses_everything(self):
         model = GilbertElliottLoss(1.0, 0.0, bad_loss=1.0)
         rng = random.Random(1)
         model.frame_lost(rng)  # enter bad state
         assert all(model.frame_lost(rng) for _ in range(100))
-        assert model.average_loss == 1.0
 
     def test_average_loss_matches_stationary_rate(self):
         model = GilbertElliottLoss(0.01, 0.2, bad_loss=1.0)
         rng = random.Random(7)
         losses = sum(model.frame_lost(rng) for _ in range(200_000))
-        assert losses / 200_000 == pytest.approx(model.average_loss, rel=0.15)
+        stationary = 0.01 / (0.01 + 0.2) * 1.0  # P(bad) x bad_loss
+        assert losses / 200_000 == pytest.approx(stationary, rel=0.15)
 
     def test_losses_are_bursty(self):
         """Loss runs must be much longer than i.i.d. loss would produce."""
@@ -63,7 +64,7 @@ class TestFaultPlanBurstLoss:
         model = NetworkFaultModel()
         plan.events[0].apply(model)
         assert model.burst_loss is not None
-        assert model.burst_loss.average_loss > 0
+        assert model.burst_loss.p_good_to_bad == 0.01
 
     def test_plan_can_disable(self):
         model = NetworkFaultModel()
@@ -95,7 +96,7 @@ class TestEndToEndBurstLoss:
             cluster.nodes[1 + i % 4].submit(f"b{i:03d}".encode())
         drain(cluster, timeout=30.0)
         cluster.assert_total_order()
-        assert all(len(n.log.payloads) == 80 for n in cluster.nodes.values())
+        assert all(len(payloads(n.log)) == 80 for n in cluster.nodes.values())
         assert cluster.lans[0].stats.frames_lost > 0
         # A burst on ONE of two active networks is masked: no rtr needed.
         assert sum(n.srp.stats.retransmission_requests

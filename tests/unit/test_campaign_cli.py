@@ -85,12 +85,14 @@ class TestRunCommand:
         assert len(seen) == 1
 
     def test_nonpositive_batch_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--batch", "0"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--batch", "-3"])
-        assert exc.value.code == 2
+        for argv in (["--batch", "0"], ["--batch", "-3"],
+                     ["--batch", "1", "--duration", "nan"],
+                     ["--batch", "1", "--duration", "inf"],
+                     ["--batch", "1", "--duration", "-1"],
+                     ["--batch", "1", "--duration", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["run"] + argv)
+            assert exc.value.code == 2, argv
 
     def test_bad_style_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +203,9 @@ class TestExploreAndRulesCommands:
         ["explore", "{root}", "--drop-kinds", "ack"],
         ["explore", "{root}", "--mutate", "cosmic-ray"],
         ["explore", "{root}", "--nodes", "3"],
+        ["explore", "{root}", "--time-limit", "-1"],
+        ["explore", "{root}", "--time-limit", "nan"],
+        ["explore", "{root}", "--time-limit", "inf"],
     ])
     def test_malformed_arguments_exit_two(self, argv, case_file):
         with pytest.raises(SystemExit) as exc:

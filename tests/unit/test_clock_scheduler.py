@@ -89,7 +89,7 @@ class TestEventScheduler:
         timer.cancel()
         scheduler.run()
         assert fired == []
-        assert timer.cancelled
+        assert timer._cancelled
 
     def test_cancel_is_idempotent(self):
         scheduler = EventScheduler()
@@ -104,7 +104,7 @@ class TestEventScheduler:
         assert timer.active
         scheduler.run()
         assert not timer.active
-        assert not timer.cancelled
+        assert not timer._cancelled
 
     def test_events_can_schedule_events(self):
         scheduler = EventScheduler()
@@ -483,7 +483,7 @@ class TestTombstoneCompaction:
         scheduler.run_until(1.0)
         assert not timer.active
         timer.cancel()  # late cancel of a fired timer
-        assert timer.cancelled
+        assert timer._cancelled
         assert scheduler.dead_entries == 0
 
     def test_double_cancel_counts_once(self):
@@ -757,7 +757,7 @@ class TestBatchedDispatchAccounting:
         timer.cancel()
         assert fired == ["between"]
         assert scheduler.dead_entries == 1  # counted once, not three times
-        assert not timer.active and timer.cancelled
+        assert not timer.active and timer._cancelled
         scheduler.run_until(10.0)  # tombstone surfaces and drains
         assert fired == ["between"]
         assert scheduler.dead_entries == 0

@@ -61,18 +61,6 @@ class TestTotemConfig:
         with pytest.raises(ConfigError):
             TotemConfig(max_packet_payload=16)
 
-    def test_with_style_picks_minimum_networks(self):
-        base = TotemConfig()
-        assert base.with_style(ReplicationStyle.NONE).num_networks == 1
-        assert base.with_style(ReplicationStyle.PASSIVE).num_networks == 2
-        assert base.with_style(
-            ReplicationStyle.ACTIVE_PASSIVE).num_networks == 3
-
-    def test_with_style_respects_explicit_count(self):
-        config = TotemConfig().with_style(ReplicationStyle.PASSIVE,
-                                          num_networks=4)
-        assert config.num_networks == 4
-
     def test_frozen(self):
         with pytest.raises(Exception):
             TotemConfig().num_networks = 5  # type: ignore[misc]
@@ -83,7 +71,7 @@ class TestLanConfig:
         lan = LanConfig()
         assert lan.max_frame == 1518
         assert lan.frame_overhead == 94
-        assert lan.max_payload == 1424  # the paper's §8 number
+        assert lan.max_frame - lan.frame_overhead == 1424  # the paper's §8 number
 
     def test_wire_time_scales_with_bytes(self):
         lan = LanConfig()

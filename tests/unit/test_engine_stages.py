@@ -310,7 +310,7 @@ class TestStageStabilityUpdate:
         _, srp, _, _ = make_srp(node_id=2)
         srp._prev_token_aru = 3
         srp.stage_stability_update(fresh_token(srp, seq=5, aru=4))
-        assert srp.stable_seq == 3
+        assert srp._stable_seq == 3
         assert srp._prev_token_aru == 4
 
     def test_stable_never_regresses(self):
@@ -318,7 +318,7 @@ class TestStageStabilityUpdate:
         srp._stable_seq = 7
         srp._prev_token_aru = 2
         srp.stage_stability_update(fresh_token(srp, seq=5, aru=2))
-        assert srp.stable_seq == 7
+        assert srp._stable_seq == 7
 
     def test_collects_only_delivered_and_stable(self):
         _, srp, _, log = make_srp(node_id=2)
@@ -328,7 +328,7 @@ class TestStageStabilityUpdate:
         assert len(log.messages) == 2
         srp._prev_token_aru = 2
         srp.stage_stability_update(fresh_token(srp, seq=2, aru=2))
-        assert srp.stable_seq == 2
+        assert srp._stable_seq == 2
         assert srp.recv_buffer.gc_floor == 2
 
 

@@ -108,7 +108,8 @@ class TestFaultPlan:
 
     def test_event_str(self):
         plan = FaultPlan().fail_network(at=1.0, network=2)
-        assert "net2" in str(plan.events[0])
+        event = plan.events[0]
+        assert (event.time, event.network, event.label) == (1.0, 2, "fail")
 
 
 class TestSimLan:

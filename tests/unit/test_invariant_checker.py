@@ -60,7 +60,7 @@ class TestWiring:
         for node in cluster.nodes.values():
             node.submit(b"payload")
         cluster.run_for(0.2)
-        cluster.check_invariants()
+        cluster.checker.check_all()
         assert cluster.checker.violations == []
 
 
@@ -118,7 +118,7 @@ class TestRules:
         cluster.start()
         cluster.run_for(0.05)
         cluster.nodes[1].rrp.stats.tokens_delivered += 1  # break accounting
-        cluster.check_invariants()
+        cluster.checker.check_all()
         assert any(v.invariant == "token-ledger"
                    for v in cluster.checker.violations)
 

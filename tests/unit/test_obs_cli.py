@@ -126,3 +126,10 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    def test_nonpositive_duration_exits_two(self, stub_record, duration):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--duration", duration])
+        assert exc.value.code == 2
+        assert not stub_record

@@ -124,7 +124,7 @@ class TestSampling:
 
     def test_windowed_rotation_mean_appears_under_traffic(self):
         cluster = make_cluster()
-        cluster.node(1).submit(b"x" * 64)
+        cluster.nodes[1].submit(b"x" * 64)
         cluster.run_for(0.2)
         row = cluster.obs.samples[-1]
         means = [snap["window_rotation_mean"]

@@ -88,7 +88,7 @@ class TestReceiveBuffer:
         for seq in (1, 2, 3):
             buffer.insert(packet(seq))
         buffer.gc_below(1)
-        assert len(buffer) == 2
+        assert len(buffer._packets) == 2
 
 
 class TestFlowController:

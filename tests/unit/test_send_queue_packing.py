@@ -38,27 +38,19 @@ class TestSendQueue:
         assert queue.try_enqueue(b"a")
         assert not queue.try_enqueue(b"b")
 
-    def test_pending_bytes(self):
-        queue = SendQueue(capacity=10)
-        queue.enqueue(b"abc")
-        queue.enqueue(b"de")
-        assert queue.pending_bytes == 5
-        queue.dequeue()
-        assert queue.pending_bytes == 2
-
     def test_dequeue_fitting_pops_the_leading_messages_that_fit(self):
         queue = SendQueue(capacity=10)
         for payload in (b"aaaa", b"bb", b"cccccc", b"d"):
             queue.enqueue(payload)
         # 2 bytes of overhead each: 6 + 4 = 10 fits, + 8 does not.
         assert queue.dequeue_fitting(10, 2) == [b"aaaa", b"bb"]
-        assert len(queue) == 2 and queue.pending_bytes == 7
+        assert queue.digest_state() == ("sendq", (b"cccccc", b"d"))
         # An oversize head yields nothing even though "d" behind it fits.
         assert queue.dequeue_fitting(7, 2) == []
         assert queue.dequeue_fitting(100, 2, limit=1) == [b"cccccc"]
         assert queue.dequeue_fitting(100, 2) == [b"d"]
         assert queue.dequeue_fitting(100, 2) == []
-        assert len(queue) == 0 and queue.pending_bytes == 0
+        assert len(queue) == 0
 
 
 class TestPacker:
@@ -69,7 +61,7 @@ class TestPacker:
     def test_empty_queue_yields_nothing(self):
         _, packer = self._packer()
         assert packer.next_packet_chunks() == []
-        assert not packer.has_pending()
+        assert not packer.backlog()
 
     def test_packs_multiple_small_messages(self):
         queue, packer = self._packer(max_payload=100)
@@ -100,7 +92,7 @@ class TestPacker:
         queue, packer = self._packer(max_payload=100)
         queue.enqueue(b"m" * 250)
         pieces = []
-        while packer.has_pending():
+        while packer.backlog():
             pieces.extend(packer.next_packet_chunks())
         assert len(pieces) == 3  # 92 + 92 + 66 bytes of data
         assert [p.flags for p in pieces] == [FLAG_FIRST, 0, FLAG_LAST]
@@ -167,13 +159,13 @@ class TestReassembler:
         queue.enqueue(payload)
         reassembler = Reassembler()
         result = None
-        while packer.has_pending():
+        while packer.backlog():
             for chunk in packer.next_packet_chunks():
                 out = reassembler.feed(3, chunk)
                 if out is not None:
                     result = out
         assert result == payload
-        assert reassembler.pending_count() == 0
+        assert len(reassembler._partial) == 0
 
     def test_interleaved_senders(self):
         from repro.wire.packets import Chunk, ChunkFlags, ChunkKind
@@ -192,11 +184,3 @@ class TestReassembler:
         reassembler = Reassembler()
         tail = Chunk(ChunkKind.APP, 9, int(ChunkFlags.LAST), b"tail")
         assert reassembler.feed(1, tail) is None
-
-    def test_clear_discards_partials(self):
-        from repro.wire.packets import Chunk, ChunkFlags, ChunkKind
-        reassembler = Reassembler()
-        reassembler.feed(1, Chunk(ChunkKind.APP, 1, int(ChunkFlags.FIRST), b"x"))
-        assert reassembler.pending_count() == 1
-        reassembler.clear()
-        assert reassembler.pending_count() == 0

@@ -19,6 +19,8 @@ from repro.srp.engine import SrpState, TotemSrp
 from repro.types import DeliveryLog, ReplicationStyle, RingId
 from repro.wire.packets import Chunk, DataPacket, Token
 
+from conftest import payloads
+
 
 class FakeTransport:
     """Records everything the SRP sends."""
@@ -136,7 +138,7 @@ class TestSubmitAndBroadcast:
         scheduler, srp, transport, log = make_srp(node_id=2)
         srp.submit(b"mine")
         srp.on_token(Token(ring_id=srp.ring_id, seq=0, rotation=1))
-        assert log.payloads == [b"mine"]
+        assert payloads(log) == [b"mine"]
 
     def test_queue_full_raises(self):
         _, srp, _, _ = make_srp(node_id=2, send_queue_capacity=1)
@@ -221,9 +223,9 @@ class TestTokenRules:
     def test_delivery_in_sequence_order(self):
         scheduler, srp, _, log = make_srp(node_id=2)
         srp.on_data(data_packet(2, srp.ring_id, payload=b"two"))
-        assert log.payloads == []  # gap at 1
+        assert payloads(log) == []  # gap at 1
         srp.on_data(data_packet(1, srp.ring_id, payload=b"one"))
-        assert log.payloads == [b"one", b"two"]
+        assert payloads(log) == [b"one", b"two"]
 
     def test_duplicate_data_filtered(self):
         scheduler, srp, _, log = make_srp(node_id=2)
@@ -240,10 +242,10 @@ class TestTokenRules:
             srp.on_data(data_packet(seq, srp.ring_id))
         srp.on_token(Token(ring_id=srp.ring_id, seq=3, aru=3, aru_id=1,
                            rotation=1))
-        assert srp.stable_seq == 0  # needs a second visit
+        assert srp._stable_seq == 0  # needs a second visit
         srp.on_token(Token(ring_id=srp.ring_id, seq=3, aru=3, aru_id=1,
                            rotation=2))
-        assert srp.stable_seq == 3
+        assert srp._stable_seq == 3
         assert srp.recv_buffer.get(1) is None  # collected
 
 
@@ -318,11 +320,11 @@ class TestSafeDelivery:
     def test_safe_mode_holds_until_stable(self):
         scheduler, srp, _, log = make_srp(node_id=2, safe_delivery=True)
         srp.on_data(data_packet(1, srp.ring_id))
-        assert log.payloads == []  # delivered only when stable
+        assert payloads(log) == []  # delivered only when stable
         srp.on_token(Token(ring_id=srp.ring_id, seq=1, aru=1, aru_id=1,
                            rotation=1))
-        assert log.payloads == []
+        assert payloads(log) == []
         srp.on_token(Token(ring_id=srp.ring_id, seq=1, aru=1, aru_id=1,
                            rotation=2))
-        assert log.payloads == [b"m"]
+        assert payloads(log) == [b"m"]
         assert log.messages[0].safe
