@@ -77,6 +77,11 @@ class RecvCountMonitor:
         self.threshold = threshold
         self.label = label
         self.recv_count: List[int] = [0] * faults.num_networks
+        #: ``max(recv_count)`` (top-ups and restores never pass it), and
+        #: whether the last check found a lag: while none did, a reception
+        #: that makes no new leader cannot make one.
+        self._best = 0
+        self._lagging = False
         faults.add_restore_listener(self._on_restore)
 
     def _on_restore(self, network: NetworkIndex) -> None:
@@ -87,20 +92,25 @@ class RecvCountMonitor:
         """Count a reception on ``network`` and re-check the lag rule.
 
         The lag rule can only fire for a network trailing the leader by
-        more than the threshold, so when ``max - min`` is within it —
-        every reception on a healthy ring — the per-network loop below
-        would do nothing and is skipped.  A lagging network that is already
-        marked, or whose mark was refused (last operational network), keeps
-        taking the loop, so marks and (refused-mark) reports are unchanged.
+        more than the threshold, so a reception that makes no new leader
+        while none lags returns at once, and the per-network loop is
+        skipped while ``best - min`` is within it.  A lagging network that
+        is already marked, or whose mark was refused (last operational
+        network), keeps taking the loop, so marks and reports are unchanged.
         """
         if network < 0:
             # See ProblemCounterMonitor.token_copy_missing: a sentinel index
             # must fail loudly, not count against the last network.
             raise ValueError(f"invalid network index {network}")
         counts = self.recv_count
-        counts[network] += 1
-        best = max(counts)
-        if best - min(counts) <= self.threshold:
+        count = counts[network] = counts[network] + 1
+        best = self._best
+        if count > best:
+            best = self._best = count
+        elif not self._lagging:
+            return
+        self._lagging = best - min(counts) > self.threshold
+        if not self._lagging:
             return
         # After a failure the marked network lags for good and every
         # reception comes here: test the lag first, read the marks once.

@@ -26,7 +26,7 @@ periodically so sporadic loss is forgiven (P5).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..types import NodeId, TIMEOUT_NETWORK
 from ..wire.packets import BatchPacket, DataPacket, Token
@@ -41,6 +41,8 @@ class PassiveReplication(ReplicationEngine):
         super().__init__(*args, **kwargs)
         self._send_message_via = self.config.num_networks - 1
         self._send_token_via = self.config.num_networks - 1
+        self._next: List[int] = []  # :meth:`_build_next`
+        self._next_version = -1
         self._buffered_token: Optional[Token] = None
         self._token_timer = None
         self._topup_timer = None
@@ -93,28 +95,38 @@ class PassiveReplication(ReplicationEngine):
 
     # ----- sends: round-robin over non-faulty networks -----
 
-    def _next_network(self, current: int) -> int:
-        for _ in range(self.config.num_networks):
-            current = (current + 1) % self.config.num_networks
-            if not self.faults.is_faulty(current):
-                return current
-        return current  # all faulty (cannot happen: last never marked)
+    def _build_next(self) -> None:
+        """Tabulate the round-robin: per network, the first non-faulty one
+        after it (the last operational network is never marked).  Rebuilt
+        when ``faults.version`` moves, read per send in between."""
+        faulty = self.faults._faulty
+        networks = len(faulty)
+        table = []
+        for current in range(networks):
+            for _ in range(networks):
+                current = (current + 1) % networks
+                if not faulty[current]:
+                    break
+            table.append(current)  # itself when all others are faulty
+        self._next = table
+        self._next_version = self.faults.version
 
     def broadcast_data(self, packet: DataPacket) -> None:
         self.stats.data_sends += 1
-        self._send_message_via = self._next_network(self._send_message_via)
-        self.stack.broadcast(self._send_message_via, packet)
+        if self._next_version != self.faults.version:
+            self._build_next()
+        via = self._send_message_via = self._next[self._send_message_via]
+        self.stack.broadcast(via, packet)
 
-    def broadcast_batch(self, batch: BatchPacket) -> None:
-        # One round-robin slot per frame train, exactly as for one frame.
-        self.stats.data_sends += 1
-        self._send_message_via = self._next_network(self._send_message_via)
-        self.stack.broadcast(self._send_message_via, batch)
+    # One round-robin slot per frame train, exactly as for one frame.
+    broadcast_batch = broadcast_data
 
     def send_token(self, token: Token, dest: NodeId) -> int:
         self.stats.token_sends += 1
-        self._send_token_via = self._next_network(self._send_token_via)
-        self.stack.unicast(self._send_token_via, dest, token)
+        if self._next_version != self.faults.version:
+            self._build_next()
+        via = self._send_token_via = self._next[self._send_token_via]
+        self.stack.unicast(via, dest, token)
         return 1
 
     # ----- receives -----

@@ -157,11 +157,21 @@ class SimLan:
                 and self._generations.get(src) != generation):
             stats.frames_blocked += 1
             return
-        if not faults.can_send(src):
+        # One emptiness check per frame skips the per-target fault probe in
+        # the (overwhelmingly common) fault-free case, and the send probe
+        # with it.
+        faulty = (faults.down or faults.recv_blocked or faults.blocked_pairs
+                  or faults.partition is not None)
+        if (faulty or faults.send_blocked) and not faults.can_send(src):
             stats.frames_blocked += 1
             return
         payload = packet.wire_size()  # type: ignore[attr-defined]
-        wire_time = config.wire_time(payload)
+        # LanConfig.wire_time, inline: the same expression, so the same float.
+        wire = payload + config.frame_overhead
+        min_frame = config.min_frame
+        if wire < min_frame:
+            wire = min_frame
+        wire_time = wire * 8.0 / config.bandwidth_bps
         now = self._scheduler.clock._now
         start = self._medium_free_at
         if now > start:
@@ -170,9 +180,7 @@ class SimLan:
         self._medium_free_at = done
         stats.frames_sent += 1
         stats.payload_bytes += payload
-        wire = payload + config.frame_overhead
-        min_frame = config.min_frame
-        stats.wire_bytes += wire if wire > min_frame else min_frame
+        stats.wire_bytes += wire
         stats.busy_time += wire_time
         if type(packet) is BatchPacket:
             # A frame train's packets reach the receiver progressively while
@@ -205,10 +213,6 @@ class SimLan:
 
         loss = config.loss_rate + faults.extra_loss_rate
         observer = self.observer
-        # One emptiness check per frame skips the per-target fault probe in
-        # the (overwhelmingly common) fault-free case.
-        faulty = (faults.down or faults.recv_blocked or faults.blocked_pairs
-                  or faults.partition is not None)
         if dest is None and not faulty and observer is None:
             # A broadcast no fault can block and nobody watches reaches
             # every other node of the channel, in attachment order: the same

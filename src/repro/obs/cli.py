@@ -95,7 +95,7 @@ def record_scenario(style: str = "active", num_nodes: int = 4,
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--style", choices=_STYLES, default="active",
                         help="replication style (default: active)")
-    parser.add_argument("--nodes", type=int, default=4,
+    parser.add_argument("--nodes", type=positive(int, "--nodes"), default=4,
                         help="cluster size (default: 4)")
     parser.add_argument("--size", type=int, default=700,
                         help="message payload bytes (default: 700)")
@@ -107,7 +107,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("sampled", "full"),
                         default="full",
                         help="telemetry mode (default: full)")
-    parser.add_argument("--interval", type=float, default=0.01,
+    parser.add_argument("--interval", type=positive(float, "--interval"),
+                        default=0.01,
                         help="sampling interval, virtual seconds "
                              "(default: 0.01)")
     parser.add_argument("--fault-time", type=float, default=0.8,

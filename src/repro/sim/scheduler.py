@@ -468,12 +468,17 @@ class EventScheduler:
                 # timer.
                 entry[_CALLBACK] = None
                 if when != clock._now:
+                    # VirtualClock.advance_to inline, its check included.
+                    if not when >= clock._now:  # also refuses NaN
+                        raise SimulationError(
+                            f"clock cannot move backwards: {when} < "
+                            f"{clock._now}")
                     # Flush the batched event count on every clock advance so
                     # observers sampling mid-run (repro.obs) read an accurate
                     # monotone value; the same-timestamp fast path stays lean.
                     self._events_processed += events
                     events = 0
-                    clock.advance_to(when)
+                    clock._now = when
                 callback(*entry[_ARGS])
                 events += 1
                 # Same-timestamp run: keep draining heap entries that share

@@ -66,6 +66,15 @@ from .ordering import ReceiveBuffer
 from .packing import Packer, Reassembler
 from .send_queue import SendQueue
 
+#: Enum members bound once.  On 3.11 ``EnumType`` defines ``__getattr__``,
+#: so a member read off its class takes the slow attribute hook (~100 ns
+#: against ~8 ns for a module global), and the receive path tests the state
+#: on every frame (``tests/unit/test_hot_path_enum_loads.py`` keeps the
+#: loads out).
+_OPERATIONAL = SrpState.OPERATIONAL
+_RECOVERY = SrpState.RECOVERY
+_APP = ChunkKind.APP
+
 
 class RingTransport(Protocol):
     """What the SRP needs from the layer below (the RRP or a single LAN)."""
@@ -400,7 +409,7 @@ class TotemSrp:
                 # networks: start the membership protocol to merge (Totem
                 # SRP's "foreign message" rule).  Idle rings exchange no
                 # broadcasts, so merge detection rides on data traffic.
-                if (self.state is SrpState.OPERATIONAL
+                if (self.state is _OPERATIONAL
                         and packet.sender not in self.membership):
                     self.memb.enter_gather(
                         f"foreign message from {packet.sender}")
@@ -414,14 +423,14 @@ class TotemSrp:
                     and packet.seq > self._last_token.seq):
                 # Evidence the successor received our token (paper §2).
                 self._cancel_token_retrans_timer()
-            if self.state is SrpState.RECOVERY:
+            if self.state is _RECOVERY:
                 self.memb.absorb_recovery_progress()
             elif deliver:
                 self._try_deliver()
         else:
             # A straggler for the previous ring while we are re-forming:
             # keep it (it reduces recovery work) and deliver what it unblocks.
-            if deliver and self.state is not SrpState.RECOVERY:
+            if deliver and self.state is not _RECOVERY:
                 self._try_deliver()
         return True
 
@@ -442,7 +451,7 @@ class TotemSrp:
         if buffer is not None:
             inserted, top = buffer.insert_run(packets)
             stats.duplicate_packets += len(packets) - inserted
-        elif (self.state is SrpState.OPERATIONAL
+        elif (self.state is _OPERATIONAL
                 and packets[0].sender not in self.membership):
             # on_data's foreign-message rule, once: the first packet would
             # leave OPERATIONAL and the rest then do nothing.
@@ -453,9 +462,9 @@ class TotemSrp:
                     and self._last_token is not None
                     and top > self._last_token.seq):
                 self._cancel_token_retrans_timer()
-            if self.state is SrpState.RECOVERY:
+            if self.state is _RECOVERY:
                 self.memb.absorb_recovery_progress()
-        if self.state is not SrpState.RECOVERY:
+        if self.state is not _RECOVERY:
             self._try_deliver()
         return inserted > 0 or buffer is None
 
@@ -488,9 +497,9 @@ class TotemSrp:
         self.stage_retransmit_serve(token)
         self.stage_aru_update(token)
         self.stage_retransmit_request(token)
-        if self.state is SrpState.RECOVERY:
+        if self.state is _RECOVERY:
             self.memb.recovery_token_step(token)
-        if self.state is not SrpState.RECOVERY:
+        if self.state is not _RECOVERY:
             # OPERATIONAL — possibly just transitioned by the recovery step.
             self.stage_dequeue_pack(token)
             if token.done_count < 2 * len(self.membership):
@@ -514,7 +523,7 @@ class TotemSrp:
             self.probe.srp_token_up(token, network)
         if token.ring_id != self.ring_id:
             return None
-        if self.state not in (SrpState.OPERATIONAL, SrpState.RECOVERY):
+        if self.state not in (_OPERATIONAL, _RECOVERY):
             return None
         stamp = token.stamp
         if stamp <= self._last_accepted_stamp:
@@ -648,8 +657,8 @@ class TotemSrp:
             if not chunks:
                 break
             token.seq += 1
-            packet = DataPacket(sender=self.node_id, ring_id=self.ring_id,
-                                seq=token.seq, chunks=tuple(chunks))
+            packet = DataPacket(self.node_id, self.ring_id, token.seq,
+                                tuple(chunks))
             self.recv_buffer.insert(packet)
             self.transport.broadcast_data(packet)
             self.stats.packets_broadcast += 1
@@ -715,7 +724,7 @@ class TotemSrp:
         feed = self._reassembler.feed
         stable_seq = self._stable_seq
         delivered_in = self.ring_id
-        app_kind = ChunkKind.APP
+        app_kind = _APP
         stats = self.stats
         on_deliver = self.on_deliver
         before = stats.msgs_delivered
@@ -767,12 +776,11 @@ class TotemSrp:
         sender = packet.sender
         seq = packet.seq
         ring_id = packet.ring_id
-        app_kind = ChunkKind.APP
         feed = reassembler.feed
         stats = self.stats
         on_deliver = self.on_deliver
         for chunk in packet.chunks:
-            if chunk.kind is not app_kind:
+            if chunk.kind is not _APP:
                 continue  # recovery chunks were absorbed on receipt
             payload = feed(sender, chunk)
             if payload is None:
@@ -816,7 +824,7 @@ class TotemSrp:
 
     def _on_token_retrans_timeout(self) -> None:
         self._token_retrans_timer = None
-        if self.state not in (SrpState.OPERATIONAL, SrpState.RECOVERY):
+        if self.state not in (_OPERATIONAL, _RECOVERY):
             return
         if self._last_token is None:
             return

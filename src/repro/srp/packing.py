@@ -36,6 +36,8 @@ from ..wire.packets import (
 )
 from .send_queue import SendQueue
 
+_APP = ChunkKind.APP  # bound once, as in repro.srp.engine
+
 
 class Packer:
     """Builds packet payloads (chunk lists) from the send queue.
@@ -75,8 +77,8 @@ class Packer:
             fragments.append(piece)
             if end < len(payload):
                 self._partial = (msg_id, payload, end, fragments)
-                return [Chunk(ChunkKind.APP, msg_id, 0, piece)]  # packet is full
-            tail = Chunk(ChunkKind.APP, msg_id, FLAG_LAST, piece)
+                return [Chunk(_APP, msg_id, 0, piece)]  # packet is full
+            tail = Chunk(_APP, msg_id, FLAG_LAST, piece)
             tail._source = (fragments, payload)
             chunks.append(tail)
             self._partial = None
@@ -90,14 +92,14 @@ class Packer:
         for payload in queue.dequeue_fitting(
                 budget, CHUNK_HEADER_BYTES,
                 None if self._enable_packing else 1):
-            chunks.append(Chunk(ChunkKind.APP, msg_id, FLAG_WHOLE, payload))
+            chunks.append(Chunk(_APP, msg_id, FLAG_WHOLE, payload))
             msg_id = msg_id % 0xFFFFFFFF + 1
         if not chunks and len(queue):
             # The head alone exceeds a whole packet: begin fragmenting it.
             payload = queue.dequeue()
             room = self._max_payload - CHUNK_HEADER_BYTES
             piece = payload[:room]
-            chunks.append(Chunk(ChunkKind.APP, msg_id, FLAG_FIRST, piece))
+            chunks.append(Chunk(_APP, msg_id, FLAG_FIRST, piece))
             self._partial = (msg_id, payload, room, [piece])
             msg_id = msg_id % 0xFFFFFFFF + 1
         self._next_msg_id = msg_id

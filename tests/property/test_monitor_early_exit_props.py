@@ -1,13 +1,17 @@
-"""Property: ``RecvCountMonitor.record``'s early exit changes nothing.
+"""Property: ``RecvCountMonitor.record``'s early exits change nothing.
 
-``record`` returns before its per-network loop when ``max - min`` of the
-reception counts is within the threshold.  The loop it skips is kept here
-as the reference implementation and both are driven with the same random
-operation sequences — receptions, P5 top-ups, administrative restores and
-externally requested marks (which is how a monitor ends up lagging on the
-*last* operational network, whose mark is refused on every further
-reception and reported once).  After every step the counts, the fault
-marks and the complete ``FaultReport`` lists must be identical.
+``record`` returns before its per-network loop when the spread of the
+reception counts is within the threshold, and before computing the spread
+when a reception makes no new leader while no network lags (it keeps the
+leader's count).  Two earlier bodies are kept here as references: the
+full loop on every reception, and the ``max`` / ``min`` test of every
+reception.  Each pair is driven with the same random operation sequences —
+receptions, P5 top-ups, administrative restores (``clear_fault``, which
+runs the monitor's restore listener) and externally requested marks (which
+is how a monitor ends up lagging on the *last* operational network, whose
+mark is refused on every further reception and reported once).  After
+every step the counts, the fault marks and the complete ``FaultReport``
+lists must be identical.
 """
 
 from __future__ import annotations
@@ -37,6 +41,27 @@ class ReferenceMonitor(RecvCountMonitor):
                            f"{best - count} exceeds threshold {self.threshold}")
 
 
+class MaxMinMonitor(RecvCountMonitor):
+    """``record`` as it was before the leader cache: ``max`` and ``min`` of
+    the counts on every reception."""
+
+    def record(self, network):
+        if network < 0:
+            raise ValueError(f"invalid network index {network}")
+        counts = self.recv_count
+        counts[network] += 1
+        best = max(counts)
+        if best - min(counts) <= self.threshold:
+            return
+        faulty = self._faults._faulty
+        for i, count in enumerate(counts):
+            if best - count > self.threshold and not faulty[i]:
+                self._faults.mark_faulty(
+                    i,
+                    detail=f"{self.label or 'monitor'}: reception lag "
+                           f"{best - count} exceeds threshold {self.threshold}")
+
+
 def build(monitor_cls, num_networks: int, threshold: int):
     faults = NetworkFaultState(node=1, num_networks=num_networks)
     return faults, monitor_cls(faults, threshold, label="messages from 2")
@@ -60,9 +85,19 @@ def scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios())
 def test_early_exit_matches_the_full_loop(scenario):
+    drive(scenario, ReferenceMonitor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios())
+def test_leader_cache_matches_max_min_on_every_reception(scenario):
+    drive(scenario, MaxMinMonitor)
+
+
+def drive(scenario, reference_cls):
     num_networks, threshold, operations = scenario
     faults, monitor = build(RecvCountMonitor, num_networks, threshold)
-    ref_faults, reference = build(ReferenceMonitor, num_networks, threshold)
+    ref_faults, reference = build(reference_cls, num_networks, threshold)
 
     def agree():
         assert monitor.recv_count == reference.recv_count

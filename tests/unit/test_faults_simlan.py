@@ -168,6 +168,30 @@ class TestSimLan:
         wire = LanConfig().wire_time(packet(1, size=1000).wire_size())
         assert arrivals[1] - arrivals[0] == pytest.approx(wire)
 
+    @pytest.mark.parametrize("config", [
+        LanConfig(),
+        LanConfig(bandwidth_bps=10_000_000.0, frame_overhead=37,
+                  min_frame=300),
+    ])
+    def test_medium_occupancy_is_wire_time_exactly(self, config):
+        """``transmit`` computes a frame's medium time inline; it must be
+        ``LanConfig.wire_time`` to the last bit, below, at and above the
+        minimum frame, for a data frame and a token (one frame on an idle
+        medium each, so no sum rounds)."""
+        frames = [packet(seq, size) for seq, size
+                  in enumerate((0, 1, 254, 255, 256, 700, 1300), 1)]
+        frames.append(Token(RING))
+        for frame in frames:
+            lan = SimLan(EventScheduler(), config, random.Random(1))
+            lan.attach(1, lambda src, p: None)
+            lan.attach(2, lambda src, p: None)
+            lan.transmit(1, frame)
+            size = frame.wire_size()
+            assert lan.stats.busy_time == config.wire_time(size)
+            assert lan._medium_free_at == config.wire_time(size)
+            assert lan.stats.wire_bytes == max(
+                config.min_frame, size + config.frame_overhead)
+
     def test_latency_applied(self):
         scheduler, lan = self._lan(latency=1e-3)
         arrivals = []

@@ -133,3 +133,20 @@ class TestReportCommand:
             cli.main(["report", "--duration", duration])
         assert exc.value.code == 2
         assert not stub_record
+
+    @pytest.mark.parametrize("argv", [
+        ["--interval", "-1"], ["--interval", "0"], ["--interval", "nan"],
+        ["--nodes", "0"], ["--nodes", "-3"],
+    ])
+    def test_out_of_range_scenario_number_exits_two(self, stub_record, capsys,
+                                                    argv):
+        """Refused by the parser: one ``error:`` line and exit 2, no
+        traceback and no recorded run."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--quick"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}: {argv[0]} must be finite and " \
+               "positive" in err
+        assert "Traceback" not in err
+        assert not stub_record
